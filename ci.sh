@@ -15,6 +15,8 @@
 #   8. loadgen smoke     (overload the admission stack: shed ladder
 #                         engages and releases, zero unlabelled
 #                         degradations; see ci/loadgen_smoke.sh)
+#   9. code-size table    (informational, never fails: non-test Go code
+#                         lines per package; see ci/loc.sh)
 #
 # Any step failing fails the script. This is a superset of ROADMAP.md's
 # minimal `go build ./... && go test ./...` gate.
@@ -58,5 +60,8 @@ echo "== alignd smoke =="
 
 echo "== loadgen smoke =="
 ./ci/loadgen_smoke.sh
+
+echo "== code size (informational) =="
+./ci/loc.sh || true
 
 echo "CI PASS"

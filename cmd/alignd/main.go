@@ -74,9 +74,7 @@ import (
 
 	"pimnw/internal/admission/config"
 	"pimnw/internal/cache"
-	"pimnw/internal/core"
 	"pimnw/internal/host"
-	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
 )
@@ -102,7 +100,6 @@ func run() error {
 		band      = flag.Int("band", 128, "band size (cells per anti-diagonal / row)")
 		ranks     = flag.Int("ranks", 40, "PiM ranks")
 		scoreOnly = flag.Bool("score-only", false, "skip traceback/CIGAR")
-		lanesFlag = flag.String("lanes", "auto", "DP lane width: auto, 16 (saturating narrow lanes, score-only) or 64")
 
 		batchPairs    = flag.Int("batch-pairs", 0, "micro-batch size in pairs (0 = 4 per DPU of a rank)")
 		linger        = flag.Duration("linger", 0, "max time a pair may wait for its micro-batch to fill (0 = 2ms)")
@@ -110,17 +107,6 @@ func run() error {
 		maxConcurrent = flag.Int("max-concurrent", 0, "micro-batches in flight per request (0 = 2)")
 
 		cacheDir = flag.String("cache-dir", "", "directory for the persistent result cache (empty = caching disabled)")
-
-		fleet = flag.String("fleet", "", "serve from a multi-backend fleet: comma-separated pim[:RANKS[@FREQMHZ]][~FAULTRATE] / cpu[:THREADS] entries (empty = single fabric)")
-
-		escalation = flag.Bool("escalation", false, "re-dispatch clipped/out-of-band pairs at wider bands, degrading to score-only then the exact CPU baseline")
-		maxBand    = flag.Int("max-band", 0, "widest band the escalation ladder may try (0 = default cap)")
-		verify     = flag.Bool("verify", false, "re-derive traceback scores from CIGARs on the host; mismatches are treated as corruption")
-
-		faultRate     = flag.Float64("fault-rate", 0, "per-DPU fault injection probability in [0,1] (0 = perfect fabric)")
-		faultSeed     = flag.Int64("fault-seed", 1, "fault injection seed")
-		maxRetries    = flag.Int("max-retries", 3, "recovery attempts per batch beyond the first launch")
-		batchDeadline = flag.Float64("batch-deadline", 0, "modelled per-attempt deadline in seconds (0 = none)")
 
 		logJSON      = flag.Bool("log-json", false, "structured JSON log lines instead of text")
 		slowRequest  = flag.Duration("slow-request", time.Second, "log a stage breakdown for align requests at/over this duration (0 = every request, negative = never)")
@@ -131,6 +117,10 @@ func run() error {
 		bPath   = flag.String("b", "", "FASTA file of target sequences (client mode)")
 		verbose = flag.Bool("v", false, "verbose (debug) logging")
 	)
+	// The align flags shared with pimalign and experiments; like every
+	// other flag they only override the config file when set explicitly.
+	var shared host.Options
+	shared.Bind(flag.CommandLine)
 	flag.Parse()
 	if *verbose {
 		obs.SetVerbosity(1)
@@ -169,25 +159,25 @@ func run() error {
 		case "score-only":
 			cfg.Align.ScoreOnly = *scoreOnly
 		case "lanes":
-			cfg.Align.Lanes = *lanesFlag
+			cfg.Align.Lanes = shared.Lanes
 		case "escalation":
-			cfg.Align.Escalation = *escalation
+			cfg.Align.Escalation = shared.Escalation
 		case "max-band":
-			cfg.Align.MaxBand = *maxBand
+			cfg.Align.MaxBand = shared.MaxBand
 		case "verify":
-			cfg.Align.Verify = *verify
+			cfg.Align.Verify = shared.Verify
 		case "fault-rate":
-			cfg.Align.FaultRate = *faultRate
+			cfg.Align.FaultRate = shared.FaultRate
 		case "fault-seed":
-			cfg.Align.FaultSeed = *faultSeed
+			cfg.Align.FaultSeed = shared.FaultSeed
 		case "max-retries":
-			cfg.Align.MaxRetries = *maxRetries
+			cfg.Align.MaxRetries = shared.MaxRetries
 		case "batch-deadline":
-			cfg.Align.BatchDeadline = *batchDeadline
+			cfg.Align.BatchDeadline = shared.BatchDeadlineSec
 		case "cache-dir":
 			cfg.Cache.Dir = *cacheDir
 		case "fleet":
-			cfg.Fleet.Backends = *fleet
+			cfg.Fleet.Backends = shared.Fleet
 		case "batch-pairs":
 			cfg.Session.BatchPairs = *batchPairs
 		case "linger":
@@ -313,39 +303,21 @@ func openCache(cfg *config.Config) (*cache.Cache, error) {
 }
 
 // sessionConfig assembles the per-request session template from the
-// align and session sections.
+// align, fleet and session sections.
 func sessionConfig(cfg *config.Config) (host.SessionConfig, error) {
-	laneWidth, err := kernel.ParseLaneWidth(cfg.Align.Lanes)
+	a := cfg.Align
+	hcfg, err := host.Options{
+		Band: a.Band, Ranks: a.Ranks, ScoreOnly: a.ScoreOnly, Lanes: a.Lanes,
+		Fleet:     cfg.Fleet.Backends,
+		FaultRate: a.FaultRate, FaultSeed: a.FaultSeed,
+		MaxRetries: a.MaxRetries, BatchDeadlineSec: a.BatchDeadline,
+		Escalation: a.Escalation, MaxBand: a.MaxBand, Verify: a.Verify,
+	}.Config()
 	if err != nil {
 		return host.SessionConfig{}, err
 	}
-	backends, err := host.ParseFleet(cfg.Fleet.Backends)
-	if err != nil {
-		return host.SessionConfig{}, err
-	}
-	pimCfg := pim.DefaultConfig()
-	pimCfg.Ranks = cfg.Align.Ranks
 	return host.SessionConfig{
-		Host: host.Config{
-			PIM: pimCfg,
-			Kernel: kernel.Config{
-				Geometry:  kernel.DefaultGeometry(),
-				Band:      cfg.Align.Band,
-				Params:    core.DefaultParams(),
-				Costs:     pim.Asm,
-				Traceback: !cfg.Align.ScoreOnly,
-				LaneWidth: laneWidth,
-				PIM:       pimCfg,
-			},
-			Faults:           pim.FaultConfig{Rate: cfg.Align.FaultRate, Seed: cfg.Align.FaultSeed},
-			MaxRetries:       cfg.Align.MaxRetries,
-			BatchDeadlineSec: cfg.Align.BatchDeadline,
-			RetryBackoffSec:  1e-3,
-			Escalate:         cfg.Align.Escalation,
-			MaxBand:          cfg.Align.MaxBand,
-			Verify:           cfg.Align.Verify && !cfg.Align.ScoreOnly,
-			Backends:         backends,
-		},
+		Host:                 hcfg,
 		MaxBatchPairs:        cfg.Session.BatchPairs,
 		MaxLinger:            cfg.Session.Linger,
 		QueueLimit:           cfg.Session.QueueLimit,

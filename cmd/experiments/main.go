@@ -31,7 +31,7 @@ import (
 	"os"
 	"time"
 
-	"pimnw/internal/kernel"
+	"pimnw/internal/host"
 	"pimnw/internal/obs"
 	"pimnw/internal/xp"
 )
@@ -48,16 +48,11 @@ func main() {
 	metrics := flag.String("metrics", "", "write a Prometheus-text metrics snapshot to FILE (\"-\" = stdout)")
 	traceOut := flag.String("trace-out", "", "write the harness spans as Chrome trace-event JSON to FILE")
 	reportJSON := flag.String("report-json", "", "write the generated tables as JSON to FILE")
-	faultRate := flag.Float64("fault-rate", 0, "inject per-DPU faults at this probability into the simulated batch runs (0 = perfect fabric)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injection seed")
-	maxRetries := flag.Int("max-retries", 3, "recovery attempts per batch beyond the first launch")
-	batchDeadline := flag.Float64("batch-deadline", 0, "modelled per-attempt deadline in seconds (0 = none)")
-	escalation := flag.Bool("escalation", false, "enable the result-integrity band-escalation ladder in the simulated batch runs")
-	maxBand := flag.Int("max-band", 0, "widest band the escalation ladder may try (0 = default cap)")
-	verify := flag.Bool("verify", false, "re-derive traceback results' scores from their CIGARs in the simulated batch runs")
-	lanesFlag := flag.String("lanes", "auto", "DP lane width for the simulated DPU kernels: auto, 16 or 64")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache used by the batch experiments (empty = caching disabled)")
-	fleet := flag.String("fleet", "", "shard the batch experiments across a multi-backend fleet: comma-separated pim[:RANKS[@FREQMHZ]][~FAULTRATE] / cpu[:THREADS] entries (empty = single fabric)")
+	// Fault injection, the integrity ladder, lane width and fleet apply to
+	// the simulated batch runs and calibrations.
+	var hostOpts host.Options
+	hostOpts.Bind(flag.CommandLine)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC snapshot at exit) to FILE")
 	flag.Parse()
@@ -78,17 +73,14 @@ func main() {
 		obs.SetDefaultTracer(obs.NewTracer())
 	}
 
-	laneWidth, err := kernel.ParseLaneWidth(*lanesFlag)
-	if err != nil {
+	// Reject a bad -lanes or -fleet before any table runs.
+	if _, err := hostOpts.Config(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	runner := xp.NewRunner(xp.Options{
 		Quick: *quick, Samples: *samples, Seed: *seed,
-		FaultRate: *faultRate, FaultSeed: *faultSeed,
-		MaxRetries: *maxRetries, BatchDeadlineSec: *batchDeadline,
-		Escalate: *escalation, MaxBand: *maxBand, Verify: *verify,
-		LaneWidth: laneWidth, CacheDir: *cacheDir, Fleet: *fleet,
+		Host: hostOpts, CacheDir: *cacheDir,
 	})
 	defer runner.Close()
 	ids := []string{*table}

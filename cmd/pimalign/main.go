@@ -55,9 +55,7 @@ import (
 	"pimnw/internal/cache"
 	"pimnw/internal/core"
 	"pimnw/internal/host"
-	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
-	"pimnw/internal/pim"
 	"pimnw/internal/seq"
 )
 
@@ -77,16 +75,17 @@ type artifacts struct {
 func (a artifacts) any() bool { return a.metrics != "" || a.traceOut != "" || a.reportJSON != "" }
 
 func run() error {
+	var opts host.Options
+	opts.Bind(flag.CommandLine) // -lanes -fleet -fault-* -max-retries -batch-deadline -escalation -max-band -verify
+	flag.IntVar(&opts.Band, "band", 128, "band size (cells per anti-diagonal / row)")
+	flag.IntVar(&opts.Ranks, "ranks", 40, "PiM ranks (pim engine)")
+	flag.BoolVar(&opts.ScoreOnly, "score-only", false, "skip traceback/CIGAR")
 	var (
 		aPath      = flag.String("a", "", "FASTA file of query sequences")
 		bPath      = flag.String("b", "", "FASTA file of target sequences (omit with -mode allpairs)")
 		mode       = flag.String("mode", "pairs", "pairs (record i of -a vs record i of -b) or allpairs (-a against itself, score-only broadcast, as in §5.3)")
 		engine     = flag.String("engine", "pim", "alignment engine: pim (simulated UPMEM server) or cpu (baseline)")
-		band       = flag.Int("band", 128, "band size (cells per anti-diagonal / row)")
 		static     = flag.Bool("static", false, "use the static band instead of the adaptive one (cpu engine)")
-		ranks      = flag.Int("ranks", 40, "PiM ranks (pim engine)")
-		scoreOnly  = flag.Bool("score-only", false, "skip traceback/CIGAR")
-		lanesFlag  = flag.String("lanes", "auto", "DP lane width: auto, 16 (saturating narrow lanes, score-only) or 64 (pim engine)")
 		threads    = flag.Int("threads", 0, "CPU threads (cpu engine; 0 = all)")
 		timeline   = flag.Bool("timeline", false, "print the simulated rank timeline (pim engine)")
 		verbose    = flag.Bool("v", false, "verbose (debug) logging")
@@ -94,20 +93,7 @@ func run() error {
 		metrics    = flag.String("metrics", "", "write a Prometheus-text metrics snapshot to FILE (\"-\" = stdout; pim engine)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file to FILE for Perfetto (pim engine)")
 		reportJSON = flag.String("report-json", "", "write the machine-readable run report to FILE (pim engine)")
-
-		cacheDir = flag.String("cache-dir", "", "directory for the persistent result cache (pim engine, pairs mode; empty = caching disabled)")
-
-		fleet = flag.String("fleet", "", "shard across a multi-backend fleet (pim engine, pairs mode): comma-separated pim[:RANKS[@FREQMHZ]][~FAULTRATE] / cpu[:THREADS] entries")
-
-		escalation = flag.Bool("escalation", false, "re-dispatch clipped/out-of-band pairs at wider bands, degrading to score-only then the exact CPU baseline (pim engine, pairs mode)")
-		maxBand    = flag.Int("max-band", 0, "widest band the escalation ladder may try (0 = default cap)")
-		verify     = flag.Bool("verify", false, "re-derive every traceback result's score from its CIGAR on the host; mismatches are treated as corruption (pim engine, pairs mode)")
-
-		faultRate     = flag.Float64("fault-rate", 0, "per-DPU fault injection probability in [0,1] (pim engine, pairs mode; 0 = perfect fabric)")
-		faultSeed     = flag.Int64("fault-seed", 1, "fault injection seed (deterministic per seed)")
-		maxRetries    = flag.Int("max-retries", 3, "recovery attempts per batch beyond the first launch")
-		batchDeadline = flag.Float64("batch-deadline", 0, "modelled per-attempt deadline in seconds; 0 = none (stalled DPUs are waited out)")
-
+		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result cache (pim engine, pairs mode; empty = caching disabled)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC snapshot at exit) to FILE")
 	)
@@ -138,24 +124,17 @@ func run() error {
 	}
 	obs.Debugf("read %d query records from %s", len(queries), *aPath)
 
-	laneWidth, err := kernel.ParseLaneWidth(*lanesFlag)
-	if err != nil {
-		return err
-	}
-	faults := faultOpts{rate: *faultRate, seed: *faultSeed,
-		retries: *maxRetries, deadline: *batchDeadline}
-	integrity := integrityOpts{escalate: *escalation, maxBand: *maxBand, verify: *verify}
 	if *mode == "allpairs" {
-		if faults.rate > 0 {
+		if opts.FaultRate > 0 {
 			obs.Logf("note: -fault-rate applies to the batch pipeline (pairs mode) only")
 		}
-		if integrity.escalate || integrity.verify {
+		if opts.Escalation || opts.Verify {
 			obs.Logf("note: -escalation/-verify apply to the batch pipeline (pairs mode) only")
 		}
-		if *fleet != "" {
+		if opts.Fleet != "" {
 			obs.Logf("note: -fleet applies to the batch pipeline (pairs mode) only")
 		}
-		return runAllPairs(queries, *band, *ranks, laneWidth, art)
+		return runAllPairs(queries, opts, art)
 	}
 	if *bPath == "" {
 		flag.Usage()
@@ -172,7 +151,7 @@ func run() error {
 
 	switch *engine {
 	case "pim":
-		return runPiM(queries, targets, *band, *ranks, laneWidth, !*scoreOnly, *timeline, art, faults, integrity, *cacheDir, *fleet)
+		return runPiM(queries, targets, opts, *timeline, art, *cacheDir)
 	case "cpu":
 		if art.any() {
 			obs.Logf("note: -metrics/-trace-out/-report-json apply to the pim engine only")
@@ -180,16 +159,16 @@ func run() error {
 		if *cacheDir != "" {
 			obs.Logf("note: -cache-dir applies to the pim engine only")
 		}
-		if *fleet != "" {
+		if opts.Fleet != "" {
 			obs.Logf("note: -fleet applies to the pim engine only")
 		}
-		if faults.rate > 0 {
+		if opts.FaultRate > 0 {
 			obs.Logf("note: -fault-rate applies to the pim engine only")
 		}
-		if integrity.escalate || integrity.verify {
+		if opts.Escalation || opts.Verify {
 			obs.Logf("note: -escalation/-verify apply to the pim engine only")
 		}
-		return runCPU(queries, targets, *band, *static, *threads, !*scoreOnly)
+		return runCPU(queries, targets, opts.Band, *static, *threads, !opts.ScoreOnly)
 	default:
 		return fmt.Errorf("unknown engine %q", *engine)
 	}
@@ -243,19 +222,12 @@ func toFile(path string, write func(io.Writer) error) error {
 
 // runAllPairs is the §5.3 workflow: the dataset is broadcast to every DPU
 // and all n(n-1)/2 scores are computed without traceback.
-func runAllPairs(recs []seq.Record, band, ranks, laneWidth int, art artifacts) error {
-	pimCfg := pim.DefaultConfig()
-	pimCfg.Ranks = ranks
-	cfg := host.Config{
-		PIM: pimCfg,
-		Kernel: kernel.Config{
-			Geometry:  kernel.DefaultGeometry(),
-			Band:      band,
-			Params:    core.DefaultParams(),
-			Costs:     pim.Asm,
-			LaneWidth: laneWidth,
-			PIM:       pimCfg,
-		},
+func runAllPairs(recs []seq.Record, opts host.Options, art artifacts) error {
+	// Only the kernel shape carries over; the batch-pipeline options were
+	// noted as inapplicable by the caller.
+	cfg, err := host.Options{Band: opts.Band, Ranks: opts.Ranks, ScoreOnly: true, Lanes: opts.Lanes}.Config()
+	if err != nil {
+		return err
 	}
 	seqs := make([]seq.Seq, len(recs))
 	for i, r := range recs {
@@ -272,7 +244,7 @@ func runAllPairs(recs []seq.Record, band, ranks, laneWidth int, art artifacts) e
 		printResult(recs[pi.I].Name, recs[pi.J].Name, r)
 	}
 	obs.Logf("%d all-against-all scores on %d simulated ranks: %.3fs modelled (broadcast %.3fs)",
-		rep.Alignments, ranks, rep.MakespanSec, rep.TransferInSec)
+		rep.Alignments, opts.Ranks, rep.MakespanSec, rep.TransferInSec)
 	return writeArtifacts(rep, art)
 }
 
@@ -285,48 +257,12 @@ func readFasta(path string) ([]seq.Record, error) {
 	return seq.ReadFASTA(f, nil)
 }
 
-// faultOpts carries the fault-injection flags into the pim pipeline.
-type faultOpts struct {
-	rate     float64
-	seed     int64
-	retries  int
-	deadline float64
-}
-
-// integrityOpts carries the result-integrity flags into the pim pipeline.
-type integrityOpts struct {
-	escalate bool
-	maxBand  int
-	verify   bool
-}
-
-func runPiM(queries, targets []seq.Record, band, ranks, laneWidth int, traceback, timeline bool, art artifacts, faults faultOpts, integrity integrityOpts, cacheDir, fleetSpec string) error {
-	backends, err := host.ParseFleet(fleetSpec)
+func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art artifacts, cacheDir string) error {
+	cfg, err := opts.Config()
 	if err != nil {
 		return err
 	}
-	pimCfg := pim.DefaultConfig()
-	pimCfg.Ranks = ranks
-	cfg := host.Config{
-		PIM: pimCfg,
-		Kernel: kernel.Config{
-			Geometry:  kernel.DefaultGeometry(),
-			Band:      band,
-			Params:    core.DefaultParams(),
-			Costs:     pim.Asm,
-			Traceback: traceback,
-			LaneWidth: laneWidth,
-			PIM:       pimCfg,
-		},
-		Faults:           pim.FaultConfig{Rate: faults.rate, Seed: faults.seed},
-		MaxRetries:       faults.retries,
-		BatchDeadlineSec: faults.deadline,
-		RetryBackoffSec:  1e-3,
-		Escalate:         integrity.escalate,
-		MaxBand:          integrity.maxBand,
-		Verify:           integrity.verify && traceback,
-		Backends:         backends,
-	}
+	backends := cfg.Backends
 	if len(backends) > 0 {
 		parts := make([]string, len(backends))
 		for i, be := range backends {
@@ -334,47 +270,37 @@ func runPiM(queries, targets []seq.Record, band, ranks, laneWidth int, traceback
 		}
 		obs.Logf("fleet placement across %d backends: %s", len(backends), strings.Join(parts, ", "))
 	}
-	if integrity.verify && !traceback {
+	if opts.Verify && opts.ScoreOnly {
 		obs.Logf("note: -verify needs CIGARs; ignored with -score-only")
 	}
 	pairs := make([]host.Pair, len(queries))
 	for i := range queries {
 		pairs[i] = host.Pair{ID: i, A: queries[i].Seq, B: targets[i].Seq}
 	}
-	var rep *host.Report
-	var results []host.Result
+	// The run goes through the streaming session (cache lookups happen
+	// at admission); MaxBatchPairs = len(pairs) keeps the whole workload
+	// one micro-batch, which is bit-identical to host.AlignPairs, report
+	// included.
+	scfg := host.SessionConfig{Host: cfg, MaxBatchPairs: len(pairs)}
 	if cacheDir != "" {
-		// With a cache attached, the run goes through the streaming
-		// session (cache lookups happen at admission); MaxBatchPairs =
-		// len(pairs) keeps the whole workload one micro-batch, so a cold
-		// cache run is bit-identical to the plain AlignPairs path.
 		c, err := cache.Open(cache.Options{Dir: cacheDir})
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		rep, results, err = host.AlignPairsStream(context.Background(), host.SessionConfig{
-			Host:          cfg,
-			MaxBatchPairs: len(pairs),
-			Cache:         c,
-		}, pairs)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		rep, results, err = host.AlignPairs(cfg, pairs)
-		if err != nil {
-			return err
-		}
+		scfg.Cache = c
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
+	rep, results, err := host.AlignPairsStream(context.Background(), scfg, pairs)
+	if err != nil {
+		return err
+	}
+	// Streamed in submission order, which is record order.
 	for _, r := range results {
 		printResult(queries[r.ID].Name, targets[r.ID].Name, r)
 	}
 	// In fleet mode -ranks is overridden by the per-backend spec, so the
 	// summary counts the ranks that actually served.
-	servedRanks := ranks
+	servedRanks := opts.Ranks
 	if len(backends) > 0 {
 		servedRanks = 0
 		for _, be := range backends {

@@ -55,8 +55,8 @@ var ErrBackendDown = errors.New("host: backend down")
 
 // fabricBackend is the single-fabric passthrough: the existing simulated
 // PiM pipeline exactly as AlignPairs has always driven it, using the
-// caller's Config (fault model included) untouched. It is what alignOnce
-// runs on when Config.Backends is empty.
+// caller's Config untouched. It is what alignOnce runs on when
+// Config.Backends is empty.
 type fabricBackend struct{}
 
 func (fabricBackend) Name() string { return "" }
@@ -168,11 +168,6 @@ func (b *PiMBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []R
 		bcfg.Faults.Seed += cfg.Faults.Seed // compose with stream/round decorrelation
 	}
 	bcfg.Faults.Seed += b.seedSalt
-	model, err := pim.NewFaultModel(bcfg.Faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	bcfg.faults = model
 	return alignPairsRound(bcfg, pairs, sp)
 }
 
@@ -238,7 +233,7 @@ func (b *CPUBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []R
 	if b.down.Load() {
 		return nil, nil, fmt.Errorf("%w: %s", ErrBackendDown, b.name)
 	}
-	rep := &Report{UtilizationMin: 1, TraceID: cfg.TraceID}
+	rep := newReport(cfg.TraceID)
 	if len(pairs) == 0 {
 		return rep, nil, nil
 	}
@@ -292,7 +287,6 @@ func (b *CPUBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []R
 	rep.TotalCells = cells
 	rep.Alignments = len(results)
 	rep.Batches = 1
-	rep.UtilizationMean = 1
 	rep.Ranks = []RankStats{{
 		Rank: 0, Batch: 0, KernelSec: mk, FastestDPUSec: mk, EndSec: mk,
 		LoadedDPUs: b.threads, Attempts: 1,

@@ -47,7 +47,7 @@ func AlignAllPairs(cfg Config, seqs []seq.Seq) (*Report, []Result, error) {
 	if cfg.Verify {
 		return nil, nil, fmt.Errorf("host: result validation needs CIGARs and all-against-all mode is score-only; disable Verify")
 	}
-	rep := &Report{UtilizationMin: 1}
+	rep := newReport(cfg.TraceID)
 	if len(seqs) < 2 {
 		return rep, nil, nil
 	}
@@ -123,6 +123,7 @@ func AlignAllPairs(cfg Config, seqs []seq.Seq) (*Report, []Result, error) {
 	inDur := cfg.PIM.HostTransferSeconds(datasetBytes)
 	launch := cfg.PIM.RankLaunchOverheadUS * 1e-6
 	var results []Result
+	var utilSum float64
 	rankKernel := make([]float64, cfg.PIM.Ranks)
 	rankFastest := make([]float64, cfg.PIM.Ranks)
 	rankBytesOut := make([]int64, cfg.PIM.Ranks)
@@ -147,7 +148,7 @@ func AlignAllPairs(cfg Config, seqs []seq.Seq) (*Report, []Result, error) {
 		rankLoaded[r]++
 		rankStats[r].Add(o.out.Stats)
 		u := o.out.Stats.Utilization()
-		rep.UtilizationMean += u
+		utilSum += u
 		if u < rep.UtilizationMin {
 			rep.UtilizationMin = u
 		}
@@ -193,7 +194,7 @@ func AlignAllPairs(cfg Config, seqs []seq.Seq) (*Report, []Result, error) {
 		loadedDPUs += n
 	}
 	if loadedDPUs > 0 {
-		rep.UtilizationMean /= float64(loadedDPUs)
+		rep.UtilizationMean = utilSum / float64(loadedDPUs)
 	}
 	rep.TransferInSec = inDur
 	rep.BytesIn = datasetBytes

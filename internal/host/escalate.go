@@ -7,7 +7,6 @@ import (
 	"pimnw/internal/baseline"
 	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
-	"pimnw/internal/pim"
 	"pimnw/internal/verify"
 )
 
@@ -167,11 +166,6 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		// round, and reusing the seed would make the same fault chase the
 		// same pairs all the way down the ladder.
 		roundCfg.Faults.Seed = cfg.Faults.Seed + int64(round)*1000003
-		model, err := pim.NewFaultModel(roundCfg.Faults)
-		if err != nil {
-			return nil, err
-		}
-		roundCfg.faults = model
 
 		rp := make([]Pair, len(runnable))
 		for i, id := range runnable {
@@ -187,8 +181,11 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 			return nil, err
 		}
 		start := rep.MakespanSec
+		// What the round abandoned is rescued on the CPU rung, like the
+		// first round's, so it never reaches the merged tallies.
 		cpuIDs = append(cpuIDs, sub.AbandonedIDs...)
-		mergeRound(rep, sub)
+		sub.AbandonedPairs, sub.AbandonedIDs = 0, nil
+		rep.Then(sub)
 		rep.EscalationRounds++
 		rep.Escalations += len(runnable)
 		rep.Escalation = append(rep.Escalation, EscalationRound{
@@ -283,50 +280,4 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 	}
 	rep.Alignments = len(results)
 	return results, nil
-}
-
-// mergeRound appends one escalation round's report onto the parent
-// timeline. The fabric is reused sequentially — the round starts when the
-// parent's makespan ends — so every rank slot and fault timestamp is
-// rebased by the current makespan, and batch numbers continue past the
-// parent's. Abandoned-pair bookkeeping is deliberately not merged: the
-// caller rescues those pairs on the CPU rung.
-func mergeRound(dst, src *Report) {
-	offset := dst.MakespanSec
-	batchBase := dst.Batches
-	for _, rs := range src.Ranks {
-		rs.StartSec += offset
-		rs.EndSec += offset
-		rs.Batch += batchBase
-		for i := range rs.Faults {
-			rs.Faults[i].AtSec += offset
-			rs.Faults[i].Batch += batchBase
-		}
-		dst.Ranks = append(dst.Ranks, rs)
-	}
-	dst.MakespanSec = offset + src.MakespanSec
-	dst.TransferInSec += src.TransferInSec
-	dst.TransferOutSec += src.TransferOutSec
-	dst.KernelSecSum += src.KernelSecSum
-	dst.WaitSec += src.WaitSec
-	dst.BytesIn += src.BytesIn
-	dst.BytesOut += src.BytesOut
-	dst.TotalCells += src.TotalCells
-	dst.TotalInstr += src.TotalInstr
-	dst.Retries += src.Retries
-	dst.Redispatches += src.Redispatches
-	dst.FaultsDetected += src.FaultsDetected
-	dst.RetrySec += src.RetrySec
-	dst.VerifyChecked += src.VerifyChecked
-	dst.VerifyFailures += src.VerifyFailures
-	dst.VerifySec += src.VerifySec
-	if src.Batches > 0 {
-		total := dst.Batches + src.Batches
-		dst.UtilizationMean = (dst.UtilizationMean*float64(dst.Batches) +
-			src.UtilizationMean*float64(src.Batches)) / float64(total)
-		dst.Batches = total
-	}
-	if src.UtilizationMin < dst.UtilizationMin {
-		dst.UtilizationMin = src.UtilizationMin
-	}
 }

@@ -200,9 +200,8 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 				perBackend[bi] = out.rep
 			} else {
 				// The same server's redispatch rounds run back-to-back on
-				// its own timeline — exactly the sequential reuse
-				// mergeStreamReport models.
-				mergeStreamReport(perBackend[bi], out.rep)
+				// its own timeline.
+				perBackend[bi].Then(out.rep)
 			}
 		}
 	}
@@ -215,8 +214,7 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 
 	// Cross-backend merge: the servers ran concurrently from t=0, so the
 	// fleet makespan is the union (max) of the per-backend windows.
-	rep := &Report{UtilizationMin: 1, TraceID: cfg.TraceID}
-	merged := 0
+	rep := newReport(cfg.TraceID)
 	for bi, sub := range perBackend {
 		if sub == nil {
 			continue
@@ -224,11 +222,7 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 		stats[bi].Batches = sub.Batches
 		stats[bi].MakespanSec = sub.MakespanSec
 		stats[bi].KernelSecSum = sub.KernelSecSum
-		mergeConcurrent(rep, sub, rankOff[bi])
-		merged++
-	}
-	if merged == 0 {
-		rep.UtilizationMean = 1
+		rep.Alongside(sub, rankOff[bi])
 	}
 	rep.Redispatches += redispatched
 	rep.Backends = stats
@@ -238,81 +232,3 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 // placementUnitLoad is the reference workload EstimateSec is probed with;
 // cost models are linear in load, so any positive value works.
 const placementUnitLoad = 1 << 20
-
-// mergeConcurrent folds one backend's finished report into the fleet
-// report as a concurrent window starting at t=0: rank IDs shift into the
-// backend's fleet slot, batch numbers continue past the merged report's,
-// and the makespan is the union of the windows — the one place the
-// pipeline must NOT reuse the back-to-back mergeRound model, which would
-// double-count wall time across servers running in parallel.
-func mergeConcurrent(dst, src *Report, rankOff int) {
-	batchBase := dst.Batches
-	for _, rs := range src.Ranks {
-		if rs.Rank >= 0 {
-			rs.Rank += rankOff
-		}
-		rs.Batch += batchBase
-		if len(rs.Faults) > 0 {
-			faults := make([]FaultEvent, len(rs.Faults))
-			for i, f := range rs.Faults {
-				f.Batch += batchBase
-				faults[i] = f
-			}
-			rs.Faults = faults
-		}
-		dst.Ranks = append(dst.Ranks, rs)
-	}
-	if src.MakespanSec > dst.MakespanSec {
-		dst.MakespanSec = src.MakespanSec
-	}
-	dst.TransferInSec += src.TransferInSec
-	dst.TransferOutSec += src.TransferOutSec
-	dst.KernelSecSum += src.KernelSecSum
-	dst.WaitSec += src.WaitSec
-	dst.BytesIn += src.BytesIn
-	dst.BytesOut += src.BytesOut
-	dst.TotalCells += src.TotalCells
-	dst.TotalInstr += src.TotalInstr
-	dst.Alignments += src.Alignments
-	dst.Retries += src.Retries
-	dst.Redispatches += src.Redispatches
-	dst.FaultsDetected += src.FaultsDetected
-	dst.AbandonedPairs += src.AbandonedPairs
-	dst.AbandonedIDs = append(dst.AbandonedIDs, src.AbandonedIDs...)
-	dst.RetrySec += src.RetrySec
-	dst.OutOfBandPairs += src.OutOfBandPairs
-	dst.ClippedPairs += src.ClippedPairs
-	dst.OverflowedPairs += src.OverflowedPairs
-	dst.Escalations += src.Escalations
-	dst.EscalationRounds += src.EscalationRounds
-	dst.DegradedScoreOnly += src.DegradedScoreOnly
-	dst.DegradedCPU += src.DegradedCPU
-	dst.VerifyChecked += src.VerifyChecked
-	dst.VerifyFailures += src.VerifyFailures
-	dst.CPUFallbackSec += src.CPUFallbackSec
-	dst.VerifySec += src.VerifySec
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.DedupedPairs += src.DedupedPairs
-	// Escalation windows are already absolute within the backend's own
-	// t=0-based timeline, which is the fleet timeline: append as-is.
-	dst.Escalation = append(dst.Escalation, src.Escalation...)
-	for p, n := range src.Provenance {
-		if dst.Provenance == nil {
-			dst.Provenance = make(map[string]int)
-		}
-		dst.Provenance[p] += n
-	}
-	for _, is := range src.Issues {
-		dst.addIssue(is)
-	}
-	if src.Batches > 0 {
-		total := dst.Batches + src.Batches
-		dst.UtilizationMean = (dst.UtilizationMean*float64(dst.Batches) +
-			src.UtilizationMean*float64(src.Batches)) / float64(total)
-		dst.Batches = total
-	}
-	if src.UtilizationMin < dst.UtilizationMin {
-		dst.UtilizationMin = src.UtilizationMin
-	}
-}

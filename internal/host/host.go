@@ -92,10 +92,6 @@ type Config struct {
 	// byte-identical reports included. Backends carry state (health) and
 	// are shared across the micro-batches of a session.
 	Backends []Backend
-
-	// faults is the model built from Faults by AlignPairs (nil = perfect
-	// fabric); carried here so every runBatch shares one instance.
-	faults *pim.FaultModel
 }
 
 // DefaultMaxBand is the escalation ladder's band cap when Config.MaxBand
@@ -315,21 +311,22 @@ type RankStats struct {
 	Backend string `json:",omitempty"`
 }
 
-// Report is the run-level outcome the experiments consume.
-type Report struct {
-	MakespanSec     float64 // simulated wall clock, dispatch to last collection
-	TransferInSec   float64 // total bus time spent on input transfers
-	TransferOutSec  float64 // total bus time spent on result collection
-	KernelSecSum    float64 // Σ rank kernel times (the compute backbone)
-	BytesIn         int64
-	BytesOut        int64
-	TotalCells      int64
-	TotalInstr      int64
-	Alignments      int
-	Batches         int
-	Ranks           []RankStats
-	UtilizationMin  float64
-	UtilizationMean float64
+// Counters is the purely additive part of a Report: tallies, byte and
+// cell volumes and summed seconds that compose by addition however the
+// contributing runs were arranged in time (slices append, the provenance
+// map adds per key). Everything time- or slot-shaped lives on Report
+// itself and composes through Then / Alongside. Adding a counter means
+// adding the tagged field here and one line in Add; report_algebra_test.go
+// fails if either is forgotten.
+type Counters struct {
+	TransferInSec  float64 `json:"transfer_in_sec"`  // total bus time spent on input transfers
+	TransferOutSec float64 `json:"transfer_out_sec"` // total bus time spent on result collection
+	KernelSecSum   float64 `json:"kernel_sec_sum"`   // Σ rank kernel times (the compute backbone)
+	BytesIn        int64   `json:"bytes_in"`
+	BytesOut       int64   `json:"bytes_out"`
+	TotalCells     int64   `json:"total_cells"`
+	TotalInstr     int64   `json:"total_instr"`
+	Alignments     int     `json:"alignments"`
 	// Recovery outcome of the run (all zero on a perfect fabric):
 	// Retries counts batch re-launches beyond each batch's first attempt,
 	// Redispatches counts pair executions moved onto surviving DPUs,
@@ -342,13 +339,13 @@ type Report struct {
 	// never compute, so it is kept out of KernelSecSum), and RetrySec is
 	// the modelled time spent beyond each batch's first launch window:
 	// retry attempts, backoff waits and failure detection.
-	Retries        int
-	Redispatches   int
-	FaultsDetected int
-	AbandonedPairs int
-	AbandonedIDs   []int
-	WaitSec        float64
-	RetrySec       float64
+	Retries        int     `json:"retries"`
+	Redispatches   int     `json:"redispatches"`
+	FaultsDetected int     `json:"faults_detected"`
+	AbandonedPairs int     `json:"abandoned_pairs"`
+	AbandonedIDs   []int   `json:"abandoned_ids,omitempty"`
+	WaitSec        float64 `json:"wait_sec"`
+	RetrySec       float64 `json:"retry_sec"`
 	// Integrity outcome of the run. OutOfBandPairs and ClippedPairs count
 	// band failures as first observed (before any escalation resolved
 	// them); Escalations counts pair re-dispatches onto wider-band DPU
@@ -361,23 +358,17 @@ type Report struct {
 	// modelled MakespanSec.
 	// OverflowedPairs counts 16-bit narrow-lane saturations as first
 	// observed, alongside the band-failure tallies.
-	OutOfBandPairs    int
-	ClippedPairs      int
-	OverflowedPairs   int
-	Escalations       int
-	EscalationRounds  int
-	DegradedScoreOnly int
-	DegradedCPU       int
-	VerifyChecked     int
-	VerifyFailures    int
-	CPUFallbackSec    float64
-	VerifySec         float64
-	// Provenance counts final answers by producing engine; Escalation
-	// records the executed ladder rungs; Issues lists every pair that did
-	// not resolve cleanly on the first rung (capped at maxReportIssues).
-	Provenance map[string]int
-	Escalation []EscalationRound
-	Issues     []PairIssue
+	OutOfBandPairs    int     `json:"out_of_band_pairs"`
+	ClippedPairs      int     `json:"clipped_pairs"`
+	OverflowedPairs   int     `json:"overflowed_pairs"`
+	Escalations       int     `json:"escalations"`
+	EscalationRounds  int     `json:"escalation_rounds"`
+	DegradedScoreOnly int     `json:"degraded_score_only"`
+	DegradedCPU       int     `json:"degraded_cpu"`
+	VerifyChecked     int     `json:"verify_checked"`
+	VerifyFailures    int     `json:"verify_failures"`
+	CPUFallbackSec    float64 `json:"cpu_fallback_sec"`
+	VerifySec         float64 `json:"verify_sec"`
 	// Result-cache outcome of the run: CacheHits counts pairs served from
 	// the persistent result cache without reaching the balancer,
 	// CacheMisses counts pairs that went on to compute (only counted when
@@ -385,33 +376,176 @@ type Report struct {
 	// computation with an identical in-batch sibling. Cache hits and
 	// deduped pairs still count in Alignments — every submission yields
 	// exactly one delivered result.
-	CacheHits    int
-	CacheMisses  int
-	DedupedPairs int
+	CacheHits    int `json:"cache_hits"`
+	CacheMisses  int `json:"cache_misses"`
+	DedupedPairs int `json:"deduped_pairs"`
+	// Provenance counts final answers by producing engine; Issues lists
+	// every pair that did not resolve cleanly on the first rung (capped at
+	// maxReportIssues).
+	Provenance map[string]int `json:"provenance,omitempty"`
+	Issues     []PairIssue    `json:"issues,omitempty"`
+}
+
+// Add folds src's counters into c. Hand-written on purpose: it runs on
+// the serving path once per micro-batch and fleet shard.
+func (c *Counters) Add(src *Counters) {
+	c.TransferInSec += src.TransferInSec
+	c.TransferOutSec += src.TransferOutSec
+	c.KernelSecSum += src.KernelSecSum
+	c.BytesIn += src.BytesIn
+	c.BytesOut += src.BytesOut
+	c.TotalCells += src.TotalCells
+	c.TotalInstr += src.TotalInstr
+	c.Alignments += src.Alignments
+	c.Retries += src.Retries
+	c.Redispatches += src.Redispatches
+	c.FaultsDetected += src.FaultsDetected
+	c.AbandonedPairs += src.AbandonedPairs
+	c.AbandonedIDs = append(c.AbandonedIDs, src.AbandonedIDs...)
+	c.WaitSec += src.WaitSec
+	c.RetrySec += src.RetrySec
+	c.OutOfBandPairs += src.OutOfBandPairs
+	c.ClippedPairs += src.ClippedPairs
+	c.OverflowedPairs += src.OverflowedPairs
+	c.Escalations += src.Escalations
+	c.EscalationRounds += src.EscalationRounds
+	c.DegradedScoreOnly += src.DegradedScoreOnly
+	c.DegradedCPU += src.DegradedCPU
+	c.VerifyChecked += src.VerifyChecked
+	c.VerifyFailures += src.VerifyFailures
+	c.CPUFallbackSec += src.CPUFallbackSec
+	c.VerifySec += src.VerifySec
+	c.CacheHits += src.CacheHits
+	c.CacheMisses += src.CacheMisses
+	c.DedupedPairs += src.DedupedPairs
+	for p, n := range src.Provenance {
+		if c.Provenance == nil {
+			c.Provenance = make(map[string]int)
+		}
+		c.Provenance[p] += n
+	}
+	for _, is := range src.Issues {
+		c.addIssue(is)
+	}
+}
+
+// Report is the run-level outcome the experiments consume: the additive
+// Counters plus the timeline — what ran where and when on the simulated
+// clock. Reports compose with Then (the same fabric reused afterwards)
+// and Alongside (another server running concurrently).
+type Report struct {
+	MakespanSec float64 `json:"makespan_sec"` // simulated wall clock, dispatch to last collection
+	Counters
+	Batches         int     `json:"batches"`
+	UtilizationMin  float64 `json:"utilization_min"`
+	UtilizationMean float64 `json:"utilization_mean"` // per-batch mean, weighted by Batches when merged
 	// TraceID is the request trace this run belongs to (Config.TraceID),
 	// stamped onto every Perfetto slice the report exports; "" when the
 	// run was untraced.
-	TraceID string
+	TraceID string `json:"trace_id,omitempty"`
+	// Escalation records the executed ladder rungs.
+	Escalation []EscalationRound `json:"escalation,omitempty"`
 	// Backends is the per-server breakdown of a fleet run, in fleet
 	// order; nil on the single fabric.
-	Backends []BackendStats
+	Backends []BackendStats `json:"backends,omitempty"`
+	Ranks    []RankStats    `json:"ranks"`
+}
+
+// newReport is the report of a run on which nothing has executed yet:
+// no batches, no ranks, zero makespan, and both utilizations at their
+// neutral 1 (the mean carries zero weight until a batch lands).
+func newReport(traceID string) *Report {
+	return &Report{UtilizationMin: 1, UtilizationMean: 1, TraceID: traceID}
+}
+
+// Then appends src after r on the same fabric — an escalation round, a
+// session's next micro-batch, a backend's redispatch round. The fabric
+// is reused sequentially, so src starts when r's makespan ends: its rank
+// slots, fault timestamps and escalation windows are rebased by that
+// offset and its batch numbers continue past r's. src is consumed.
+func (r *Report) Then(src *Report) {
+	offset := r.MakespanSec
+	r.fold(src, offset, 0)
+	r.MakespanSec = offset + src.MakespanSec
+	// Fleet runs carry a per-backend breakdown in fleet order; a server's
+	// successive runs reuse it sequentially, so its windows add.
+	switch {
+	case r.Backends == nil:
+		r.Backends = src.Backends
+	case len(src.Backends) == len(r.Backends):
+		for i := range r.Backends {
+			d, s := &r.Backends[i], &src.Backends[i]
+			d.Pairs += s.Pairs
+			d.Batches += s.Batches
+			d.MakespanSec += s.MakespanSec
+			d.KernelSecSum += s.KernelSecSum
+			d.Redispatched += s.Redispatched
+			d.Down = d.Down || s.Down
+		}
+	}
+}
+
+// Alongside merges src as a concurrent server whose window starts at
+// t=0 like r's: rank IDs shift by rankOff into the server's slot of the
+// fleet rank space and the makespan is the union (max) of the windows,
+// never the back-to-back sum. src is consumed.
+func (r *Report) Alongside(src *Report, rankOff int) {
+	r.fold(src, 0, rankOff)
+	if src.MakespanSec > r.MakespanSec {
+		r.MakespanSec = src.MakespanSec
+	}
+}
+
+// fold is the part Then and Alongside share: counters add, src's rank
+// slots move by (secOff, rankOff) with batch numbers continuing past
+// r's, and the per-batch utilization mean is re-weighted.
+func (r *Report) fold(src *Report, secOff float64, rankOff int) {
+	batchBase := r.Batches
+	for _, rs := range src.Ranks {
+		if rs.Rank >= 0 {
+			rs.Rank += rankOff
+		}
+		rs.StartSec += secOff
+		rs.EndSec += secOff
+		rs.Batch += batchBase
+		for i := range rs.Faults {
+			rs.Faults[i].AtSec += secOff
+			rs.Faults[i].Batch += batchBase
+		}
+		r.Ranks = append(r.Ranks, rs)
+	}
+	for _, er := range src.Escalation {
+		er.StartSec += secOff
+		er.EndSec += secOff
+		r.Escalation = append(r.Escalation, er)
+	}
+	r.Counters.Add(&src.Counters)
+	if src.Batches > 0 {
+		total := r.Batches + src.Batches
+		r.UtilizationMean = (r.UtilizationMean*float64(r.Batches) +
+			src.UtilizationMean*float64(src.Batches)) / float64(total)
+		r.Batches = total
+	}
+	if src.UtilizationMin < r.UtilizationMin {
+		r.UtilizationMin = src.UtilizationMin
+	}
 }
 
 // maxReportIssues caps Report.Issues so a run where every pair degrades
 // still produces a bounded report; the counters stay exact.
 const maxReportIssues = 10000
 
-func (r *Report) addIssue(is PairIssue) {
-	if len(r.Issues) < maxReportIssues {
-		r.Issues = append(r.Issues, is)
+func (c *Counters) addIssue(is PairIssue) {
+	if len(c.Issues) < maxReportIssues {
+		c.Issues = append(c.Issues, is)
 	}
 }
 
-func (r *Report) countProvenance(p string) {
-	if r.Provenance == nil {
-		r.Provenance = make(map[string]int)
+func (c *Counters) countProvenance(p string) {
+	if c.Provenance == nil {
+		c.Provenance = make(map[string]int)
 	}
-	r.Provenance[p]++
+	c.Provenance[p]++
 }
 
 // HostOverheadFraction is the share of the makespan during which no DPU

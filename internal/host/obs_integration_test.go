@@ -136,6 +136,28 @@ func TestObservabilityIntegration(t *testing.T) {
 	}
 }
 
+// TestVerifySecondsPublished: the two measured host-side costs are
+// exported as siblings — host_verify_seconds used to be missing next to
+// host_cpu_fallback_seconds.
+func TestVerifySecondsPublished(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+
+	cfg := testConfig(2, true)
+	cfg.Verify = true
+	rep, _, err := AlignPairs(cfg, makePairs(8, 16, 200, 0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.VerifyChecked == 0 || rep.VerifySec <= 0 {
+		t.Fatalf("verify did not run: %d checks in %vs", rep.VerifyChecked, rep.VerifySec)
+	}
+	if got := reg.Gauge("host_verify_seconds").Value(); got != rep.VerifySec {
+		t.Errorf("host_verify_seconds = %v, Report.VerifySec = %v", got, rep.VerifySec)
+	}
+}
+
 // TestObservabilityBroadcastPath covers the all-pairs pipeline too: the
 // same metric/report invariants must hold for AlignAllPairs.
 func TestObservabilityBroadcastPath(t *testing.T) {

@@ -57,13 +57,8 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 		return nil, nil, err
 	}
 	if len(pairs) == 0 {
-		return &Report{UtilizationMin: 1}, nil, nil
+		return newReport(cfg.TraceID), nil, nil
 	}
-	model, err := pim.NewFaultModel(cfg.Faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.faults = model
 	sp := obs.StartSpan("host.align_pairs")
 	sp.SetAttrInt("pairs", int64(len(pairs)))
 	if cfg.TraceID != "" {
@@ -157,12 +152,19 @@ func kernelProvenance(k kernel.Config) string {
 }
 
 // alignPairsRound executes one dispatch round — the body shared by the
-// plain run and every rung of the escalation ladder. The caller owns
-// validation, fault-model construction and metrics publication.
+// plain run, every rung of the escalation ladder and every PiM fleet
+// server. It builds the round's fault model from the cfg.Faults it is
+// handed, so callers decorrelate rounds by adjusting the seed and never
+// carry a model around. The caller owns validation and metrics
+// publication.
 func alignPairsRound(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
-	rep := &Report{UtilizationMin: 1, TraceID: cfg.TraceID}
+	rep := newReport(cfg.TraceID)
 	if len(pairs) == 0 {
 		return rep, nil, nil
+	}
+	faults, err := pim.NewFaultModel(cfg.Faults)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Group and split into rank-sized batches, balancing pair workloads
@@ -203,7 +205,7 @@ func alignPairsRound(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result,
 			bs.SetAttr("trace_id", cfg.TraceID)
 		}
 		defer bs.End()
-		ex, err := runBatch(cfg, batches[bi], bi, bs)
+		ex, err := runBatch(cfg, faults, batches[bi], bi, bs)
 		if err != nil {
 			return err
 		}
@@ -265,6 +267,7 @@ func (r *Report) publishMetrics() {
 	reg.Counter("host_verify_checked_total").Add(int64(r.VerifyChecked))
 	reg.Counter("host_verify_failures_total").Add(int64(r.VerifyFailures))
 	reg.Gauge("host_cpu_fallback_seconds").Set(r.CPUFallbackSec)
+	reg.Gauge("host_verify_seconds").Set(r.VerifySec)
 	reg.Counter("host_cache_hits_total").Add(int64(r.CacheHits))
 	reg.Counter("host_cache_misses_total").Add(int64(r.CacheMisses))
 	reg.Counter("host_deduped_pairs_total").Add(int64(r.DedupedPairs))
@@ -292,7 +295,7 @@ func scheduleTimeline(cfg Config, execs []batchExec, rep *Report) {
 	// matches the measured behaviour better than one global bus lock.
 	busInFree, busOutFree := 0.0, 0.0
 	launch := cfg.PIM.RankLaunchOverheadUS * 1e-6
-	var makespan float64
+	var makespan, utilSum float64
 	for bi := range execs {
 		ex := &execs[bi]
 		r := 0
@@ -356,11 +359,11 @@ func scheduleTimeline(cfg Config, execs []batchExec, rep *Report) {
 			if ex.utilMin < rep.UtilizationMin {
 				rep.UtilizationMin = ex.utilMin
 			}
-			rep.UtilizationMean += ex.utilSum / float64(ex.loadedDPUs)
+			utilSum += ex.utilSum / float64(ex.loadedDPUs)
 		}
 	}
 	if len(execs) > 0 {
-		rep.UtilizationMean /= float64(len(execs))
+		rep.UtilizationMean = utilSum / float64(len(execs))
 	}
 	rep.MakespanSec = makespan
 }

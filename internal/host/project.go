@@ -16,7 +16,7 @@ type SyntheticBatch struct {
 // Project schedules synthetic batches and returns the timeline report.
 // Only the PIM fields of the configuration are used.
 func Project(cfg Config, batches []SyntheticBatch) *Report {
-	rep := &Report{UtilizationMin: 1}
+	rep := newReport("")
 	execs := make([]batchExec, len(batches))
 	for i, b := range batches {
 		execs[i] = batchExec{

@@ -60,7 +60,7 @@ type dpuAttempt struct {
 // waiting. Because the kernel is deterministic,
 // a pair redispatched onto any DPU reproduces the exact scores and
 // CIGARs of a fault-free run — the invariant the recovery tests assert.
-func runBatch(cfg Config, pairs []Pair, batch int, sp *obs.Span) (batchExec, error) {
+func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *obs.Span) (batchExec, error) {
 	ex := batchExec{minDPUSec: math.Inf(1), utilMin: 1}
 	deadline := cfg.BatchDeadlineSec
 	if deadline <= 0 {
@@ -84,7 +84,7 @@ func runBatch(cfg Config, pairs []Pair, batch int, sp *obs.Span) (batchExec, err
 		// the rank spent waiting (fault detection with nothing running).
 		var computeSec, waitSec float64
 		var failed []Pair
-		if cfg.faults.DrawRankDrop(batch, attempt) {
+		if faults.DrawRankDrop(batch, attempt) {
 			// The whole rank fell off the bus; the launch call fails
 			// fast, so detection only costs the launch overhead — and no
 			// kernel ever ran, so the cost is waiting, not compute.
@@ -100,7 +100,7 @@ func runBatch(cfg Config, pairs []Pair, batch int, sp *obs.Span) (batchExec, err
 			asp.SetAttr("outcome", "rank_drop")
 		} else {
 			var err error
-			computeSec, failed, err = ex.runAttempt(cfg, pending, batch, attempt, deadline, &alive, asp)
+			computeSec, failed, err = ex.runAttempt(cfg, faults, pending, batch, attempt, deadline, &alive, asp)
 			if err != nil {
 				asp.End()
 				return ex, err
@@ -142,7 +142,7 @@ func runBatch(cfg Config, pairs []Pair, batch int, sp *obs.Span) (batchExec, err
 			shift = maxBackoffShift
 		}
 		backoff := cfg.RetryBackoffSec * float64(int64(1)<<shift) *
-			(1 + 0.5*cfg.faults.Jitter(batch, attempt))
+			(1 + 0.5*faults.Jitter(batch, attempt))
 		// The backoff interval is pure waiting: charging it to kernelSec
 		// would inflate reported kernel time with fault-rate-dependent
 		// idle time and push HostOverheadFraction negative.
@@ -161,7 +161,7 @@ func runBatch(cfg Config, pairs []Pair, batch int, sp *obs.Span) (batchExec, err
 // compute time (slowest DPU, deadline-capped) plus the pairs that must be
 // redispatched. Hard-failed DPUs
 // (crash, timeout) are removed from alive in place.
-func (ex *batchExec) runAttempt(cfg Config, pending []Pair, batch, attempt int,
+func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pair, batch, attempt int,
 	deadline float64, alive *[]int, sp *obs.Span) (float64, []Pair, error) {
 
 	lsp := sp.Child("host.balance_rank")
@@ -179,7 +179,7 @@ func (ex *batchExec) runAttempt(cfg Config, pending []Pair, batch, attempt int,
 		}
 		di := (*alive)[ai]
 		d := cfg.PIM.NewDPU(di)
-		d.Fault = cfg.faults.Draw(batch, attempt, di)
+		d.Fault = faults.Draw(batch, attempt, di)
 		esp := sp.Child("host.encode")
 		esp.SetAttrInt("dpu", int64(di))
 		kp := make([]kernel.Pair, 0, len(buckets[ai]))

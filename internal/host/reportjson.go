@@ -5,92 +5,15 @@ import (
 	"io"
 )
 
-// reportJSON is the machine-readable run report: every Report field plus
-// the derived host-overhead fraction, so downstream tooling (dashboards,
-// regression checks) never re-implements the derivation.
-type reportJSON struct {
-	MakespanSec          float64 `json:"makespan_sec"`
-	HostOverheadFraction float64 `json:"host_overhead_fraction"`
-	TransferInSec        float64 `json:"transfer_in_sec"`
-	TransferOutSec       float64 `json:"transfer_out_sec"`
-	KernelSecSum         float64 `json:"kernel_sec_sum"`
-	BytesIn              int64   `json:"bytes_in"`
-	BytesOut             int64   `json:"bytes_out"`
-	TotalCells           int64   `json:"total_cells"`
-	TotalInstr           int64   `json:"total_instr"`
-	Alignments           int     `json:"alignments"`
-	Batches              int     `json:"batches"`
-	UtilizationMin       float64 `json:"utilization_min"`
-	UtilizationMean      float64 `json:"utilization_mean"`
-	Retries              int     `json:"retries"`
-	Redispatches         int     `json:"redispatches"`
-	FaultsDetected       int     `json:"faults_detected"`
-	AbandonedPairs       int     `json:"abandoned_pairs"`
-	AbandonedIDs         []int   `json:"abandoned_ids,omitempty"`
-	WaitSec              float64 `json:"wait_sec"`
-	RetrySec             float64 `json:"retry_sec"`
-	OutOfBandPairs       int     `json:"out_of_band_pairs"`
-	ClippedPairs         int     `json:"clipped_pairs"`
-	OverflowedPairs      int     `json:"overflowed_pairs"`
-	Escalations          int     `json:"escalations"`
-	EscalationRounds     int     `json:"escalation_rounds"`
-	DegradedScoreOnly    int     `json:"degraded_score_only"`
-	DegradedCPU          int     `json:"degraded_cpu"`
-	VerifyChecked        int     `json:"verify_checked"`
-	VerifyFailures       int     `json:"verify_failures"`
-	CPUFallbackSec       float64 `json:"cpu_fallback_sec"`
-	VerifySec            float64 `json:"verify_sec"`
-	TraceID              string  `json:"trace_id,omitempty"`
-
-	Provenance map[string]int    `json:"provenance,omitempty"`
-	Escalation []EscalationRound `json:"escalation,omitempty"`
-	Issues     []PairIssue       `json:"issues,omitempty"`
-	Backends   []BackendStats    `json:"backends,omitempty"`
-	Ranks      []RankStats       `json:"ranks"`
-}
-
 // WriteJSON writes the run report as indented JSON (the -report-json flag
-// of cmd/pimalign).
+// of cmd/pimalign): every tagged Report field plus the derived
+// host-overhead fraction, so downstream tooling (dashboards, regression
+// checks) never re-implements the derivation.
 func (r *Report) WriteJSON(w io.Writer) error {
-	out := reportJSON{
-		MakespanSec:          r.MakespanSec,
-		HostOverheadFraction: r.HostOverheadFraction(),
-		TransferInSec:        r.TransferInSec,
-		TransferOutSec:       r.TransferOutSec,
-		KernelSecSum:         r.KernelSecSum,
-		BytesIn:              r.BytesIn,
-		BytesOut:             r.BytesOut,
-		TotalCells:           r.TotalCells,
-		TotalInstr:           r.TotalInstr,
-		Alignments:           r.Alignments,
-		Batches:              r.Batches,
-		UtilizationMin:       r.UtilizationMin,
-		UtilizationMean:      r.UtilizationMean,
-		Retries:              r.Retries,
-		Redispatches:         r.Redispatches,
-		FaultsDetected:       r.FaultsDetected,
-		AbandonedPairs:       r.AbandonedPairs,
-		AbandonedIDs:         r.AbandonedIDs,
-		WaitSec:              r.WaitSec,
-		RetrySec:             r.RetrySec,
-		OutOfBandPairs:       r.OutOfBandPairs,
-		ClippedPairs:         r.ClippedPairs,
-		OverflowedPairs:      r.OverflowedPairs,
-		Escalations:          r.Escalations,
-		EscalationRounds:     r.EscalationRounds,
-		DegradedScoreOnly:    r.DegradedScoreOnly,
-		DegradedCPU:          r.DegradedCPU,
-		VerifyChecked:        r.VerifyChecked,
-		VerifyFailures:       r.VerifyFailures,
-		CPUFallbackSec:       r.CPUFallbackSec,
-		VerifySec:            r.VerifySec,
-		TraceID:              r.TraceID,
-		Provenance:           r.Provenance,
-		Escalation:           r.Escalation,
-		Issues:               r.Issues,
-		Backends:             r.Backends,
-		Ranks:                r.Ranks,
-	}
+	out := struct {
+		Report
+		HostOverheadFraction float64 `json:"host_overhead_fraction"`
+	}{*r, r.HostOverheadFraction()}
 	if out.Ranks == nil {
 		out.Ranks = []RankStats{}
 	}

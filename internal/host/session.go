@@ -432,7 +432,7 @@ func (s *Session) Report() *Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rep == nil {
-		return &Report{UtilizationMin: 1}
+		return newReport(s.cfg.Host.TraceID)
 	}
 	return s.rep
 }

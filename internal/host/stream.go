@@ -7,7 +7,6 @@ import (
 	"pimnw/internal/cache"
 	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
-	"pimnw/internal/pim"
 )
 
 // runMicroBatch executes one micro-batch through the one-shot pipeline
@@ -78,18 +77,13 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 		// which makes a single-micro-batch session bit-identical to one-shot
 		// AlignPairs, faults included.
 		cfg.Faults.Seed += int64(mb.seq) * 999983
-		model, err := pim.NewFaultModel(cfg.Faults)
-		if err != nil {
-			oc.err = err
-			return oc
-		}
-		cfg.faults = model
 		sp := obs.StartSpan("host.session_batch")
 		sp.SetAttrInt("batch", int64(mb.seq))
 		sp.SetAttrInt("pairs", int64(len(pairs)))
 		if cfg.TraceID != "" {
 			sp.SetAttr("trace_id", cfg.TraceID)
 		}
+		var err error
 		rep, results, err = alignOnce(cfg, pairs, sp)
 		sp.End()
 		if err != nil {
@@ -99,7 +93,7 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 	} else {
 		// Every submission hit: nothing executed, the fabric was never
 		// touched, and the report says so.
-		rep = &Report{UtilizationMin: 1, UtilizationMean: 1, TraceID: cfg.TraceID}
+		rep = newReport(cfg.TraceID)
 	}
 
 	dense := make([]Result, len(pairs))
@@ -215,7 +209,7 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 	if s.rep == nil {
 		s.rep = oc.rep
 	} else {
-		mergeStreamReport(s.rep, oc.rep)
+		s.rep.Then(oc.rep)
 	}
 	s.mu.Unlock()
 	if cancelled {
@@ -233,63 +227,6 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 		}
 	}
 	return true
-}
-
-// mergeStreamReport folds one micro-batch's finished report onto the
-// session's merged report, in submission order. mergeRound handles the
-// timeline, recovery and transfer fields (micro-batches reuse the fabric
-// sequentially, like escalation rounds); the outcome fields a round-merge
-// deliberately leaves to its caller — abandonment, integrity tallies,
-// provenance, issues — are merged here, because a micro-batch's report is
-// already final when it arrives.
-func mergeStreamReport(dst, src *Report) {
-	offset := dst.MakespanSec
-	mergeRound(dst, src)
-	dst.Alignments += src.Alignments
-	dst.AbandonedPairs += src.AbandonedPairs
-	dst.AbandonedIDs = append(dst.AbandonedIDs, src.AbandonedIDs...)
-	dst.OutOfBandPairs += src.OutOfBandPairs
-	dst.ClippedPairs += src.ClippedPairs
-	dst.OverflowedPairs += src.OverflowedPairs
-	dst.Escalations += src.Escalations
-	dst.EscalationRounds += src.EscalationRounds
-	dst.DegradedScoreOnly += src.DegradedScoreOnly
-	dst.DegradedCPU += src.DegradedCPU
-	dst.CPUFallbackSec += src.CPUFallbackSec
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.DedupedPairs += src.DedupedPairs
-	for _, er := range src.Escalation {
-		er.StartSec += offset
-		er.EndSec += offset
-		dst.Escalation = append(dst.Escalation, er)
-	}
-	for p, n := range src.Provenance {
-		if dst.Provenance == nil {
-			dst.Provenance = make(map[string]int)
-		}
-		dst.Provenance[p] += n
-	}
-	for _, is := range src.Issues {
-		dst.addIssue(is)
-	}
-	// Fleet runs carry a per-backend breakdown in fleet order; fold the
-	// micro-batch's slice into the session's pairwise. A server's
-	// micro-batches reuse it sequentially, so its makespans add.
-	switch {
-	case dst.Backends == nil:
-		dst.Backends = src.Backends
-	case len(src.Backends) == len(dst.Backends):
-		for i := range dst.Backends {
-			d, s := &dst.Backends[i], &src.Backends[i]
-			d.Pairs += s.Pairs
-			d.Batches += s.Batches
-			d.MakespanSec += s.MakespanSec
-			d.KernelSecSum += s.KernelSecSum
-			d.Redispatched += s.Redispatched
-			d.Down = d.Down || s.Down
-		}
-	}
 }
 
 // AlignPairsStream runs a one-shot workload through a streaming Session

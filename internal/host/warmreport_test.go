@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -104,5 +105,89 @@ func TestSessionAllHitsZeroDurationReport(t *testing.T) {
 	}
 	if hof, ok := doc["host_overhead_fraction"].(float64); !ok || hof != 0 {
 		t.Errorf("report JSON host_overhead_fraction = %v, want 0", doc["host_overhead_fraction"])
+	}
+	// The exporter used to mirror Report by hand and forgot the cache
+	// tallies; the tagged struct carries them.
+	if hits, ok := doc["cache_hits"].(float64); !ok || int(hits) != len(pairs) {
+		t.Errorf("report JSON cache_hits = %v, want %d", doc["cache_hits"], len(pairs))
+	}
+}
+
+// TestEmptyReportsAgree pins every way the pipeline can report "nothing
+// executed on the fabric" to the same timeline: neutral utilizations, the
+// run's trace ID, no batches — and exports that stay finite and valid.
+func TestEmptyReportsAgree(t *testing.T) {
+	const traceID = "empty-trace"
+	cfg := testConfig(2, true)
+	cfg.Escalate = true
+	cfg.TraceID = traceID
+
+	idle := func(t *testing.T) *Report {
+		s, err := NewSession(context.Background(), SessionConfig{Host: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Report()
+	}
+	allHits := func(t *testing.T) *Report {
+		pairs := makePairs(64, 8, 120, 0.05)
+		scfg := SessionConfig{Host: cfg, Cache: openHostCache(t)}
+		streamAll(t, scfg, pairs)
+		rep, _ := streamAll(t, scfg, pairs)
+		if rep.CacheHits != len(pairs) {
+			t.Fatalf("warm run: %d hits for %d pairs", rep.CacheHits, len(pairs))
+		}
+		return rep
+	}
+	cases := []struct {
+		name string
+		get  func(t *testing.T) *Report
+	}{
+		{"AlignPairs with no pairs", func(t *testing.T) *Report {
+			rep, _, err := AlignPairs(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+		{"idle session", idle},
+		{"all-hit micro-batch", allHits},
+		{"fleet with nothing placed", func(t *testing.T) *Report {
+			fcfg := cfg
+			fcfg.Backends = twoBackendFleet()
+			rep, _, err := alignFleet(fcfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+	}
+	for _, tc := range cases {
+		rep := tc.get(t)
+		if f := rep.HostOverheadFraction(); f != 0 {
+			t.Errorf("%s: HostOverheadFraction = %v, want 0", tc.name, f)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Errorf("%s: WriteJSON: %v", tc.name, err)
+		} else if !json.Valid(buf.Bytes()) {
+			t.Errorf("%s: report JSON is invalid", tc.name)
+		}
+		buf.Reset()
+		if err := rep.WriteChromeTrace(&buf); err != nil {
+			t.Errorf("%s: WriteChromeTrace: %v", tc.name, err)
+		} else if !json.Valid(buf.Bytes()) {
+			t.Errorf("%s: Chrome trace is invalid JSON", tc.name)
+		}
+		// What the run tallied and which servers it had differ by
+		// construction; the timeline must not.
+		got := *rep
+		got.Counters, got.Backends = Counters{}, nil
+		if want := *newReport(traceID); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: empty report = %+v, want %+v", tc.name, got, want)
+		}
 	}
 }

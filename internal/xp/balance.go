@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"pimnw/internal/core"
 	"pimnw/internal/datasets"
 	"pimnw/internal/host"
-	"pimnw/internal/kernel"
-	"pimnw/internal/pim"
 )
 
 // alignBatch drives one batch experiment through the streaming session
@@ -17,13 +14,11 @@ import (
 // fits one micro-batch the report is bit-identical to the one-shot run —
 // the equivalence xp_stream_test.go pins. With Options.CacheDir set the
 // session carries the runner's shared result cache, so re-runs of a suite
-// replay certified answers instead of recomputing them.
+// replay certified answers instead of recomputing them. A fleet arrives
+// in cfg.Backends (hostConfig).
 func (r *Runner) alignBatch(cfg host.Config, pairs []host.Pair) (*host.Report, []host.Result, error) {
 	c, err := r.resultCache()
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.Opts.applyFleet(&cfg); err != nil {
 		return nil, nil, err
 	}
 	return host.AlignPairsStream(context.Background(), host.SessionConfig{
@@ -58,8 +53,6 @@ func (r *Runner) balanceTable() (Table, error) {
 		pairs = append(pairs, host.Pair{ID: p.ID, A: p.A, B: p.B})
 	}
 
-	pimCfg := pim.DefaultConfig()
-	pimCfg.Ranks = 1
 	policies := []struct {
 		name string
 		pol  host.BalancePolicy
@@ -70,20 +63,12 @@ func (r *Runner) balanceTable() (Table, error) {
 	}
 	var lptMakespan float64
 	for _, pc := range policies {
-		cfg := host.Config{
-			PIM: pimCfg,
-			Kernel: kernel.Config{
-				Geometry: kernel.DefaultGeometry(),
-				Band:     dpuBand,
-				Params:   core.DefaultParams(),
-				Costs:    pim.Asm,
-				PIM:      pimCfg,
-			},
-			Balance: pc.pol,
-			Workers: r.Opts.Workers,
+		// One rank, score-only; a fleet spec gets fresh backends per policy.
+		cfg, err := r.hostConfig(1, false)
+		if err != nil {
+			return t, err
 		}
-		r.Opts.applyFaults(&cfg)
-		r.Opts.applyIntegrity(&cfg)
+		cfg.Balance = pc.pol
 		rep, _, err := r.alignBatch(cfg, pairs)
 		if err != nil {
 			return t, err

@@ -3,7 +3,6 @@ package xp
 import (
 	"fmt"
 
-	"pimnw/internal/core"
 	"pimnw/internal/datasets"
 	"pimnw/internal/host"
 	"pimnw/internal/kernel"
@@ -34,17 +33,21 @@ type calibration struct {
 	utilization     float64
 }
 
-// kernelConfig builds the paper's DPU kernel configuration.
-func kernelConfig(costs pim.CostTable, traceback bool, laneWidth int) kernel.Config {
-	return kernel.Config{
-		Geometry:  kernel.DefaultGeometry(),
-		Band:      dpuBand,
-		Params:    core.DefaultParams(),
-		Costs:     costs,
-		Traceback: traceback,
-		LaneWidth: laneWidth,
-		PIM:       pim.DefaultConfig(),
-	}
+// hostConfig is the one place the harness turns its options into a run
+// configuration: the paper's server at the evaluated band, with the given
+// rank count and kernel mode.
+func (r *Runner) hostConfig(ranks int, traceback bool) (host.Config, error) {
+	o := r.Opts.Host
+	o.Band, o.Ranks, o.ScoreOnly = dpuBand, ranks, !traceback
+	return o.Config()
+}
+
+// kernelConfig builds the paper's DPU kernel configuration under a cost
+// table.
+func (r *Runner) kernelConfig(costs pim.CostTable, traceback bool) (kernel.Config, error) {
+	cfg, err := r.hostConfig(pim.DefaultConfig().Ranks, traceback)
+	cfg.Kernel.Costs = costs
+	return cfg.Kernel, err
 }
 
 // calibrate stages the sample pairs on one DPU with all pools saturated

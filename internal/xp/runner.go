@@ -71,7 +71,10 @@ func (r *Runner) calibrationFor(d *dsDef, costs pim.CostTable) (calibration, err
 	if c, ok := r.cals[key]; ok {
 		return c, nil
 	}
-	kcfg := kernelConfig(costs, d.traceback, r.Opts.LaneWidth)
+	kcfg, err := r.kernelConfig(costs, d.traceback)
+	if err != nil {
+		return calibration{}, err
+	}
 	cal, err := calibrate(kcfg, r.sampleFor(d))
 	if err != nil {
 		return cal, fmt.Errorf("xp: calibrating %s/%s: %w", d.key, costs.Name, err)

@@ -69,7 +69,10 @@ func (r *Runner) ablationTable() (Table, error) {
 	}
 	var baselineCycles int64
 	for _, g := range geometries {
-		kcfg := kernelConfig(pim.Asm, true, r.Opts.LaneWidth)
+		kcfg, err := r.kernelConfig(pim.Asm, true)
+		if err != nil {
+			return t, err
+		}
 		kcfg.Geometry = g
 		label := fmt.Sprintf("%dx%d", g.Pools, g.TaskletsPerPool)
 		if err := kcfg.Validate(); err != nil {

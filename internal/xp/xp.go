@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"pimnw/internal/host"
-	"pimnw/internal/pim"
 )
 
 // Options tunes every experiment runner.
@@ -25,74 +24,18 @@ type Options struct {
 	Quick bool
 	// Samples overrides the per-dataset accuracy sample count (0 = auto).
 	Samples int
-	// Workers bounds host-side parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Seed offsets every generator seed, for variance studies.
 	Seed int64
-	// FaultRate injects deterministic per-DPU faults at this probability
-	// into the simulated runs that use the batch pipeline, exercising the
-	// host's retry/redispatch recovery under the experiment workloads
-	// (0 = perfect fabric). FaultSeed seeds the injection; MaxRetries and
-	// BatchDeadlineSec bound the recovery (see host.Config).
-	FaultRate        float64
-	FaultSeed        int64
-	MaxRetries       int
-	BatchDeadlineSec float64
-	// Escalate turns on the host's result-integrity ladder for the
-	// simulated batch runs: clipped or out-of-band pairs are re-dispatched
-	// at doubled band widths up to MaxBand (0 = host.DefaultMaxBand) and
-	// degrade to score-only kernels / the exact CPU baseline, so every
-	// experiment pair carries a trusted score with provenance. Verify
-	// re-derives each traceback result's score from its CIGAR and treats
-	// mismatches as detected corruption.
-	Escalate bool
-	MaxBand  int
-	Verify   bool
-	// LaneWidth pins the DPU kernel's DP cell width (kernel.Config.LaneWidth):
-	// 0 auto-selects the 16-bit narrow-lane kernel for score-only runs whose
-	// scoring model admits it, 16 and 64 force one engine.
-	LaneWidth int
+	// Host carries the simulated-run options shared with pimalign and
+	// alignd (fault injection and recovery bounds, the result-integrity
+	// ladder, lane width, fleet, host-side workers) into every batch
+	// experiment and calibration; the zero value is the paper's perfect
+	// single fabric. Band, Ranks and ScoreOnly are set per experiment.
+	Host host.Options
 	// CacheDir attaches the persistent result cache to the batch
 	// experiments that run over the serving path, so repeated suites skip
 	// already-certified pairs ("" = no cache). Close the runner to flush it.
 	CacheDir string
-	// Fleet shards the batch experiments across a multi-backend fleet
-	// instead of the single default fabric; see host.ParseFleet for the
-	// spec syntax ("" = single fabric). Results stay bit-identical — only
-	// the modelled timeline and the per-backend report rows change.
-	Fleet string
-}
-
-// faultConfig translates the fault options into the host configuration
-// fields; a zero FaultRate leaves the fabric perfect.
-func (o Options) applyFaults(cfg *host.Config) {
-	if o.FaultRate <= 0 {
-		return
-	}
-	cfg.Faults = pim.FaultConfig{Rate: o.FaultRate, Seed: o.FaultSeed}
-	cfg.MaxRetries = o.MaxRetries
-	cfg.BatchDeadlineSec = o.BatchDeadlineSec
-	cfg.RetryBackoffSec = 1e-3
-}
-
-// applyIntegrity translates the result-integrity options into the host
-// configuration fields; the zero options leave the pipeline as-is.
-func (o Options) applyIntegrity(cfg *host.Config) {
-	cfg.Escalate = o.Escalate
-	cfg.MaxBand = o.MaxBand
-	cfg.Verify = o.Verify && cfg.Kernel.Traceback
-	cfg.Kernel.LaneWidth = o.LaneWidth
-}
-
-// applyFleet translates the fleet spec into host backends; an empty
-// spec leaves the single-fabric pipeline untouched.
-func (o Options) applyFleet(cfg *host.Config) error {
-	backends, err := host.ParseFleet(o.Fleet)
-	if err != nil {
-		return err
-	}
-	cfg.Backends = backends
-	return nil
 }
 
 // Table is a rendered experiment outcome.
