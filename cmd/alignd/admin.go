@@ -18,11 +18,11 @@ import (
 //
 //	GET  /admin/config  the live config in its canonical file form —
 //	                    exactly what POST accepts back.
-//	POST /admin/config  hot-reload the dynamic sections (limits, queues,
-//	                    shed). Changes to the static sections (server,
-//	                    align, session, fleet) are rejected with 400:
-//	                    those require a restart, and silently ignoring an
-//	                    attempted change would be worse than refusing it.
+//	POST /admin/config  hot-reload the dynamic keys (config.Keys marks each
+//	                    key static or dynamic; README has the table). A
+//	                    change to a static key is rejected with 400 naming
+//	                    it: those require a restart, and silently ignoring
+//	                    an attempted change would be worse than refusing it.
 //	GET  /admin/limits  rate-limiter, gate and shed statistics as JSON.
 //	GET  /admin/shed    current shed level, the automatic level tracking
 //	                    underneath, and any manual override.
@@ -76,10 +76,10 @@ func (sv *server) handleAdminConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 // reloadConfig parses and validates a full config file and applies its
-// dynamic sections atomically-enough: reloads are serialized, and each
-// component (limiter rates, gate sizing, shed thresholds) swaps its
-// parameters race-free. The static sections must match the running
-// config exactly.
+// dynamic keys atomically-enough: reloads are serialized, and each
+// component (limiter rates, gate sizing, shed thresholds, cache size
+// limits) swaps its parameters race-free. The static keys must match the
+// running config exactly.
 func (sv *server) reloadConfig(body []byte) error {
 	next, err := config.Parse(body)
 	if err != nil {
@@ -91,37 +91,11 @@ func (sv *server) reloadConfig(body []byte) error {
 	sv.reloadMu.Lock()
 	defer sv.reloadMu.Unlock()
 	cur := sv.cfg.Load()
-	if next.Server != cur.Server {
-		return fmt.Errorf("config reload: the server section is static; restart to change it")
-	}
-	if next.Align != cur.Align {
-		return fmt.Errorf("config reload: the align section is static; restart to change it")
-	}
-	if next.Session != cur.Session {
-		return fmt.Errorf("config reload: the session section is static; restart to change it")
-	}
-	// The fleet is static too: backends hold placement state shared
-	// across every live session.
-	if next.Fleet != cur.Fleet {
-		return fmt.Errorf("config reload: the fleet section is static; restart to change it")
-	}
-	// Entry caps and background intervals are fixed at startup too; the
-	// rates, queue sizing and shed thresholds are the live knobs.
-	if next.Limits.MaxClientEntries != cur.Limits.MaxClientEntries ||
-		next.Limits.MaxIPEntries != cur.Limits.MaxIPEntries ||
-		next.Limits.CleanupInterval != cur.Limits.CleanupInterval {
-		return fmt.Errorf("config reload: limiter entry caps and cleanup_interval are static; restart to change them")
-	}
-	if next.Shed.SampleInterval != cur.Shed.SampleInterval {
-		return fmt.Errorf("config reload: shed.sample_interval is static; restart to change it")
-	}
-	// Cache placement and durability are static (the WAL handle and the
-	// background loops bind at Open); the size limits are live.
-	if next.Cache.Dir != cur.Cache.Dir ||
-		next.Cache.Fsync != cur.Cache.Fsync ||
-		next.Cache.FsyncInterval != cur.Cache.FsyncInterval ||
-		next.Cache.CompactInterval != cur.Cache.CompactInterval {
-		return fmt.Errorf("config reload: the cache placement and durability fields are static; restart to change them")
+	changed := cur.Diff(next)
+	for _, k := range changed {
+		if k.Static {
+			return fmt.Errorf("config reload: %s is static; restart to change it", k)
+		}
 	}
 	if err := sv.rl.SetLimits(next.AdmissionLimits()); err != nil {
 		return err
@@ -136,11 +110,7 @@ func (sv *server) reloadConfig(body []byte) error {
 	sv.cfg.Store(next)
 	obs.Default().Counter("alignd_config_reloads_total").Add(1)
 	obs.Flight().Record("reload", "", "admin config reload applied")
-	obs.Info("config reloaded",
-		"slots", next.Queues.Slots,
-		"global_qps", next.Limits.GlobalQPS,
-		"client_qps", next.Limits.ClientQPS,
-		"ip_qps", next.Limits.IPQPS)
+	obs.Info("config reloaded", "changed", fmt.Sprint(changed))
 	return nil
 }
 

@@ -330,7 +330,7 @@ func TestAdminConfigReload(t *testing.T) {
 	// The fleet is static too: a backend-spec change must be refused,
 	// not silently stored while the old backends keep serving.
 	badFleet := next
-	badFleet.Fleet.Backends = "pim:2,cpu:4"
+	badFleet.Align.Fleet = "pim:2,cpu:4"
 	buf.Reset()
 	badFleet.WriteTo(&buf)
 	resp = post(t, ts.URL+"/admin/config", buf.Bytes(), nil)
@@ -342,7 +342,7 @@ func TestAdminConfigReload(t *testing.T) {
 	if !strings.Contains(string(msg), "fleet") {
 		t.Errorf("400 body %q does not name the fleet section", msg)
 	}
-	if got := sv.cfg.Load().Fleet.Backends; got != parsed.Fleet.Backends {
+	if got := sv.cfg.Load().Align.Fleet; got != parsed.Align.Fleet {
 		t.Fatalf("fleet reload leaked: backends = %q", got)
 	}
 
@@ -353,6 +353,9 @@ func TestAdminConfigReload(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bogus_key") {
 		t.Fatalf("malformed reload = %d %q, want 400 naming the key", resp.StatusCode, msg)
 	}
+
+	// Every key, one at a time: static refused by name, dynamic applied.
+	reloadEveryKey(t, sv, ts, "")
 }
 
 // TestAdminShedEndpoint drives the manual override: pin reject-bulk,

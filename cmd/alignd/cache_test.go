@@ -116,4 +116,8 @@ func TestAdminCacheReload(t *testing.T) {
 	if got := sv.cfg.Load().Cache.MaxEntries; got != 123456 {
 		t.Fatalf("live max_entries after reload = %d, want 123456", got)
 	}
+
+	// The whole cache section with a cache attached: each placement or
+	// durability key refused by name, each size limit applied.
+	reloadEveryKey(t, sv, ts, "cache")
 }

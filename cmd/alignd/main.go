@@ -31,8 +31,9 @@
 //	                    level, latency, per-stage histograms).
 //	GET  /healthz       liveness probe; 503 "draining" during shutdown.
 //	GET  /admin/config  live config in canonical file form.
-//	POST /admin/config  hot-reload the dynamic sections (limits, queues,
-//	                    shed).
+//	POST /admin/config  hot-reload the dynamic keys (rates, queue sizing,
+//	                    shed thresholds, cache size limits); a change to a
+//	                    static key is refused with 400 naming it.
 //	GET  /admin/limits  limiter/gate/shed statistics as JSON.
 //	GET  /admin/shed    shed ladder state; POST pins or releases it.
 //	GET  /debug/vars    metrics snapshot + Go runtime stats as JSON.
@@ -51,7 +52,8 @@
 //	alignd [-config align.yaml] [-check-config] [flags...]
 //
 // Configuration comes from -config (see internal/admission/config for
-// the format); every flag overrides its config field when set
+// the format and its key table, which also names each key's flag and
+// whether it hot-reloads); every flag overrides its config key when set
 // explicitly. -check-config validates and prints the effective config
 // in canonical form, then exits without serving.
 //
@@ -87,107 +89,48 @@ func main() {
 	}
 }
 
+// cli holds the flags that are not configuration keys.
+type cli struct {
+	configPath, addrFile, post, aPath, bPath string
+	checkConfig, verbose                     bool
+}
+
+// bindFlags declares alignd's flag set on fs: the flags below, then one
+// per configuration key that has a flag (see config.Keys), whose
+// defaults are config.Default's.
+func bindFlags(fs *flag.FlagSet) *cli {
+	var c cli
+	fs.StringVar(&c.configPath, "config", "", "configuration file (strict YAML subset; flags override its fields)")
+	fs.BoolVar(&c.checkConfig, "check-config", false, "validate the effective config, print its canonical form, and exit")
+	fs.StringVar(&c.addrFile, "addr-file", "", "write the bound address to FILE once listening (for scripts using port 0)")
+	fs.StringVar(&c.post, "post", "", "client mode: POST the -a/-b FASTA pairs to this daemon URL and print pimalign-style results")
+	fs.StringVar(&c.aPath, "a", "", "FASTA file of query sequences (client mode)")
+	fs.StringVar(&c.bPath, "b", "", "FASTA file of target sequences (client mode)")
+	fs.BoolVar(&c.verbose, "v", false, "verbose (debug) logging")
+	config.Default().BindFlags(fs)
+	return &c
+}
+
 func run() error {
-	var (
-		configPath  = flag.String("config", "", "configuration file (strict YAML subset; flags override its fields)")
-		checkConfig = flag.Bool("check-config", false, "validate the effective config, print its canonical form, and exit")
-
-		addr        = flag.String("addr", "127.0.0.1:7433", "listen address (host:port; port 0 picks a free port)")
-		addrFile    = flag.String("addr-file", "", "write the bound address to FILE once listening (for scripts using port 0)")
-		maxRequests = flag.Int("max-requests", 4, "align requests served concurrently (queues.slots); beyond this requests queue, then 429")
-		drainWait   = flag.Duration("drain-wait", 500*time.Millisecond, "how long /healthz advertises draining (503) after SIGTERM before the listener closes")
-
-		band      = flag.Int("band", 128, "band size (cells per anti-diagonal / row)")
-		ranks     = flag.Int("ranks", 40, "PiM ranks")
-		scoreOnly = flag.Bool("score-only", false, "skip traceback/CIGAR")
-
-		batchPairs    = flag.Int("batch-pairs", 0, "micro-batch size in pairs (0 = 4 per DPU of a rank)")
-		linger        = flag.Duration("linger", 0, "max time a pair may wait for its micro-batch to fill (0 = 2ms)")
-		queueLimit    = flag.Int("queue-limit", 0, "per-request cap on admitted-but-undelivered pairs (0 = 8 micro-batches)")
-		maxConcurrent = flag.Int("max-concurrent", 0, "micro-batches in flight per request (0 = 2)")
-
-		cacheDir = flag.String("cache-dir", "", "directory for the persistent result cache (empty = caching disabled)")
-
-		logJSON      = flag.Bool("log-json", false, "structured JSON log lines instead of text")
-		slowRequest  = flag.Duration("slow-request", time.Second, "log a stage breakdown for align requests at/over this duration (0 = every request, negative = never)")
-		flightEvents = flag.Int("flight-events", obs.DefaultFlightEvents, "flight-recorder ring capacity (notable events retained for /debug/flight)")
-
-		post    = flag.String("post", "", "client mode: POST the -a/-b FASTA pairs to this daemon URL and print pimalign-style results")
-		aPath   = flag.String("a", "", "FASTA file of query sequences (client mode)")
-		bPath   = flag.String("b", "", "FASTA file of target sequences (client mode)")
-		verbose = flag.Bool("v", false, "verbose (debug) logging")
-	)
-	// The align flags shared with pimalign and experiments; like every
-	// other flag they only override the config file when set explicitly.
-	var shared host.Options
-	shared.Bind(flag.CommandLine)
+	opt := bindFlags(flag.CommandLine)
 	flag.Parse()
-	if *verbose {
+	if opt.verbose {
 		obs.SetVerbosity(1)
 	}
-	if *post != "" {
-		return runClient(*post, *aPath, *bPath)
+	if opt.post != "" {
+		return runClient(opt.post, opt.aPath, opt.bPath)
 	}
 
 	cfg := config.Default()
-	if *configPath != "" {
+	if opt.configPath != "" {
 		var err error
-		if cfg, err = config.Load(*configPath); err != nil {
+		if cfg, err = config.Load(opt.configPath); err != nil {
 			return err
 		}
 	}
-	// Explicitly set flags override their config fields — the flag
-	// surface predates the config file and stays authoritative when used.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "addr":
-			cfg.Server.Addr = *addr
-		case "drain-wait":
-			cfg.Server.DrainWait = *drainWait
-		case "slow-request":
-			cfg.Server.SlowRequest = *slowRequest
-		case "flight-events":
-			cfg.Server.FlightEvents = *flightEvents
-		case "log-json":
-			cfg.Server.LogJSON = *logJSON
-		case "max-requests":
-			cfg.Queues.Slots = *maxRequests
-		case "band":
-			cfg.Align.Band = *band
-		case "ranks":
-			cfg.Align.Ranks = *ranks
-		case "score-only":
-			cfg.Align.ScoreOnly = *scoreOnly
-		case "lanes":
-			cfg.Align.Lanes = shared.Lanes
-		case "escalation":
-			cfg.Align.Escalation = shared.Escalation
-		case "max-band":
-			cfg.Align.MaxBand = shared.MaxBand
-		case "verify":
-			cfg.Align.Verify = shared.Verify
-		case "fault-rate":
-			cfg.Align.FaultRate = shared.FaultRate
-		case "fault-seed":
-			cfg.Align.FaultSeed = shared.FaultSeed
-		case "max-retries":
-			cfg.Align.MaxRetries = shared.MaxRetries
-		case "batch-deadline":
-			cfg.Align.BatchDeadline = shared.BatchDeadlineSec
-		case "cache-dir":
-			cfg.Cache.Dir = *cacheDir
-		case "fleet":
-			cfg.Fleet.Backends = shared.Fleet
-		case "batch-pairs":
-			cfg.Session.BatchPairs = *batchPairs
-		case "linger":
-			cfg.Session.Linger = *linger
-		case "queue-limit":
-			cfg.Session.QueueLimit = *queueLimit
-		case "max-concurrent":
-			cfg.Session.MaxConcurrent = *maxConcurrent
-		}
-	})
+	if err := cfg.ApplyFlags(flag.CommandLine); err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -198,7 +141,7 @@ func run() error {
 	if err := scfg.Host.Validate(); err != nil {
 		return err
 	}
-	if *checkConfig {
+	if opt.checkConfig {
 		_, err := cfg.WriteTo(os.Stdout)
 		return err
 	}
@@ -232,8 +175,8 @@ func run() error {
 		return err
 	}
 	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
+	if opt.addrFile != "" {
+		if err := os.WriteFile(opt.addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()
 			return err
 		}
@@ -305,14 +248,7 @@ func openCache(cfg *config.Config) (*cache.Cache, error) {
 // sessionConfig assembles the per-request session template from the
 // align, fleet and session sections.
 func sessionConfig(cfg *config.Config) (host.SessionConfig, error) {
-	a := cfg.Align
-	hcfg, err := host.Options{
-		Band: a.Band, Ranks: a.Ranks, ScoreOnly: a.ScoreOnly, Lanes: a.Lanes,
-		Fleet:     cfg.Fleet.Backends,
-		FaultRate: a.FaultRate, FaultSeed: a.FaultSeed,
-		MaxRetries: a.MaxRetries, BatchDeadlineSec: a.BatchDeadline,
-		Escalation: a.Escalation, MaxBand: a.MaxBand, Verify: a.Verify,
-	}.Config()
+	hcfg, err := cfg.Align.Config()
 	if err != nil {
 		return host.SessionConfig{}, err
 	}

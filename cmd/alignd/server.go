@@ -83,8 +83,9 @@ func toHostPair(p wirePair) (host.Pair, error) {
 // refusal is a 429 with a Retry-After computed from the gate's drain
 // rate (or the violated bucket's refill time); every downgrade the shed
 // ladder applies on the way through is surfaced as a typed label on the
-// results. The dynamic sections of the config (limits, queues, shed)
-// are hot-reloadable through the /admin API.
+// results. The config keys the key table marks dynamic (rates, queue
+// sizing, shed thresholds, cache size limits) are hot-reloadable through
+// the /admin API.
 type server struct {
 	cfg  atomic.Pointer[config.Config]
 	scfg host.SessionConfig // session template from the align/session sections

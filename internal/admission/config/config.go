@@ -11,10 +11,7 @@
 package config
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,16 +23,17 @@ import (
 	"pimnw/internal/obs"
 )
 
-// Config is the daemon configuration. Sections Server, Align and
-// Session are fixed at startup, as are the cache section's placement and
-// durability fields; the cache size limits, Limits, Queues and Shed are
-// dynamic and may be hot-reloaded through the admin API.
+// Config is the daemon configuration. Which keys are fixed at startup
+// and which may be hot-reloaded through the admin API is recorded per key
+// in the key table (keys.go), not per section.
 type Config struct {
-	Server  ServerConfig
-	Align   AlignConfig
+	Server ServerConfig
+	// Align is the alignment engine: the same options pimalign and
+	// experiments run on. It also carries the fleet section's one key
+	// (Align.Fleet); Align.Workers has no key.
+	Align   host.Options
 	Session SessionConfig
 	Cache   CacheConfig
-	Fleet   FleetConfig
 	Limits  LimitsConfig
 	Queues  QueuesConfig
 	Shed    ShedConfig
@@ -65,22 +63,6 @@ type ServerConfig struct {
 	AdminToken string
 }
 
-// AlignConfig is the alignment engine configuration (the former
-// one-flag-per-knob surface).
-type AlignConfig struct {
-	Band          int
-	Ranks         int
-	ScoreOnly     bool
-	Lanes         string // auto, 16 or 64
-	Escalation    bool
-	MaxBand       int
-	Verify        bool
-	FaultRate     float64
-	FaultSeed     int64
-	MaxRetries    int
-	BatchDeadline float64 // modelled seconds; 0 = none
-}
-
 // SessionConfig tunes the per-request streaming session (zeros defer
 // to the host package's defaults).
 type SessionConfig struct {
@@ -90,9 +72,7 @@ type SessionConfig struct {
 	MaxConcurrent int
 }
 
-// CacheConfig configures the persistent result cache. Dir, Fsync,
-// FsyncInterval and CompactInterval are fixed at startup; MaxEntries and
-// HotEntries are dynamic (hot-reloadable size limits).
+// CacheConfig configures the persistent result cache.
 type CacheConfig struct {
 	// Dir is the cache directory; empty disables the cache entirely.
 	Dir string
@@ -109,32 +89,14 @@ type CacheConfig struct {
 	CompactInterval time.Duration
 }
 
-// FleetConfig configures multi-fabric scale-out (fixed at startup —
-// backends hold placement state shared across every session).
-type FleetConfig struct {
-	// Backends is the fleet specification: a comma-separated backend
-	// list, each entry "pim[:RANKS[@FREQMHZ]][~FAULTRATE]" (a simulated
-	// PiM server) or "cpu[:THREADS]" (a CPU worker pool), e.g.
-	// "pim:40,pim:20@300,cpu:16". Empty serves from the single default
-	// fabric described by the align section.
-	Backends string
-}
-
-// LimitsConfig is the rate-limit tier configuration (dynamic).
+// LimitsConfig is the rate-limit tier configuration: the admission
+// controller's limits plus the period of its idle-entry sweep.
 type LimitsConfig struct {
-	GlobalQPS        float64
-	GlobalBurst      float64
-	ClientQPS        float64
-	ClientBurst      float64
-	IPQPS            float64
-	IPBurst          float64
-	MaxClientEntries int
-	MaxIPEntries     int
-	IdleTTL          time.Duration
-	CleanupInterval  time.Duration
+	admission.Limits
+	CleanupInterval time.Duration
 }
 
-// QueuesConfig sizes the priority admission gate (dynamic).
+// QueuesConfig sizes the priority admission gate.
 type QueuesConfig struct {
 	// Slots is how many align requests are served concurrently (the
 	// former -max-requests).
@@ -147,14 +109,11 @@ type QueuesConfig struct {
 	MaxRetryAfter time.Duration
 }
 
-// ShedConfig tunes the pressure controller (dynamic).
+// ShedConfig tunes the pressure controller.
 type ShedConfig struct {
 	// SampleInterval is how often gate load is sampled.
 	SampleInterval time.Duration
-	HighWater      float64
-	LowWater       float64
-	RaiseAfter     int
-	ReleaseAfter   int
+	admission.PressureConfig
 }
 
 // Default is the configuration alignd runs with absent a -config file:
@@ -169,7 +128,7 @@ func Default() *Config {
 			FlightEvents: obs.DefaultFlightEvents,
 			ClientHeader: "X-Api-Key",
 		},
-		Align: AlignConfig{
+		Align: host.Options{
 			Band:       128,
 			Ranks:      40,
 			Lanes:      "auto",
@@ -184,10 +143,12 @@ func Default() *Config {
 			CompactInterval: time.Minute,
 		},
 		Limits: LimitsConfig{
-			MaxClientEntries: 4096,
-			MaxIPEntries:     65536,
-			IdleTTL:          5 * time.Minute,
-			CleanupInterval:  time.Minute,
+			Limits: admission.Limits{
+				MaxClientEntries: 4096,
+				MaxIPEntries:     65536,
+				IdleTTL:          5 * time.Minute,
+			},
+			CleanupInterval: time.Minute,
 		},
 		Queues: QueuesConfig{
 			Slots:         4,
@@ -197,36 +158,22 @@ func Default() *Config {
 		},
 		Shed: ShedConfig{
 			SampleInterval: 100 * time.Millisecond,
-			HighWater:      0.9,
-			LowWater:       0.5,
-			RaiseAfter:     5,
-			ReleaseAfter:   20,
+			PressureConfig: admission.PressureConfig{
+				HighWater:    0.9,
+				LowWater:     0.5,
+				RaiseAfter:   5,
+				ReleaseAfter: 20,
+			},
 		},
 	}
 }
 
-// AdmissionLimits converts the dynamic limits section for the
-// admission controller.
-func (c *Config) AdmissionLimits() admission.Limits {
-	return admission.Limits{
-		GlobalQPS: c.Limits.GlobalQPS, GlobalBurst: c.Limits.GlobalBurst,
-		ClientQPS: c.Limits.ClientQPS, ClientBurst: c.Limits.ClientBurst,
-		IPQPS: c.Limits.IPQPS, IPBurst: c.Limits.IPBurst,
-		MaxClientEntries: c.Limits.MaxClientEntries,
-		MaxIPEntries:     c.Limits.MaxIPEntries,
-		IdleTTL:          c.Limits.IdleTTL,
-	}
-}
+// AdmissionLimits is the limits section as the admission controller
+// takes it.
+func (c *Config) AdmissionLimits() admission.Limits { return c.Limits.Limits }
 
-// PressureConfig converts the shed section for the pressure controller.
-func (c *Config) PressureConfig() admission.PressureConfig {
-	return admission.PressureConfig{
-		HighWater:    c.Shed.HighWater,
-		LowWater:     c.Shed.LowWater,
-		RaiseAfter:   c.Shed.RaiseAfter,
-		ReleaseAfter: c.Shed.ReleaseAfter,
-	}
-}
+// PressureConfig is the shed section as the pressure controller takes it.
+func (c *Config) PressureConfig() admission.PressureConfig { return c.Shed.PressureConfig }
 
 // Validate checks every field's domain. It is the -check-config gate;
 // host/kernel geometry feasibility is validated separately when the
@@ -264,8 +211,8 @@ func (c *Config) Validate() error {
 	if a.MaxRetries < 0 {
 		return fmt.Errorf("config: negative align.max_retries %d", a.MaxRetries)
 	}
-	if a.BatchDeadline < 0 || a.BatchDeadline != a.BatchDeadline {
-		return fmt.Errorf("config: negative align.batch_deadline %v", a.BatchDeadline)
+	if a.BatchDeadlineSec < 0 || a.BatchDeadlineSec != a.BatchDeadlineSec {
+		return fmt.Errorf("config: negative align.batch_deadline %v", a.BatchDeadlineSec)
 	}
 	se := &c.Session
 	if se.BatchPairs < 0 || se.QueueLimit < 0 || se.MaxConcurrent < 0 || se.Linger < 0 {
@@ -289,7 +236,7 @@ func (c *Config) Validate() error {
 	if ca.HotEntries < 0 {
 		return fmt.Errorf("config: negative cache.hot_entries %d", ca.HotEntries)
 	}
-	if _, err := host.ParseFleet(c.Fleet.Backends); err != nil {
+	if _, err := host.ParseFleet(a.Fleet); err != nil {
 		return fmt.Errorf("config: fleet.backends: %w", err)
 	}
 	if err := c.AdmissionLimits().Validate(); err != nil {
@@ -333,11 +280,12 @@ func Load(path string) (*Config, error) {
 }
 
 // Parse applies the file's entries on top of Default. It is strict:
-// unknown sections or keys, malformed values and out-of-section entries
-// are errors carrying their line number.
+// unknown sections or keys, malformed values, out-of-section entries and
+// a section or key given twice are errors carrying their line number.
 func Parse(data []byte) (*Config, error) {
 	c := Default()
 	section := ""
+	seen := map[string]int{} // "section" and "section.key" → line it was given on
 	for lineNo, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimRight(raw, " \t\r")
 		trimmed := strings.TrimSpace(line)
@@ -350,12 +298,14 @@ func Parse(data []byte) (*Config, error) {
 			if !ok || strings.ContainsAny(name, " \t") {
 				return nil, fmt.Errorf("line %d: expected a section header like \"limits:\", got %q", lineNo+1, trimmed)
 			}
-			switch name {
-			case "server", "align", "session", "cache", "fleet", "limits", "queues", "shed":
-				section = name
-			default:
+			if _, known := lookup(name, ""); !known {
 				return nil, fmt.Errorf("line %d: unknown section %q", lineNo+1, name)
 			}
+			if first, dup := seen[name]; dup {
+				return nil, fmt.Errorf("line %d: section %q already given at line %d", lineNo+1, name, first)
+			}
+			seen[name] = lineNo + 1
+			section = name
 			continue
 		}
 		if section == "" {
@@ -370,8 +320,16 @@ func Parse(data []byte) (*Config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %s.%s: %w", lineNo+1, section, key, err)
 		}
-		if err := c.set(section, key, val); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		k, _ := lookup(section, key)
+		if k == nil {
+			return nil, fmt.Errorf("line %d: unknown key %s.%s", lineNo+1, section, key)
+		}
+		if first, dup := seen[k.String()]; dup {
+			return nil, fmt.Errorf("line %d: %s already set at line %d", lineNo+1, k, first)
+		}
+		seen[k.String()] = lineNo + 1
+		if err := k.Set(c, val); err != nil {
+			return nil, fmt.Errorf("line %d: %s: %w", lineNo+1, k, err)
 		}
 	}
 	return c, nil
@@ -416,271 +374,4 @@ func parseValue(rest string) (string, error) {
 		return "", fmt.Errorf("empty value")
 	}
 	return v, nil
-}
-
-// set routes one parsed key/value into the config. Every key is
-// enumerated; anything else is an error.
-func (c *Config) set(section, key, val string) error {
-	unknown := func() error {
-		return fmt.Errorf("unknown key %s.%s", section, key)
-	}
-	var err error
-	switch section {
-	case "server":
-		switch key {
-		case "addr":
-			c.Server.Addr = val
-		case "drain_wait":
-			c.Server.DrainWait, err = parseDur(val)
-		case "slow_request":
-			c.Server.SlowRequest, err = parseDur(val)
-		case "flight_events":
-			c.Server.FlightEvents, err = parseInt(val)
-		case "log_json":
-			c.Server.LogJSON, err = parseBool(val)
-		case "client_header":
-			c.Server.ClientHeader = val
-		case "admin_token":
-			c.Server.AdminToken = val
-		default:
-			return unknown()
-		}
-	case "align":
-		switch key {
-		case "band":
-			c.Align.Band, err = parseInt(val)
-		case "ranks":
-			c.Align.Ranks, err = parseInt(val)
-		case "score_only":
-			c.Align.ScoreOnly, err = parseBool(val)
-		case "lanes":
-			c.Align.Lanes = val
-		case "escalation":
-			c.Align.Escalation, err = parseBool(val)
-		case "max_band":
-			c.Align.MaxBand, err = parseInt(val)
-		case "verify":
-			c.Align.Verify, err = parseBool(val)
-		case "fault_rate":
-			c.Align.FaultRate, err = parseFloat(val)
-		case "fault_seed":
-			c.Align.FaultSeed, err = parseInt64(val)
-		case "max_retries":
-			c.Align.MaxRetries, err = parseInt(val)
-		case "batch_deadline":
-			c.Align.BatchDeadline, err = parseFloat(val)
-		default:
-			return unknown()
-		}
-	case "session":
-		switch key {
-		case "batch_pairs":
-			c.Session.BatchPairs, err = parseInt(val)
-		case "linger":
-			c.Session.Linger, err = parseDur(val)
-		case "queue_limit":
-			c.Session.QueueLimit, err = parseInt(val)
-		case "max_concurrent":
-			c.Session.MaxConcurrent, err = parseInt(val)
-		default:
-			return unknown()
-		}
-	case "cache":
-		switch key {
-		case "dir":
-			c.Cache.Dir = val
-		case "fsync":
-			c.Cache.Fsync = val
-		case "fsync_interval":
-			c.Cache.FsyncInterval, err = parseDur(val)
-		case "max_entries":
-			c.Cache.MaxEntries, err = parseInt(val)
-		case "hot_entries":
-			c.Cache.HotEntries, err = parseInt(val)
-		case "compact_interval":
-			c.Cache.CompactInterval, err = parseDur(val)
-		default:
-			return unknown()
-		}
-	case "fleet":
-		switch key {
-		case "backends":
-			c.Fleet.Backends = val
-		default:
-			return unknown()
-		}
-	case "limits":
-		switch key {
-		case "global_qps":
-			c.Limits.GlobalQPS, err = parseFloat(val)
-		case "global_burst":
-			c.Limits.GlobalBurst, err = parseFloat(val)
-		case "client_qps":
-			c.Limits.ClientQPS, err = parseFloat(val)
-		case "client_burst":
-			c.Limits.ClientBurst, err = parseFloat(val)
-		case "ip_qps":
-			c.Limits.IPQPS, err = parseFloat(val)
-		case "ip_burst":
-			c.Limits.IPBurst, err = parseFloat(val)
-		case "max_client_entries":
-			c.Limits.MaxClientEntries, err = parseInt(val)
-		case "max_ip_entries":
-			c.Limits.MaxIPEntries, err = parseInt(val)
-		case "idle_ttl":
-			c.Limits.IdleTTL, err = parseDur(val)
-		case "cleanup_interval":
-			c.Limits.CleanupInterval, err = parseDur(val)
-		default:
-			return unknown()
-		}
-	case "queues":
-		switch key {
-		case "slots":
-			c.Queues.Slots, err = parseInt(val)
-		case "interactive":
-			c.Queues.Interactive, err = parseInt(val)
-		case "bulk":
-			c.Queues.Bulk, err = parseInt(val)
-		case "max_retry_after":
-			c.Queues.MaxRetryAfter, err = parseDur(val)
-		default:
-			return unknown()
-		}
-	case "shed":
-		switch key {
-		case "sample_interval":
-			c.Shed.SampleInterval, err = parseDur(val)
-		case "high_water":
-			c.Shed.HighWater, err = parseFloat(val)
-		case "low_water":
-			c.Shed.LowWater, err = parseFloat(val)
-		case "raise_after":
-			c.Shed.RaiseAfter, err = parseInt(val)
-		case "release_after":
-			c.Shed.ReleaseAfter, err = parseInt(val)
-		default:
-			return unknown()
-		}
-	default:
-		return fmt.Errorf("unknown section %q", section)
-	}
-	if err != nil {
-		return fmt.Errorf("%s.%s: %w", section, key, err)
-	}
-	return nil
-}
-
-func parseInt(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("want an integer, got %q", v)
-	}
-	return n, nil
-}
-
-func parseInt64(v string) (int64, error) {
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("want an integer, got %q", v)
-	}
-	return n, nil
-}
-
-func parseFloat(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("want a finite number, got %q", v)
-	}
-	return f, nil
-}
-
-func parseBool(v string) (bool, error) {
-	switch v {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, fmt.Errorf("want true or false, got %q", v)
-}
-
-func parseDur(v string) (time.Duration, error) {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("want a duration like 500ms or 1m, got %q", v)
-	}
-	return d, nil
-}
-
-// WriteTo emits the canonical file form; Parse(that) reproduces c
-// exactly. The admin API serves this as the live config.
-func (c *Config) WriteTo(w io.Writer) (int64, error) {
-	var b bytes.Buffer
-	sec := func(name string) { fmt.Fprintf(&b, "%s:\n", name) }
-	str := func(k, v string) { fmt.Fprintf(&b, "  %s: %q\n", k, v) }
-	num := func(k string, v float64) { fmt.Fprintf(&b, "  %s: %g\n", k, v) }
-	inte := func(k string, v int64) { fmt.Fprintf(&b, "  %s: %d\n", k, v) }
-	boo := func(k string, v bool) { fmt.Fprintf(&b, "  %s: %t\n", k, v) }
-	dur := func(k string, v time.Duration) { fmt.Fprintf(&b, "  %s: %s\n", k, v) }
-
-	sec("server")
-	str("addr", c.Server.Addr)
-	dur("drain_wait", c.Server.DrainWait)
-	dur("slow_request", c.Server.SlowRequest)
-	inte("flight_events", int64(c.Server.FlightEvents))
-	boo("log_json", c.Server.LogJSON)
-	str("client_header", c.Server.ClientHeader)
-	str("admin_token", c.Server.AdminToken)
-	sec("align")
-	inte("band", int64(c.Align.Band))
-	inte("ranks", int64(c.Align.Ranks))
-	boo("score_only", c.Align.ScoreOnly)
-	str("lanes", c.Align.Lanes)
-	boo("escalation", c.Align.Escalation)
-	inte("max_band", int64(c.Align.MaxBand))
-	boo("verify", c.Align.Verify)
-	num("fault_rate", c.Align.FaultRate)
-	inte("fault_seed", c.Align.FaultSeed)
-	inte("max_retries", int64(c.Align.MaxRetries))
-	num("batch_deadline", c.Align.BatchDeadline)
-	sec("session")
-	inte("batch_pairs", int64(c.Session.BatchPairs))
-	dur("linger", c.Session.Linger)
-	inte("queue_limit", int64(c.Session.QueueLimit))
-	inte("max_concurrent", int64(c.Session.MaxConcurrent))
-	sec("cache")
-	str("dir", c.Cache.Dir)
-	str("fsync", c.Cache.Fsync)
-	dur("fsync_interval", c.Cache.FsyncInterval)
-	inte("max_entries", int64(c.Cache.MaxEntries))
-	inte("hot_entries", int64(c.Cache.HotEntries))
-	dur("compact_interval", c.Cache.CompactInterval)
-	sec("fleet")
-	str("backends", c.Fleet.Backends)
-	sec("limits")
-	num("global_qps", c.Limits.GlobalQPS)
-	num("global_burst", c.Limits.GlobalBurst)
-	num("client_qps", c.Limits.ClientQPS)
-	num("client_burst", c.Limits.ClientBurst)
-	num("ip_qps", c.Limits.IPQPS)
-	num("ip_burst", c.Limits.IPBurst)
-	inte("max_client_entries", int64(c.Limits.MaxClientEntries))
-	inte("max_ip_entries", int64(c.Limits.MaxIPEntries))
-	dur("idle_ttl", c.Limits.IdleTTL)
-	dur("cleanup_interval", c.Limits.CleanupInterval)
-	sec("queues")
-	inte("slots", int64(c.Queues.Slots))
-	inte("interactive", int64(c.Queues.Interactive))
-	inte("bulk", int64(c.Queues.Bulk))
-	dur("max_retry_after", c.Queues.MaxRetryAfter)
-	sec("shed")
-	dur("sample_interval", c.Shed.SampleInterval)
-	num("high_water", c.Shed.HighWater)
-	num("low_water", c.Shed.LowWater)
-	inte("raise_after", int64(c.Shed.RaiseAfter))
-	inte("release_after", int64(c.Shed.ReleaseAfter))
-
-	n, err := w.Write(b.Bytes())
-	return int64(n), err
 }

@@ -84,9 +84,25 @@ func TestParseRejects(t *testing.T) {
 		"unterminated quote":  "server:\n  addr: \"127.0.0.1\n",
 		"quote then junk":     "server:\n  addr: \"x\" y\n",
 		"bare junk line":      "limits\n",
+		"key given twice":     "queues:\n  slots: 1\n  slots: 64\n",
+		"section given twice": "queues:\n  slots: 1\nshed:\n  raise_after: 2\nqueues:\n  bulk: 3\n",
 	} {
 		if _, err := Parse([]byte(body)); err == nil {
 			t.Errorf("%s: Parse accepted %q", name, body)
+		}
+	}
+	// The messages carry the offending line, and for a repeat both lines.
+	for body, want := range map[string]string{
+		"limits:\n  global_rps: 5\n":                  "line 2: unknown key limits.global_rps",
+		"# c\n\nqueues:\n  slots: many\n":             `line 4: queues.slots: want an integer, got "many"`,
+		"queues:\n  slots: 1\n  slots: 64\n":          "line 3: queues.slots already set at line 2",
+		"queues:\n  slots: 1\nshed:\nqueues:\n":       `line 4: section "queues" already given at line 1`,
+		"server:\n  addr: \"x\" y\n":                  `line 2: server.addr: trailing content "y" after quoted string`,
+		"queues:\n  slots: 1\nnonsense:\n  a: 1\n":    `line 3: unknown section "nonsense"`,
+		"queues:\n  slots: 1 # one\n  slots: 1 # 2\n": "line 3: queues.slots already set at line 2",
+	} {
+		if _, err := Parse([]byte(body)); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %q", body, err, want)
 		}
 	}
 }

@@ -20,6 +20,7 @@ func FuzzAdmissionConfig(f *testing.F) {
 	f.Add([]byte("queues:\n  slots: 1\njunk:\n"))
 	f.Add([]byte("align:\n  fault_rate: 1e309\n"))
 	f.Add([]byte("  orphan: 1\n"))
+	f.Add([]byte("queues:\n  slots: 1\n  slots: 64\nshed:\nqueues:\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Parse(data)
 		if err != nil {

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -186,6 +187,18 @@ func TestAlignPairsInvalidConfig(t *testing.T) {
 	cfg.Kernel.Band = 3
 	if _, _, err := AlignPairs(cfg, makePairs(5, 2, 50, 0.1)); err == nil {
 		t.Error("invalid kernel config accepted")
+	}
+}
+
+// TestOptionsRejectNaNFaultRate: a NaN -fault-rate must not run as a
+// silently perfect fabric; the range check lives with pim.FaultConfig.
+func TestOptionsRejectNaNFaultRate(t *testing.T) {
+	cfg, err := Options{Band: 64, Ranks: 1, Lanes: "auto", FaultRate: math.NaN()}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err == nil {
+		t.Error("a NaN fault rate passed Validate")
 	}
 }
 

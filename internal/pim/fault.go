@@ -104,12 +104,13 @@ type FaultConfig struct {
 // Enabled reports whether the configuration injects anything.
 func (c FaultConfig) Enabled() bool { return c.Rate > 0 || c.RankDropRate > 0 }
 
-// Validate rejects impossible fault configurations.
+// Validate rejects impossible fault configurations. The rate checks are
+// written so that NaN, which compares false with everything, fails them.
 func (c FaultConfig) Validate() error {
-	if c.Rate < 0 || c.Rate > 1 {
+	if !(c.Rate >= 0 && c.Rate <= 1) {
 		return fmt.Errorf("pim: fault Rate %g outside [0,1]", c.Rate)
 	}
-	if c.RankDropRate < 0 || c.RankDropRate > 1 {
+	if !(c.RankDropRate >= 0 && c.RankDropRate <= 1) {
 		return fmt.Errorf("pim: RankDropRate %g outside [0,1]", c.RankDropRate)
 	}
 	if c.StallWeight < 0 || c.SlowWeight < 0 || c.CrashWeight < 0 || c.CorruptWeight < 0 {

@@ -128,6 +128,8 @@ func TestFaultConfigValidate(t *testing.T) {
 		{Rate: -0.1},
 		{Rate: 1.5},
 		{RankDropRate: -1},
+		{Rate: math.NaN()},
+		{RankDropRate: math.NaN()},
 		{Rate: 0.1, SlowWeight: -1},
 		{Rate: 0.1, SlowFactor: 0.5},
 		{Rate: 0.1, StallFactor: 0.2},
