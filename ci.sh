@@ -6,16 +6,20 @@
 #   2. go vet ./...
 #   3. go build ./...
 #   4. go test -race ./...
-#   5. benchmark smoke   (every benchmark compiles and runs once)
-#   6. allocation gate   (core-engine allocs/op must not exceed the
+#   5. golden reports x5 (the report goldens again, five times under
+#                         -race: a report that depends on goroutine
+#                         schedule must fail here, not one run in four)
+#   6. benchmark smoke   (every benchmark compiles and runs once)
+#   7. allocation gate   (core-engine allocs/op must not exceed the
 #                         committed baseline; see cmd/benchgate)
-#   7. alignd smoke      (serve over HTTP, diff against the one-shot
-#                         CLI, draining healthz, graceful SIGTERM
-#                         drain; see ci/alignd_smoke.sh)
-#   8. loadgen smoke     (overload the admission stack: shed ladder
+#   8. alignd smoke      (serve over HTTP, diff against the one-shot
+#                         CLI, all-against-all under fleet and faults,
+#                         draining healthz, graceful SIGTERM drain; see
+#                         ci/alignd_smoke.sh)
+#   9. loadgen smoke     (overload the admission stack: shed ladder
 #                         engages and releases, zero unlabelled
 #                         degradations; see ci/loadgen_smoke.sh)
-#   9. code-size table    (informational, never fails: non-test Go code
+#  10. code-size table    (informational, never fails: non-test Go code
 #                         lines per package; see ci/loc.sh)
 #
 # Any step failing fails the script. This is a superset of ROADMAP.md's
@@ -43,6 +47,9 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== golden reports, repeated under -race =="
+go test -race -count=5 -run TestReportGoldenDifferential ./internal/host
 
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run='^$' -bench=. -benchtime=1x ./...

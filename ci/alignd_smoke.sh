@@ -3,7 +3,9 @@
 # alignd and pimalign, start the daemon on a random port, align a small
 # generated dataset over HTTP, diff the streamed output against the
 # one-shot CLI's (they must match line for line), then SIGTERM the
-# daemon and require a graceful exit 0.
+# daemon and require a graceful exit 0. Before the daemon starts, the
+# one-shot CLI's all-against-all mode is held to the pipeline's contract:
+# placement and injected faults never change an answer.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,6 +29,31 @@ echo "== dataset =="
 "$WORK/datagen" -dataset s1000 -scale 0.00002 -seed 7 -out "$WORK"
 A="$WORK/s1000_a.fa"
 B="$WORK/s1000_b.fa"
+
+echo "== all-against-all is a pair list on the one pipeline =="
+# pimalign -mode allpairs inherits fleets, recovery and the ladder. The
+# fleet run must print what the single fabric prints; the fault-injected
+# run what the fault-free one prints. Escalation may relabel a clipped
+# pair, so it is on both sides of the second comparison; backend names
+# are not on pimalign's result lines.
+"$WORK/datagen" -dataset 16s -scale 0.002 -seed 7 -out "$WORK"
+S="$WORK/16s.fa"
+"$WORK/pimalign" -mode allpairs -a "$S" > "$WORK/ap_plain.out" 2>/dev/null
+[ -s "$WORK/ap_plain.out" ] || { echo "allpairs output is empty" >&2; exit 1; }
+"$WORK/pimalign" -mode allpairs -a "$S" -fleet pim:20,cpu:4 > "$WORK/ap_fleet.out" 2>/dev/null
+diff -u "$WORK/ap_plain.out" "$WORK/ap_fleet.out" || {
+    echo "allpairs: fleet placement changed an answer" >&2; exit 1; }
+"$WORK/pimalign" -mode allpairs -a "$S" -escalation > "$WORK/ap_esc.out" 2>/dev/null
+"$WORK/pimalign" -mode allpairs -a "$S" -escalation -fault-rate 0.05 \
+    > "$WORK/ap_escf.out" 2> "$WORK/ap_escf.err"
+diff -u "$WORK/ap_esc.out" "$WORK/ap_escf.out" || {
+    echo "allpairs: injected faults changed an answer" >&2; exit 1; }
+grep -q 'fault recovery: [1-9]' "$WORK/ap_escf.err" || {
+    echo "allpairs: -fault-rate injected nothing" >&2
+    cat "$WORK/ap_escf.err" >&2; exit 1; }
+if "$WORK/pimalign" -mode allpair -a "$S" > /dev/null 2>&1; then
+    echo "pimalign accepted an unknown -mode" >&2; exit 1
+fi
 
 echo "== daemon on a random port =="
 "$WORK/alignd" -addr 127.0.0.1:0 -addr-file "$WORK/addr" -ranks 2 -band 128 -drain-wait 2s &

@@ -4,11 +4,15 @@
 //
 // Input: two FASTA files of equal record counts; record i of the first is
 // aligned against record i of the second. Output: one line per pair with
-// the score and (unless -score-only) the CIGAR.
+// the score and (unless -score-only) the CIGAR. With -mode allpairs the
+// input is one FASTA file and the pair list is every record against every
+// later one, score-only (§5.3's all-against-all); everything below applies
+// to it unchanged, because it is the same run on a different pair list.
 //
 // Usage:
 //
 //	pimalign -a queries.fa -b targets.fa [-engine pim|cpu] [-band 128]
+//	         [-mode pairs|allpairs]
 //	         [-static] [-ranks 40] [-score-only] [-threads N] [-v]
 //	         [-escalation] [-max-band W] [-verify] [-cache-dir DIR]
 //	         [-metrics FILE] [-trace-out FILE] [-report-json FILE]
@@ -26,7 +30,7 @@
 // and -report-json writes the machine-readable run report. "-" writes to
 // stdout.
 //
-// Result integrity (pim engine, pairs mode): -escalation re-dispatches
+// Result integrity (pim engine): -escalation re-dispatches
 // clipped or out-of-band pairs at doubled band widths up to -max-band,
 // degrading to score-only kernels and finally the exact CPU baseline, so
 // every pair returns a trusted score with a provenance label. -verify
@@ -34,7 +38,7 @@
 // treats mismatches as detected corruption (redispatched like a transfer
 // fault).
 //
-// Fault injection (pim engine, pairs mode): -fault-rate injects
+// Fault injection (pim engine): -fault-rate injects
 // deterministic per-DPU faults (stalls, slowdowns, crashes, transfer
 // corruptions) at the given probability, seeded by -fault-seed; the host
 // recovers by redispatching failed DPUs' pairs onto survivors, up to
@@ -48,8 +52,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
+	"time"
 
 	"pimnw/internal/baseline"
 	"pimnw/internal/cache"
@@ -61,7 +65,7 @@ import (
 
 func main() {
 	obs.SetLogPrefix("pimalign")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pimalign:", err)
 		os.Exit(1)
 	}
@@ -74,30 +78,31 @@ type artifacts struct {
 
 func (a artifacts) any() bool { return a.metrics != "" || a.traceOut != "" || a.reportJSON != "" }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var opts host.Options
-	opts.Bind(flag.CommandLine) // -lanes -fleet -fault-* -max-retries -batch-deadline -escalation -max-band -verify
-	flag.IntVar(&opts.Band, "band", 128, "band size (cells per anti-diagonal / row)")
-	flag.IntVar(&opts.Ranks, "ranks", 40, "PiM ranks (pim engine)")
-	flag.BoolVar(&opts.ScoreOnly, "score-only", false, "skip traceback/CIGAR")
+	opts.Bind(fs) // -lanes -fleet -fault-* -max-retries -batch-deadline -escalation -max-band -verify
+	fs.IntVar(&opts.Band, "band", 128, "band size (cells per anti-diagonal / row)")
+	fs.IntVar(&opts.Ranks, "ranks", 40, "PiM ranks (pim engine)")
+	fs.BoolVar(&opts.ScoreOnly, "score-only", false, "skip traceback/CIGAR")
 	var (
-		aPath      = flag.String("a", "", "FASTA file of query sequences")
-		bPath      = flag.String("b", "", "FASTA file of target sequences (omit with -mode allpairs)")
-		mode       = flag.String("mode", "pairs", "pairs (record i of -a vs record i of -b) or allpairs (-a against itself, score-only broadcast, as in §5.3)")
-		engine     = flag.String("engine", "pim", "alignment engine: pim (simulated UPMEM server) or cpu (baseline)")
-		static     = flag.Bool("static", false, "use the static band instead of the adaptive one (cpu engine)")
-		threads    = flag.Int("threads", 0, "CPU threads (cpu engine; 0 = all)")
-		timeline   = flag.Bool("timeline", false, "print the simulated rank timeline (pim engine)")
-		verbose    = flag.Bool("v", false, "verbose (debug) logging")
-		logJSON    = flag.Bool("log-json", false, "structured JSON log lines instead of text")
-		metrics    = flag.String("metrics", "", "write a Prometheus-text metrics snapshot to FILE (\"-\" = stdout; pim engine)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file to FILE for Perfetto (pim engine)")
-		reportJSON = flag.String("report-json", "", "write the machine-readable run report to FILE (pim engine)")
-		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result cache (pim engine, pairs mode; empty = caching disabled)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC snapshot at exit) to FILE")
+		aPath      = fs.String("a", "", "FASTA file of query sequences")
+		bPath      = fs.String("b", "", "FASTA file of target sequences (omit with -mode allpairs)")
+		mode       = fs.String("mode", "pairs", "pairs (record i of -a vs record i of -b) or allpairs (every record of -a against every later one, score-only, as in §5.3)")
+		engine     = fs.String("engine", "pim", "alignment engine: pim (simulated UPMEM server) or cpu (baseline)")
+		static     = fs.Bool("static", false, "use the static band instead of the adaptive one (cpu engine)")
+		threads    = fs.Int("threads", 0, "CPU threads (cpu engine; 0 = all)")
+		timeline   = fs.Bool("timeline", false, "print the simulated rank timeline (pim engine)")
+		verbose    = fs.Bool("v", false, "verbose (debug) logging")
+		logJSON    = fs.Bool("log-json", false, "structured JSON log lines instead of text")
+		metrics    = fs.String("metrics", "", "write a Prometheus-text metrics snapshot to FILE (\"-\" = stdout; pim engine)")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file to FILE for Perfetto (pim engine)")
+		reportJSON = fs.String("report-json", "", "write the machine-readable run report to FILE (pim engine)")
+		cacheDir   = fs.String("cache-dir", "", "directory for the persistent result cache (pim engine; empty = caching disabled)")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC snapshot at exit) to FILE")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *verbose {
 		obs.SetVerbosity(1)
 	}
@@ -115,7 +120,7 @@ func run() error {
 		obs.SetDefaultTracer(obs.NewTracer())
 	}
 	if *aPath == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-a is required")
 	}
 	queries, err := readFasta(*aPath)
@@ -124,29 +129,31 @@ func run() error {
 	}
 	obs.Debugf("read %d query records from %s", len(queries), *aPath)
 
-	if *mode == "allpairs" {
-		if opts.FaultRate > 0 {
-			obs.Logf("note: -fault-rate applies to the batch pipeline (pairs mode) only")
+	var targets []seq.Record
+	switch *mode {
+	case "pairs":
+		if *bPath == "" {
+			fs.Usage()
+			return fmt.Errorf("-b is required in pairs mode")
 		}
-		if opts.Escalation || opts.Verify {
-			obs.Logf("note: -escalation/-verify apply to the batch pipeline (pairs mode) only")
+		if targets, err = readFasta(*bPath); err != nil {
+			return err
 		}
-		if opts.Fleet != "" {
-			obs.Logf("note: -fleet applies to the batch pipeline (pairs mode) only")
+		obs.Debugf("read %d target records from %s", len(targets), *bPath)
+		if len(queries) != len(targets) {
+			return fmt.Errorf("%d queries vs %d targets", len(queries), len(targets))
 		}
-		return runAllPairs(queries, opts, art)
-	}
-	if *bPath == "" {
-		flag.Usage()
-		return fmt.Errorf("-b is required in pairs mode")
-	}
-	targets, err := readFasta(*bPath)
-	if err != nil {
-		return err
-	}
-	obs.Debugf("read %d target records from %s", len(targets), *bPath)
-	if len(queries) != len(targets) {
-		return fmt.Errorf("%d queries vs %d targets", len(queries), len(targets))
+	case "allpairs":
+		// §5.3's all-against-all is a pair list like any other: pair k is
+		// host.AllPairIndices' k-th comparison, run score-only.
+		recs, indices := queries, host.AllPairIndices(len(queries))
+		queries, targets = make([]seq.Record, len(indices)), make([]seq.Record, len(indices))
+		for k, pi := range indices {
+			queries[k], targets[k] = recs[pi.I], recs[pi.J]
+		}
+		opts.ScoreOnly = true
+	default:
+		return fmt.Errorf("unknown -mode %q (want pairs or allpairs)", *mode)
 	}
 
 	switch *engine {
@@ -220,34 +227,6 @@ func toFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// runAllPairs is the §5.3 workflow: the dataset is broadcast to every DPU
-// and all n(n-1)/2 scores are computed without traceback.
-func runAllPairs(recs []seq.Record, opts host.Options, art artifacts) error {
-	// Only the kernel shape carries over; the batch-pipeline options were
-	// noted as inapplicable by the caller.
-	cfg, err := host.Options{Band: opts.Band, Ranks: opts.Ranks, ScoreOnly: true, Lanes: opts.Lanes}.Config()
-	if err != nil {
-		return err
-	}
-	seqs := make([]seq.Seq, len(recs))
-	for i, r := range recs {
-		seqs[i] = r.Seq
-	}
-	rep, results, err := host.AlignAllPairs(cfg, seqs)
-	if err != nil {
-		return err
-	}
-	indices := host.AllPairIndices(len(seqs))
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	for _, r := range results {
-		pi := indices[r.ID]
-		printResult(recs[pi.I].Name, recs[pi.J].Name, r)
-	}
-	obs.Logf("%d all-against-all scores on %d simulated ranks: %.3fs modelled (broadcast %.3fs)",
-		rep.Alignments, opts.Ranks, rep.MakespanSec, rep.TransferInSec)
-	return writeArtifacts(rep, art)
-}
-
 func readFasta(path string) ([]seq.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -278,10 +257,10 @@ func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art
 		pairs[i] = host.Pair{ID: i, A: queries[i].Seq, B: targets[i].Seq}
 	}
 	// The run goes through the streaming session (cache lookups happen
-	// at admission); MaxBatchPairs = len(pairs) keeps the whole workload
-	// one micro-batch, which is bit-identical to host.AlignPairs, report
-	// included.
-	scfg := host.SessionConfig{Host: cfg, MaxBatchPairs: len(pairs)}
+	// at admission); MaxBatchPairs = len(pairs) and a linger no run
+	// outlasts keep the whole workload one micro-batch, which is
+	// bit-identical to host.AlignPairs, report included.
+	scfg := host.SessionConfig{Host: cfg, MaxBatchPairs: len(pairs), MaxLinger: time.Hour}
 	if cacheDir != "" {
 		c, err := cache.Open(cache.Options{Dir: cacheDir})
 		if err != nil {

@@ -133,19 +133,3 @@ func alignOne(opts Options, ws *workerScratch, p Pair) Result {
 	score, cells, inBand := fastStaticBandScore(ws, p.A, p.B, opts.Params, opts.Band)
 	return Result{ID: p.ID, Score: score, InBand: inBand, Cells: cells}
 }
-
-// RunAllPairs is the all-against-all score-only mode (§5.3's CPU column).
-func RunAllPairs(opts Options, seqs []seq.Seq) (Outcome, error) {
-	if opts.Traceback {
-		return Outcome{}, fmt.Errorf("baseline: all-against-all mode is score-only")
-	}
-	var pairs []Pair
-	id := 0
-	for i := 0; i < len(seqs); i++ {
-		for j := i + 1; j < len(seqs); j++ {
-			pairs = append(pairs, Pair{ID: id, A: seqs[i], B: seqs[j]})
-			id++
-		}
-	}
-	return Run(opts, pairs)
-}

@@ -129,26 +129,6 @@ func TestRunTraceback(t *testing.T) {
 	}
 }
 
-func TestRunAllPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	root := seq.Random(rng, 200)
-	seqs := make([]seq.Seq, 8)
-	for i := range seqs {
-		seqs[i] = seq.UniformErrors(0.05).Apply(rng, root)
-	}
-	opts := Options{Params: core.DefaultParams(), Band: 64, Threads: 4}
-	out, err := RunAllPairs(opts, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 8*7/2 {
-		t.Fatalf("%d results, want 28", len(out.Results))
-	}
-	if _, err := RunAllPairs(Options{Params: core.DefaultParams(), Band: 64, Traceback: true}, seqs); err == nil {
-		t.Error("traceback all-against-all accepted")
-	}
-}
-
 func TestServerModels(t *testing.T) {
 	if Xeon4216.TBCellsPerSec <= Xeon4215.TBCellsPerSec {
 		t.Error("the 64-core server must model faster than the 32-core one")

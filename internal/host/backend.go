@@ -9,7 +9,6 @@ import (
 
 	"pimnw/internal/baseline"
 	"pimnw/internal/core"
-	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
 )
@@ -27,8 +26,8 @@ import (
 // the lost shard onto the survivors.
 type Backend interface {
 	// Name identifies the backend in reports, metrics and flight events.
-	// The single-fabric passthrough is the empty string, which keeps
-	// single-fabric reports byte-identical to the pre-fleet format.
+	// The single fabric (no fleet configured) is the empty string, which
+	// keeps its reports byte-identical to the pre-fleet format.
 	Name() string
 	// Ranks is the number of rank timeline slots the backend occupies in a
 	// merged report; fleet merging offsets each backend's rank IDs by the
@@ -52,22 +51,6 @@ type Backend interface {
 // is lost, not one DPU. The fleet executor treats it as redispatchable;
 // every other error from Round aborts the run.
 var ErrBackendDown = errors.New("host: backend down")
-
-// fabricBackend is the single-fabric passthrough: the existing simulated
-// PiM pipeline exactly as AlignPairs has always driven it, using the
-// caller's Config untouched. It is what alignOnce runs on when
-// Config.Backends is empty.
-type fabricBackend struct{}
-
-func (fabricBackend) Name() string { return "" }
-func (fabricBackend) Ranks() int   { return 0 }
-func (fabricBackend) EstimateSec(cfg *Config, load int64) float64 {
-	return pimEstimateSec(cfg, cfg.PIM, load)
-}
-func (fabricBackend) Healthy() bool { return true }
-func (fabricBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
-	return alignPairsRound(cfg, pairs, sp)
-}
 
 // pimEstimateSec prices a workload on a PiM configuration: DP cells
 // (Pair.Workload is the paper's (m+n)·w cell estimate) times the cost
@@ -93,9 +76,10 @@ func pimEstimateSec(cfg *Config, p pim.Config, load int64) float64 {
 	return float64(load) * float64(cellCost) / (hz * float64(dpus))
 }
 
-// PiMBackend is one simulated PiM server of a fleet: the same fabric
-// model as the passthrough, but with its own rank count, clock and
-// (optionally) fault profile. Results are bit-identical to the
+// PiMBackend is one simulated PiM server: the fabric model with its own
+// rank count, clock and (optionally) fault profile. The single fabric a
+// fleet-less Config describes is an unnamed one at the Config's own rank
+// count and clock (alignOnce). Results are bit-identical to the
 // single-fabric run on the same pairs — geometry limits (MRAM/WRAM) are
 // inherited from the parent Config, so the escalation ladder makes
 // identical decisions everywhere; only the modelled timeline scales with
@@ -172,8 +156,7 @@ func (b *PiMBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []R
 }
 
 // CPUBackend is the CPU baseline pool as a fleet member: it computes
-// pairs with exactly the engine dispatch the DPU kernel uses (traceback →
-// banded align; 16-bit lanes → saturating narrow score; else wide score),
+// pairs through the DPU kernel's own engine choice (kernel.Config.Align),
 // so scores, CIGARs, clip/overflow flags — and therefore every
 // escalation-ladder decision — are bit-identical to the PiM backends. Its
 // modelled makespan prices the DP cells on a calibrated aggregate
@@ -256,21 +239,7 @@ func (b *CPUBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []R
 		defer core.PutScratch(scratch)
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
-			var res core.Result
-			switch {
-			case k.Traceback:
-				res = scratch.AdaptiveBandAlign(p.A, p.B, k.Params, k.Band)
-			case k.Lanes(k.Band, k.Traceback) == 16:
-				res = scratch.AdaptiveBandScoreNarrow(p.A, p.B, k.Params, k.Band)
-			default:
-				res = scratch.AdaptiveBandScoreWide(p.A, p.B, k.Params, k.Band)
-			}
-			pr := kernel.PairResult{ID: p.ID, Score: res.Score, InBand: res.InBand,
-				Clipped: res.Clipped, Overflowed: res.Overflowed, Cells: res.Cells, Steps: res.Steps}
-			if k.Traceback && res.Cigar != nil {
-				pr.Cigar = []byte(res.Cigar.String())
-			}
-			results[i] = Result{PairResult: pr, Rank: 0, DPU: -1}
+			results[i] = Result{PairResult: k.Align(scratch, p.ID, p.A, p.B), Rank: 0, DPU: -1}
 		}
 		return nil
 	}); err != nil {

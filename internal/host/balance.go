@@ -112,24 +112,3 @@ func LPTAssign(loads []int64, n int) [][]int {
 	buckets, _ := lpt(loads, n)
 	return buckets
 }
-
-// splitGroups cuts pairs into read-groups of at most groupPairs each
-// (one group if groupPairs <= 0), preserving input order as the paper's
-// disk reader does.
-func splitGroups(pairs []Pair, groupPairs int) [][]Pair {
-	if groupPairs <= 0 || groupPairs >= len(pairs) {
-		if len(pairs) == 0 {
-			return nil
-		}
-		return [][]Pair{pairs}
-	}
-	var groups [][]Pair
-	for off := 0; off < len(pairs); off += groupPairs {
-		end := off + groupPairs
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		groups = append(groups, pairs[off:end])
-	}
-	return groups
-}

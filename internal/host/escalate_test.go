@@ -311,21 +311,3 @@ func TestBuildLadder(t *testing.T) {
 		t.Errorf("MaxBand == Band built %d rungs", len(got))
 	}
 }
-
-// TestBroadcastRejectsIntegrityOptions mirrors the fault-config
-// rejection: the all-against-all broadcast path supports neither the
-// ladder nor result validation.
-func TestBroadcastRejectsIntegrityOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	seqs := []seq.Seq{seq.Random(rng, 80), seq.Random(rng, 80), seq.Random(rng, 80)}
-	cfg := testConfig(1, false)
-	cfg.Escalate = true
-	if _, _, err := AlignAllPairs(cfg, seqs); err == nil {
-		t.Error("Escalate accepted in broadcast mode")
-	}
-	cfg = testConfig(1, false)
-	cfg.Verify = true
-	if _, _, err := AlignAllPairs(cfg, seqs); err == nil {
-		t.Error("Verify accepted in broadcast mode")
-	}
-}

@@ -29,14 +29,43 @@ type Pair struct {
 // Workload is the paper's equation (6) estimate for the pair under band w.
 func (p Pair) Workload(w int) int64 { return int64(len(p.A)+len(p.B)) * int64(w) }
 
+// PairIndex identifies one (i,j) pair of an all-against-all comparison,
+// i < j.
+type PairIndex struct{ I, J int }
+
+// AllPairIndices enumerates the n·(n-1)/2 comparisons of an n-sequence
+// all-against-all run in row-major order.
+func AllPairIndices(n int) []PairIndex {
+	out := make([]PairIndex, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out = append(out, PairIndex{i, j})
+		}
+	}
+	return out
+}
+
+// AllPairs is §5.3's all-against-all comparison as a workload for the one
+// pipeline: every unordered pair of seqs, with IDs indexing
+// AllPairIndices(len(seqs)). The paper runs it score-only; that is the
+// caller's Kernel.Traceback choice, and everything else a Config can ask
+// for (recovery, escalation, fleets, the session cache) applies unchanged.
+// The executable path stages each pair's sequences with the pair; §5.3's
+// one-off dataset broadcast is priced where Table 5 is reproduced
+// (internal/xp), and differs by bus time only.
+func AllPairs(seqs []seq.Seq) []Pair {
+	indices := AllPairIndices(len(seqs))
+	out := make([]Pair, len(indices))
+	for id, pi := range indices {
+		out[id] = Pair{ID: id, A: seqs[pi.I], B: seqs[pi.J]}
+	}
+	return out
+}
+
 // Config drives one orchestrated run.
 type Config struct {
 	PIM    pim.Config
 	Kernel kernel.Config
-	// GroupPairs is the number of pairs read from input at once (the
-	// paper's read-group parameter); each group is split into one batch
-	// per rank and queued. Zero means one group for the whole input.
-	GroupPairs int
 	// Balance selects the intra-rank DPU assignment policy; the zero
 	// value is the paper's LPT heuristic.
 	Balance BalancePolicy
@@ -113,8 +142,8 @@ func (c Config) Validate() error {
 	if err := c.Kernel.Validate(); err != nil {
 		return err
 	}
-	if c.GroupPairs < 0 || c.Workers < 0 {
-		return fmt.Errorf("host: negative GroupPairs/Workers")
+	if c.Workers < 0 {
+		return fmt.Errorf("host: negative Workers")
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

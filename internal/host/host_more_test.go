@@ -10,40 +10,6 @@ import (
 	"pimnw/internal/seq"
 )
 
-func TestGroupedDispatchMatchesUngrouped(t *testing.T) {
-	// The read-group parameter (§4.1.2) changes batching and therefore the
-	// timeline, but never the alignment results.
-	pairs := makePairs(21, 60, 120, 0.1)
-	cfgA := testConfig(2, true)
-	cfgB := testConfig(2, true)
-	cfgB.GroupPairs = 16
-
-	_, ra, err := AlignPairs(cfgA, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB, rb, err := AlignPairs(cfgB, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repB.Batches < 4 {
-		t.Errorf("grouping produced only %d batches", repB.Batches)
-	}
-	scores := func(rs []Result) map[int]int32 {
-		m := map[int]int32{}
-		for _, r := range rs {
-			m[r.ID] = r.Score
-		}
-		return m
-	}
-	sa, sb := scores(ra), scores(rb)
-	for id, s := range sa {
-		if sb[id] != s {
-			t.Fatalf("pair %d: grouped score %d != ungrouped %d", id, sb[id], s)
-		}
-	}
-}
-
 func TestSinglePairSingleRank(t *testing.T) {
 	cfg := testConfig(1, true)
 	pairs := makePairs(22, 1, 200, 0.05)
@@ -111,7 +77,7 @@ func TestBroadcastUsesAllRanks(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = seq.UniformErrors(0.04).Apply(rng, root)
 	}
-	rep, results, err := AlignAllPairs(cfg, seqs)
+	rep, results, err := AlignPairs(cfg, AllPairs(seqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +88,7 @@ func TestBroadcastUsesAllRanks(t *testing.T) {
 	if len(ranksSeen) != cfg.PIM.Ranks {
 		t.Errorf("only %d of %d ranks used", len(ranksSeen), cfg.PIM.Ranks)
 	}
-	// All-against-all is symmetric work: the static split should keep the
+	// All-against-all is symmetric work: the LPT split should keep the
 	// slowest/fastest DPU gap small (paper: ~5%).
 	for _, rs := range rep.Ranks {
 		if rs.LoadedDPUs < 2 {

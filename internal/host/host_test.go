@@ -70,20 +70,6 @@ func TestLPTBalances(t *testing.T) {
 	}
 }
 
-func TestSplitGroups(t *testing.T) {
-	pairs := makePairs(1, 10, 50, 0.1)
-	if g := splitGroups(pairs, 0); len(g) != 1 || len(g[0]) != 10 {
-		t.Errorf("groupPairs=0: %d groups", len(g))
-	}
-	g := splitGroups(pairs, 4)
-	if len(g) != 3 || len(g[0]) != 4 || len(g[2]) != 2 {
-		t.Errorf("groupPairs=4: lens %d,%d,%d", len(g[0]), len(g[1]), len(g[2]))
-	}
-	if g := splitGroups(nil, 4); g != nil {
-		t.Error("empty input should give no groups")
-	}
-}
-
 func TestAlignPairsMatchesReference(t *testing.T) {
 	cfg := testConfig(2, true)
 	pairs := makePairs(2, 30, 200, 0.1)
@@ -202,7 +188,7 @@ func TestOptionsRejectNaNFaultRate(t *testing.T) {
 	}
 }
 
-func TestAlignAllPairsMatchesReference(t *testing.T) {
+func TestAllPairsMatchesReference(t *testing.T) {
 	cfg := testConfig(2, false)
 	rng := rand.New(rand.NewSource(6))
 	root := seq.Random(rng, 300)
@@ -210,7 +196,7 @@ func TestAlignAllPairsMatchesReference(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = seq.UniformErrors(0.05).Apply(rng, root)
 	}
-	rep, results, err := AlignAllPairs(cfg, seqs)
+	rep, results, err := AlignPairs(cfg, AllPairs(seqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +219,14 @@ func TestAlignAllPairsMatchesReference(t *testing.T) {
 	}
 }
 
-func TestAlignAllPairsRejectsTraceback(t *testing.T) {
-	cfg := testConfig(1, true)
-	if _, _, err := AlignAllPairs(cfg, make([]seq.Seq, 3)); err == nil {
-		t.Error("traceback all-against-all accepted")
-	}
-}
-
-func TestAlignAllPairsTooBigForMRAM(t *testing.T) {
+func TestAllPairsTooBigForMRAM(t *testing.T) {
 	cfg := testConfig(1, false)
 	cfg.PIM.MRAM = 4096
 	cfg.Kernel.PIM.MRAM = 4096
 	rng := rand.New(rand.NewSource(7))
 	seqs := []seq.Seq{seq.Random(rng, 9000), seq.Random(rng, 9000), seq.Random(rng, 9000)}
-	if _, _, err := AlignAllPairs(cfg, seqs); err == nil {
-		t.Error("oversized broadcast dataset accepted")
+	if _, _, err := AlignPairs(cfg, AllPairs(seqs)); err == nil {
+		t.Error("a pair that cannot fit one MRAM bank was accepted")
 	}
 }
 

@@ -20,7 +20,6 @@ func TestObservabilityIntegration(t *testing.T) {
 	defer obs.SetDefaultTracer(nil)
 
 	cfg := testConfig(2, true)
-	cfg.GroupPairs = 6
 	pairs := makePairs(7, 16, 120, 0.1)
 	rep, results, err := AlignPairs(cfg, pairs)
 	if err != nil {
@@ -74,7 +73,7 @@ func TestObservabilityIntegration(t *testing.T) {
 	// The serialized trace must be a JSON array where every event carries
 	// the six required trace-event keys.
 	var buf bytes.Buffer
-	if err := rep.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteTraceEvents(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -158,8 +157,9 @@ func TestVerifySecondsPublished(t *testing.T) {
 	}
 }
 
-// TestObservabilityBroadcastPath covers the all-pairs pipeline too: the
-// same metric/report invariants must hold for AlignAllPairs.
+// TestObservabilityBroadcastPath covers the all-against-all workload too:
+// it is a pair list on the one pipeline, so the same metric/report
+// invariants hold and the spans are the pipeline's.
 func TestObservabilityBroadcastPath(t *testing.T) {
 	reg, tr := obs.NewRegistry(), obs.NewTracer()
 	obs.SetDefault(reg)
@@ -173,7 +173,7 @@ func TestObservabilityBroadcastPath(t *testing.T) {
 	for i, p := range pairs {
 		seqs[i] = p.A
 	}
-	rep, results, err := AlignAllPairs(cfg, seqs)
+	rep, results, err := AlignPairs(cfg, AllPairs(seqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestObservabilityBroadcastPath(t *testing.T) {
 	for _, ev := range tr.Events(0) {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"host.align_all_pairs", "host.dpu", "host.collect"} {
+	for _, want := range []string{"host.align_pairs", "host.batch", "host.kernel", "host.collect"} {
 		if !names[want] {
 			t.Errorf("tracer missing span %q (have %v)", want, names)
 		}

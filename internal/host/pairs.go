@@ -46,7 +46,7 @@ type batchExec struct {
 }
 
 // AlignPairs runs the paper's main-loop workflow (§4.1) over independent
-// pairs: group, balance, dispatch, execute, collect. It returns the
+// pairs: balance, dispatch, execute, collect. It returns the
 // simulated timeline report and every alignment result. With
 // Config.Escalate set, pairs whose banded result is out-of-band or
 // clipped are walked down the degradation ladder (escalate.go) until
@@ -80,13 +80,13 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 // micro-batch; metrics publication is left to the caller so a session can
 // publish once over its merged report. With Config.Backends set the
 // workload is sharded across the fleet (fleet.go); otherwise it runs on
-// the single-fabric passthrough backend, byte-identical to the pre-fleet
-// pipeline.
+// the single fabric cfg.PIM describes — an unnamed PiM server, so reports
+// carry no backend names.
 func alignOnce(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
 	if len(cfg.Backends) > 0 {
 		return alignFleet(cfg, pairs, sp)
 	}
-	return alignOnceOn(fabricBackend{}, cfg, pairs, sp)
+	return alignOnceOn(&PiMBackend{ranks: cfg.PIM.Ranks, freqMHz: cfg.PIM.FreqMHz}, cfg, pairs, sp)
 }
 
 // alignOnceOn runs the complete pipeline — dispatch round, then
@@ -167,30 +167,27 @@ func alignPairsRound(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result,
 		return nil, nil, err
 	}
 
-	// Group and split into rank-sized batches, balancing pair workloads
-	// across the batches of a group (the host spreads work over ranks).
+	// Split into rank-sized batches, balancing pair workloads across them
+	// (the host spreads work over ranks).
 	bsp := sp.Child("host.balance")
+	nBatches := cfg.PIM.Ranks
+	if nBatches > len(pairs) {
+		nBatches = len(pairs)
+	}
+	loads := make([]int64, len(pairs))
+	for i, p := range pairs {
+		loads[i] = p.Workload(cfg.Kernel.Band)
+	}
 	var batches [][]Pair
-	for _, group := range splitGroups(pairs, cfg.GroupPairs) {
-		nBatches := cfg.PIM.Ranks
-		if nBatches > len(group) {
-			nBatches = len(group)
+	for _, bucket := range LPTAssign(loads, nBatches) {
+		if len(bucket) == 0 {
+			continue
 		}
-		loads := make([]int64, len(group))
-		for i, p := range group {
-			loads[i] = p.Workload(cfg.Kernel.Band)
+		b := make([]Pair, len(bucket))
+		for i, idx := range bucket {
+			b[i] = pairs[idx]
 		}
-		buckets, _ := lpt(loads, nBatches)
-		for _, bucket := range buckets {
-			if len(bucket) == 0 {
-				continue
-			}
-			b := make([]Pair, len(bucket))
-			for i, idx := range bucket {
-				b[i] = group[idx]
-			}
-			batches = append(batches, b)
-		}
+		batches = append(batches, b)
 	}
 	bsp.SetAttrInt("batches", int64(len(batches)))
 	bsp.End()

@@ -3,14 +3,12 @@ package host
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"pimnw/internal/core"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
-	"pimnw/internal/seq"
 )
 
 // resultKey collapses one alignment to the fields that must survive
@@ -322,18 +320,6 @@ func TestReportRecoveryInvariants(t *testing.T) {
 		if ids[i] == ids[i-1] {
 			t.Errorf("pair %d abandoned twice", ids[i])
 		}
-	}
-}
-
-// TestAlignAllPairsRejectsFaults: broadcast mode has no recovery loop and
-// must refuse an injecting configuration rather than silently ignore it.
-func TestAlignAllPairsRejectsFaults(t *testing.T) {
-	cfg := testConfig(1, false)
-	cfg.Faults = pim.FaultConfig{Rate: 0.01}
-	rng := rand.New(rand.NewSource(8))
-	seqs := []seq.Seq{seq.Random(rng, 200), seq.Random(rng, 200), seq.Random(rng, 200)}
-	if _, _, err := AlignAllPairs(cfg, seqs); err == nil {
-		t.Error("broadcast mode accepted fault injection")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pimnw/internal/pim"
 )
@@ -22,8 +23,12 @@ var updateGolden = flag.Bool("update-report-golden", false,
 func goldenReports(t *testing.T) map[string]*Report {
 	t.Helper()
 	out := map[string]*Report{}
+	// A modelled report is a function of micro-batch composition (fault
+	// draws are keyed by batch), so every fixture pins MaxLinger: only size
+	// and Close may cut a batch, never the wall clock.
 	run := func(name string, cfg SessionConfig, pairs []Pair) {
 		t.Helper()
+		cfg.MaxLinger = time.Hour
 		rep, _ := streamAll(t, cfg, pairs)
 		out[name] = rep
 	}
@@ -52,7 +57,7 @@ func goldenReports(t *testing.T) map[string]*Report {
 
 	out["fleet_loss"] = goldenFleetLoss(t)
 
-	warm := SessionConfig{Host: testConfig(2, true), MaxBatchPairs: 16, QueueLimit: len(pairs)}
+	warm := SessionConfig{Host: testConfig(2, true), MaxBatchPairs: 16, QueueLimit: len(pairs), MaxLinger: time.Hour}
 	warm.Host.Escalate = true
 	warm.Host.TraceID = "golden-warm"
 	warm.Cache = openHostCache(t)
@@ -77,7 +82,7 @@ func goldenFleetLoss(t *testing.T) *Report {
 	cfg.Backends = fleet
 	pairs := makePairs(903, 60, 300, 0.1)
 	s, err := NewSession(context.Background(), SessionConfig{
-		Host: cfg, MaxBatchPairs: 20, QueueLimit: len(pairs), MaxConcurrentBatches: 1,
+		Host: cfg, MaxBatchPairs: 20, QueueLimit: len(pairs), MaxConcurrentBatches: 1, MaxLinger: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"io"
 	"sort"
 	"strconv"
 
@@ -34,6 +33,8 @@ const (
 // chrome://tracing and supersedes the ASCII Timeline for deep runs: kernel
 // slices carry the rank-summed pim.DPUStats breakdown (instructions, DMA
 // bytes/cycles, barrier-wait cycles, pipeline utilization) as args.
+// Serialise with obs.WriteTraceEvents, appending obs.Tracer.Events(0)
+// first to get the host's wall-clock spans into the same file.
 func (r *Report) ChromeTraceEvents() []obs.TraceEvent {
 	var events []obs.TraceEvent
 	// When the run carries a request trace ID, stamp it into every slice
@@ -160,12 +161,4 @@ func (r *Report) ChromeTraceEvents() []obs.TraceEvent {
 		return events[i].Ts < events[j].Ts
 	})
 	return events
-}
-
-// WriteChromeTrace writes the modelled timeline as a Chrome trace-event
-// JSON file. Callers that also want the host's wall-clock spans in the
-// same file append obs.Tracer.Events(0) to ChromeTraceEvents and use
-// obs.WriteTraceEvents directly (pid 0 is left free for them).
-func (r *Report) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteTraceEvents(w, r.ChromeTraceEvents())
 }

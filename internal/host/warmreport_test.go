@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"pimnw/internal/obs"
 )
 
 // Satellite regression for the all-cache-hit edge case: a fully-warm
@@ -87,8 +89,8 @@ func TestSessionAllHitsZeroDurationReport(t *testing.T) {
 		finite("trace event Dur", ev.Dur)
 	}
 	var trace bytes.Buffer
-	if err := rep.WriteChromeTrace(&trace); err != nil {
-		t.Fatalf("WriteChromeTrace on zero-duration report: %v", err)
+	if err := obs.WriteTraceEvents(&trace, rep.ChromeTraceEvents()); err != nil {
+		t.Fatalf("WriteTraceEvents on zero-duration report: %v", err)
 	}
 	var traceDoc any
 	if err := json.Unmarshal(trace.Bytes(), &traceDoc); err != nil {
@@ -177,8 +179,8 @@ func TestEmptyReportsAgree(t *testing.T) {
 			t.Errorf("%s: report JSON is invalid", tc.name)
 		}
 		buf.Reset()
-		if err := rep.WriteChromeTrace(&buf); err != nil {
-			t.Errorf("%s: WriteChromeTrace: %v", tc.name, err)
+		if err := obs.WriteTraceEvents(&buf, rep.ChromeTraceEvents()); err != nil {
+			t.Errorf("%s: WriteTraceEvents: %v", tc.name, err)
 		} else if !json.Valid(buf.Bytes()) {
 			t.Errorf("%s: Chrome trace is invalid JSON", tc.name)
 		}

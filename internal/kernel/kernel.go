@@ -201,6 +201,32 @@ type PairResult struct {
 	Steps      int
 }
 
+// Align computes one pair on the engine the config names and returns the
+// result as the host receives it — the one place the engine is chosen, for
+// the DPU kernel and for the CPU pool backend alike, so scores, CIGARs and
+// clip/overflow flags (and with them every escalation-ladder decision) are
+// bit-identical wherever a pair runs. The traceback kernel is always
+// full-width; the score-only kernel pins the engine the resolved lane width
+// names, so a narrow overflow surfaces as a flagged result for the host
+// ladder instead of silently falling back on-device.
+func (c Config) Align(scratch *core.Scratch, id int, a, b seq.Seq) PairResult {
+	var res core.Result
+	switch {
+	case c.Traceback:
+		res = scratch.AdaptiveBandAlign(a, b, c.Params, c.Band)
+	case c.Lanes(c.Band, c.Traceback) == 16:
+		res = scratch.AdaptiveBandScoreNarrow(a, b, c.Params, c.Band)
+	default:
+		res = scratch.AdaptiveBandScoreWide(a, b, c.Params, c.Band)
+	}
+	pr := PairResult{ID: id, Score: res.Score, InBand: res.InBand,
+		Clipped: res.Clipped, Overflowed: res.Overflowed, Cells: res.Cells, Steps: res.Steps}
+	if c.Traceback && res.Cigar != nil {
+		pr.Cigar = []byte(res.Cigar.String())
+	}
+	return pr
+}
+
 // FitGeometry shrinks the pool count of cfg's geometry until a kernel at
 // the given band (and traceback mode) passes the WRAM admission check of
 // Config.Validate, trading alignment-level parallelism for band width —

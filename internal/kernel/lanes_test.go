@@ -1,10 +1,13 @@
 package kernel
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pimnw/internal/core"
 	"pimnw/internal/pim"
+	"pimnw/internal/seq"
 )
 
 func TestParseLaneWidth(t *testing.T) {
@@ -100,5 +103,41 @@ func TestNarrowLanesWidenFitGeometry(t *testing.T) {
 	ww, nw := widest(wide), widest(narrow)
 	if nw <= ww {
 		t.Fatalf("narrow kernel fits band %d, wide fits %d; want narrow strictly wider", nw, ww)
+	}
+}
+
+// TestAlignMatchesRun: Config.Align is the engine choice the kernel itself
+// makes, so calling it directly (as the CPU pool backend does) returns
+// exactly the PairResult a DPU launch reports — for the traceback, narrow
+// and wide engines alike.
+func TestAlignMatchesRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := seq.Random(rng, 400)
+	b := seq.UniformErrors(0.08).Apply(rng, a)
+	for _, tc := range []struct {
+		name      string
+		traceback bool
+		lanes     int
+	}{{"traceback", true, 64}, {"narrow", false, 16}, {"wide", false, 64}} {
+		cfg := testConfig(tc.traceback)
+		cfg.LaneWidth = tc.lanes
+		d := cfg.PIM.NewDPU(0)
+		staged, err := StagePair(d, 7, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(d, cfg, []Pair{staged})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := core.GetScratch()
+		got := cfg.Align(scratch, 7, a, b)
+		core.PutScratch(scratch)
+		if !reflect.DeepEqual(got, out.Results[0]) {
+			t.Errorf("%s: Align = %+v, Run reported %+v", tc.name, got, out.Results[0])
+		}
+		if tc.traceback == (got.Cigar == nil) {
+			t.Errorf("%s: cigar presence %v", tc.name, got.Cigar != nil)
+		}
 	}
 }

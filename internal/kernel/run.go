@@ -192,31 +192,13 @@ func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes
 	a := loadSeq(d, pair.AOff, pair.ALen)
 	b := loadSeq(d, pair.BOff, pair.BLen)
 
-	// Lane-width dispatch: the traceback kernel is always full-width; the
-	// score-only kernel pins the engine the resolved lane width names, so
-	// a narrow overflow surfaces as a flagged result for the host ladder
-	// instead of silently falling back on-device.
-	var res core.Result
-	switch {
-	case cfg.Traceback:
-		res = scratch.AdaptiveBandAlign(a, b, cfg.Params, cfg.Band)
-	case cfg.Lanes(cfg.Band, cfg.Traceback) == 16:
-		res = scratch.AdaptiveBandScoreNarrow(a, b, cfg.Params, cfg.Band)
-	default:
-		res = scratch.AdaptiveBandScoreWide(a, b, cfg.Params, cfg.Band)
-	}
-
-	pr := PairResult{ID: pair.ID, Score: res.Score, InBand: res.InBand,
-		Clipped: res.Clipped, Overflowed: res.Overflowed, Cells: res.Cells, Steps: res.Steps}
-	if cfg.Traceback && res.Cigar != nil {
-		pr.Cigar = []byte(res.Cigar.String())
-	}
+	pr := cfg.Align(scratch, pair.ID, a, b)
 
 	// BT scratch in MRAM: (steps+1) nibble rows. Allocated for real so the
 	// capacity constraint of §3.3 is enforced, released after traceback.
 	btBytes := 0
 	if cfg.Traceback {
-		btBytes = (res.Steps + 1) * rowBytes
+		btBytes = (pr.Steps + 1) * rowBytes
 		mark := d.MRAM.Mark()
 		if _, err := d.MRAM.Alloc(btBytes); err != nil {
 			return pr, 0, fmt.Errorf("kernel: BT scratch for pair %d: %v", pair.ID, err)
@@ -224,7 +206,7 @@ func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes
 		d.MRAM.Release(mark)
 	}
 
-	emitTrace(cfg, pair, res, len(pr.Cigar), rowBytes, master, workers, group)
+	emitTrace(cfg, pair, pr, rowBytes, master, workers, group)
 
 	// Per-alignment metrics. The nil-registry path is the no-op fast path:
 	// one pointer load and a branch, zero allocations (asserted in
@@ -232,11 +214,11 @@ func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes
 	// unaffected when metrics are off.
 	if reg := obs.Default(); reg != nil {
 		reg.Counter("pim_alignments_total").Add(1)
-		reg.Counter("pim_cells_total").Add(res.Cells)
-		reg.Counter("pim_steps_total").Add(int64(res.Steps))
-		if res.Steps > 0 {
+		reg.Counter("pim_cells_total").Add(pr.Cells)
+		reg.Counter("pim_steps_total").Add(int64(pr.Steps))
+		if pr.Steps > 0 {
 			reg.Histogram("pim_band_width_cells", bandWidthBuckets).
-				Observe(float64(res.Cells) / float64(res.Steps))
+				Observe(float64(pr.Cells) / float64(pr.Steps))
 		}
 	}
 	return pr, btBytes, nil
@@ -244,10 +226,11 @@ func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes
 
 // emitTrace prices the alignment: the DP phase in BT-flush intervals, then
 // the master-only traceback, with pool barriers fencing the phases.
-func emitTrace(cfg Config, pair Pair, res core.Result, cigarLen, rowBytes int,
+func emitTrace(cfg Config, pair Pair, res PairResult, rowBytes int,
 	master *pim.TaskletTrace, workers []*pim.TaskletTrace, group int64) {
 
 	t := int64(len(workers))
+	cigarLen := len(res.Cigar)
 	costs := cfg.Costs
 	cellCost := costs.CellScore
 	if cfg.Traceback {
