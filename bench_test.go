@@ -141,6 +141,20 @@ func BenchmarkAdaptiveBandAlign10k(b *testing.B) {
 	}
 }
 
+// The traceback twin of the pinned score engines: AdaptiveBandAlign10k
+// above measures the narrow-first dispatch, this one the full-width engine
+// it falls back to (and -lanes 64 pins). Their ratio is the measured
+// narrow-lane traceback speedup.
+func BenchmarkAdaptiveBandAlignWide10k(b *testing.B) {
+	a, q := benchPair(10_000)
+	p := core.DefaultParams()
+	b.SetBytes(int64(len(a) + len(q)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.AdaptiveBandAlignWide(a, q, p, 128)
+	}
+}
+
 // Band sweep of the word-packed engine (ISSUE 4): per-band cell throughput
 // and the zero-allocation steady state, on a held scratch arena as the
 // kernel and baseline workers use it. ns/op scales ~linearly with w; the

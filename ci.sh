@@ -3,7 +3,9 @@
 #
 # Runs, in order:
 #   1. gofmt -l          (fails if any file is unformatted)
-#   2. go vet ./...
+#   2. go vet ./...      (plus GOARCH=arm64 go vet ./internal/core, so the
+#                         !amd64 twins of the assembly kernels keep
+#                         compiling)
 #   3. go build ./...
 #   4. go test -race ./...
 #   5. golden reports x5 (the report goldens again, five times under
@@ -41,6 +43,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+GOARCH=arm64 go vet ./internal/core
 
 echo "== go build =="
 go build ./...
@@ -55,11 +58,13 @@ echo "== benchmark smoke (-benchtime=1x) =="
 go test -run='^$' -bench=. -benchtime=1x ./...
 
 echo "== allocation gate =="
-# -benchtime=20x amortises the one-time sync.Pool warm-up into the
-# iteration count, so the steady-state allocs/op floor (0 for the score
-# path) is what gets compared. Timing is ignored in -allocs-only mode,
-# so the short benchtime is fine.
-go run ./cmd/benchgate -allocs-only -count=1 -benchtime=20x \
+# -benchtime=60x amortises the sync.Pool warm-up into the iteration
+# count, so the steady-state allocs/op floor (0 for the score path) is
+# what gets compared: a pooled Scratch re-grown after a GC is ~20 objects,
+# which at 20x reads as a whole extra alloc/op on the traceback
+# benchmarks most runs. Timing is ignored in -allocs-only mode, so the
+# short benchtime is fine.
+go run ./cmd/benchgate -allocs-only -count=1 -benchtime=60x \
     -out "${TMPDIR:-/tmp}/bench_allocs.json"
 
 echo "== alignd smoke =="

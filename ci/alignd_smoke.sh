@@ -5,7 +5,8 @@
 # one-shot CLI's (they must match line for line), then SIGTERM the
 # daemon and require a graceful exit 0. Before the daemon starts, the
 # one-shot CLI's all-against-all mode is held to the pipeline's contract:
-# placement and injected faults never change an answer.
+# placement and injected faults never change an answer, and a traceback
+# run prints the same bytes under -lanes auto and -lanes 64.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,6 +55,26 @@ grep -q 'fault recovery: [1-9]' "$WORK/ap_escf.err" || {
 if "$WORK/pimalign" -mode allpair -a "$S" > /dev/null 2>&1; then
     echo "pimalign accepted an unknown -mode" >&2; exit 1
 fi
+
+echo "== traceback: 16-bit lanes under auto vs the pinned full-width engine =="
+# Under -lanes auto a traceback run is computed in 16-bit lanes with an
+# in-engine fallback; -lanes 64 pins the full-width engine. Scores and
+# CIGARs must be byte-identical, plain and with clipped pairs climbing the
+# ladder (band 64 clips part of this sample).
+"$WORK/pimalign" -a "$A" -b "$B" -ranks 2 -band 128 -lanes auto > "$WORK/tb_auto.out" 2>/dev/null
+"$WORK/pimalign" -a "$A" -b "$B" -ranks 2 -band 128 -lanes 64 > "$WORK/tb_wide.out" 2>/dev/null
+[ -s "$WORK/tb_auto.out" ] || { echo "traceback output is empty" >&2; exit 1; }
+diff -u "$WORK/tb_wide.out" "$WORK/tb_auto.out" || {
+    echo "traceback: -lanes auto and -lanes 64 disagree" >&2; exit 1; }
+"$WORK/pimalign" -a "$A" -b "$B" -ranks 2 -band 64 -escalation -lanes auto \
+    > "$WORK/tb_esc_auto.out" 2> "$WORK/tb_esc_auto.err"
+"$WORK/pimalign" -a "$A" -b "$B" -ranks 2 -band 64 -escalation -lanes 64 \
+    > "$WORK/tb_esc_wide.out" 2>/dev/null
+diff -u "$WORK/tb_esc_wide.out" "$WORK/tb_esc_auto.out" || {
+    echo "traceback under -escalation: -lanes auto and -lanes 64 disagree" >&2; exit 1; }
+grep -q 'escalation: .* [1-9][0-9]* re-dispatches' "$WORK/tb_esc_auto.err" || {
+    echo "traceback under -escalation: no pair climbed the ladder" >&2
+    cat "$WORK/tb_esc_auto.err" >&2; exit 1; }
 
 echo "== daemon on a random port =="
 "$WORK/alignd" -addr 127.0.0.1:0 -addr-file "$WORK/addr" -ranks 2 -band 128 -drain-wait 2s &

@@ -44,6 +44,7 @@ var gated = []string{
 	"AdaptiveBandScoreNarrow10k",
 	"AdaptiveBandScoreWide10k",
 	"AdaptiveBandAlign10k",
+	"AdaptiveBandAlignWide10k",
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",
@@ -66,6 +67,7 @@ var allocGated = []string{
 	"AdaptiveBandScoreNarrow10k",
 	"AdaptiveBandScoreWide10k",
 	"AdaptiveBandAlign10k",
+	"AdaptiveBandAlignWide10k",
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",

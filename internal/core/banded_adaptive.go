@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pimnw/internal/cigar"
 	"pimnw/internal/seq"
 )
 
@@ -81,7 +82,7 @@ func AdaptiveBandScore(a, b seq.Seq, p Params, w int) Result {
 // ((m+n+1)·w/2 bytes, the BT array of §4.2.2) and emits the CIGAR.
 func AdaptiveBandAlign(a, b seq.Seq, p Params, w int) Result {
 	s := GetScratch()
-	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
+	res := s.AdaptiveBandAlign(a, b, p, w)
 	PutScratch(s)
 	return res
 }
@@ -116,19 +117,25 @@ func AdaptiveBandPath(a, b seq.Seq, p Params, w int) (Result, []int32) {
 // that overflow escalates through the host ladder instead of silently
 // re-running here).
 func (s *Scratch) AdaptiveBandScore(a, b seq.Seq, p Params, w int) Result {
-	if NarrowFits(p, w) {
-		if res, ok := s.adaptiveBandNarrow(a, b, p, w, DefaultVariant()); ok {
-			return res
-		}
-	}
-	res, _ := s.adaptiveBand(a, b, p, w, false, DefaultVariant())
-	return res
+	return s.adaptiveBandAuto(a, b, p, w, false)
 }
 
 // AdaptiveBandAlign is the explicit-scratch form of AdaptiveBandAlign; only
-// the returned CIGAR is allocated.
+// the returned CIGAR is allocated. It takes the same narrow-first route as
+// AdaptiveBandScore, CIGAR included; AdaptiveBandAlignWide pins the
+// full-width engine.
 func (s *Scratch) AdaptiveBandAlign(a, b seq.Seq, p Params, w int) Result {
-	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
+	return s.adaptiveBandAuto(a, b, p, w, true)
+}
+
+// adaptiveBandAuto is the one lane-width dispatch of both modes.
+func (s *Scratch) adaptiveBandAuto(a, b seq.Seq, p Params, w int, traceback bool) Result {
+	if NarrowFits(p, w) {
+		if res, ok := s.adaptiveBandNarrow(a, b, p, w, traceback, DefaultVariant()); ok {
+			return res
+		}
+	}
+	res, _ := s.adaptiveBand(a, b, p, w, traceback, DefaultVariant())
 	return res
 }
 
@@ -339,12 +346,22 @@ func (s *Scratch) adaptiveBand(a, b seq.Seq, p Params, w int, traceback bool, va
 	res.Score = hCur[pFinal+1]
 	res.Clipped = maxPot > res.Score
 	if traceback {
-		res.Cigar = walkBT(m, n, func(i, j int) uint8 {
-			t := i + j
-			return NibbleRow(bt[t*rowBytes : (t+1)*rowBytes]).Get(i - int(off[t]))
-		})
+		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, 0)
 	}
 	return res, off
+}
+
+// walkBandBT replays an adaptive-band traceback arena: row t holds
+// anti-diagonal t in rowBytes bytes, window cell p at nibble p+skew. Kept
+// out of line so the callback closes over these arguments, not over the
+// engines' main-loop locals (that costs the score-only path ~5 %).
+//
+//go:noinline
+func walkBandBT(m, n int, bt []byte, off []int32, rowBytes, skew int) cigar.Cigar {
+	return walkBT(m, n, func(i, j int) uint8 {
+		t := i + j
+		return NibbleRow(bt[t*rowBytes : (t+1)*rowBytes]).Get(i - int(off[t]) + skew)
+	})
 }
 
 // subTab maps a match bit to its substitution score; orgTab maps it to the

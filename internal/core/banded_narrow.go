@@ -36,7 +36,22 @@ import (
 // flag stays clear, every consulted lane held its exact wide-engine value
 // and the final Result is bit-identical to adaptiveBand's. If it sets,
 // the engine returns Overflowed and the caller (the host ladder, or the
-// auto path in AdaptiveBandScore) escalates to the wide kernel.
+// auto path in AdaptiveBandScore / AdaptiveBandAlign) escalates to the
+// wide kernel.
+//
+// Traceback. The same run can record the 4-bit/cell structure of bt.go:
+// the nibble of an interior cell is read off the lane compares the
+// recurrence already makes (extend ⇔ the extend candidate equals the lane
+// max, so ties extend; origin from two strict compares, diagonal before I
+// before D; match/mismatch from the zero lanes of the substitution word),
+// eight cells packed to four bytes per SSE2 iteration. The arena is
+// private to the engine and indexed by lane — nibble L of row t is lane L
+// of anti-diagonal t, two bytes per packed word — and is never zeroed:
+// every nibble the walk consults is written. A consulted nibble belongs to
+// a cell whose walked state holds an exact value at or above the guard
+// floor, while a dead or clamped candidate is below it, so a candidate
+// that ties the lane max is itself exact and every compare agrees with
+// adaptiveStepTB's; DESIGN.md "Narrow-lane arithmetic" has the argument.
 
 const (
 	// narrowCenter is the storage bias: a freshly rebased window maximum
@@ -70,10 +85,13 @@ func narrowGuard(p Params) int32 {
 }
 
 // narrowParamsFit reports whether the scoring parameters are small enough
-// for faithful 16-bit broadcast arithmetic.
+// for faithful 16-bit broadcast arithmetic, and a match scores above a
+// mismatch so that the zero lanes of a substitution word are exactly the
+// mismatches (the traceback reads the diagonal origin code off them).
 func narrowParamsFit(p Params) bool {
 	return p.Match <= narrowParamMax && -p.Mismatch <= narrowParamMax &&
-		p.GapOpen <= narrowParamMax && p.GapExt <= narrowParamMax
+		p.GapOpen <= narrowParamMax && p.GapExt <= narrowParamMax &&
+		p.Match > p.Mismatch
 }
 
 // NarrowFits reports whether the 16-bit narrow-lane engine has the
@@ -103,7 +121,7 @@ func NarrowFits(p Params, w int) bool {
 // the host escalation ladder to the wide kernel.
 func AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
 	s := GetScratch()
-	res, _ := s.adaptiveBandNarrow(a, b, p, w, DefaultVariant())
+	res, _ := s.adaptiveBandNarrow(a, b, p, w, false, DefaultVariant())
 	PutScratch(s)
 	return res
 }
@@ -111,7 +129,7 @@ func AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
 // AdaptiveBandScoreNarrow is the explicit-scratch form of the package
 // function.
 func (s *Scratch) AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
-	res, _ := s.adaptiveBandNarrow(a, b, p, w, DefaultVariant())
+	res, _ := s.adaptiveBandNarrow(a, b, p, w, false, DefaultVariant())
 	return res
 }
 
@@ -128,6 +146,23 @@ func AdaptiveBandScoreWide(a, b seq.Seq, p Params, w int) Result {
 // function.
 func (s *Scratch) AdaptiveBandScoreWide(a, b seq.Seq, p Params, w int) Result {
 	res, _ := s.adaptiveBand(a, b, p, w, false, DefaultVariant())
+	return res
+}
+
+// AdaptiveBandAlignWide is the traceback twin of AdaptiveBandScoreWide:
+// the full-width engine, bypassing AdaptiveBandAlign's narrow-lane fast
+// path. It is the oracle the narrow traceback is pinned to.
+func AdaptiveBandAlignWide(a, b seq.Seq, p Params, w int) Result {
+	s := GetScratch()
+	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
+	PutScratch(s)
+	return res
+}
+
+// AdaptiveBandAlignWide is the explicit-scratch form of the package
+// function.
+func (s *Scratch) AdaptiveBandAlignWide(a, b seq.Seq, p Params, w int) Result {
+	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
 	return res
 }
 
@@ -181,10 +216,10 @@ func narrowRebase(arr []uint64, shift int32) bool {
 // adaptiveBandNarrow runs the 16-bit engine. It mirrors adaptiveBand's
 // window bookkeeping statement for statement — shift decisions, clamps,
 // clip certificate, flank and boundary handling, cell metric — so that a
-// non-overflowed run is bit-identical; only the interior cell loop and the
-// value encoding differ. Returns ok=false (Result.Overflowed) on any
-// saturation sticky bit.
-func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant AdaptiveVariant) (Result, bool) {
+// non-overflowed run is bit-identical, CIGAR included; only the interior
+// cell loop, the value encoding and the traceback arena's layout differ.
+// Returns ok=false (Result.Overflowed) on any saturation sticky bit.
+func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bool, variant AdaptiveVariant) (Result, bool) {
 	m, n := len(a), len(b)
 	if w < 2 {
 		w = 2
@@ -234,6 +269,15 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 	res.Cells = 1
 
 	pa, pb := s.packOperands(a, b)
+
+	// Lane-indexed traceback rows: two bytes per packed lane word. Not
+	// zeroed — see the header comment.
+	var bt []byte
+	rowBytes := 2 * (words - 1)
+	if traceback {
+		s.bt = growU8(s.bt, nDiag*rowBytes)
+		bt = s.bt
+	}
 
 	// Broadcast SWAR constants and the 16-entry substitution LUT: index
 	// bit k set ⇔ lane k matches, lane value Match−Mismatch (added on top
@@ -315,6 +359,11 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 		o := int(off[t]) + d
 		off[t+1] = int32(o)
 
+		var btRow NibbleRow
+		if traceback {
+			btRow = bt[(t+1)*rowBytes : (t+2)*rowBytes]
+		}
+
 		pLo := 0
 		if v := 1 - o; v > pLo {
 			pLo = v
@@ -368,6 +417,9 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 			setLane16(hNext, 1, uint16(rel))
 			setLane16(dNext, 1, uint16(rel))
 			setLane16(iNext, 1, 0)
+			if traceback {
+				btRow.Set(1, MakeBTNibble(btFromD, false, t+1 > 1))
+			}
 		}
 		if q := t + 1 - o; q >= 0 && q < w && t+1 <= m {
 			rel := int64(-p.GapCost(t+1)) - int64(base) + narrowCenter
@@ -378,6 +430,9 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 			setLane16(hNext, q+1, uint16(rel))
 			setLane16(iNext, q+1, uint16(rel))
 			setLane16(dNext, q+1, 0)
+			if traceback {
+				btRow.Set(q+1, MakeBTNibble(btFromI, t+1 > 1, false))
+			}
 		}
 
 		if pLo <= pHi {
@@ -405,8 +460,13 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 					}
 				}
 
-				ovAcc |= narrowStepWords(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub,
-					gA, gB, d, dd, eV, oeV, nmV, gbV)
+				if traceback {
+					ovAcc |= narrowStepWordsTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub, btRow,
+						gA, gB, d, dd, eV, oeV, nmV, gbV)
+				} else {
+					ovAcc |= narrowStepWords(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub,
+						gA, gB, d, dd, eV, oeV, nmV, gbV)
+				}
 			}
 
 			// Partial words at the span edges, cell by cell with scalar
@@ -418,49 +478,108 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 				edgeLo1, edgeHi1 = loLane, hiLane
 				edgeLo2, edgeHi2 = 1, 0
 			}
-			for r := 0; r < 2; r++ {
-				lo, hi := edgeLo1, edgeHi1
-				if r == 1 {
-					lo, hi = edgeLo2, edgeHi2
+			// The loop exists twice, like the word step (and like
+			// adaptiveStepScore/adaptiveStepTB): the traceback copy adds the
+			// nibble — the scalar twin of the word step's derivation, ties
+			// extend, diagonal before I before D — so the score-only copy
+			// carries no per-lane traceback branch (a flag, or a second pass
+			// re-reading the lanes, each cost one of the two paths 3–15 %).
+			if traceback {
+				for r := 0; r < 2; r++ {
+					lo, hi := edgeLo1, edgeHi1
+					if r == 1 {
+						lo, hi = edgeLo2, edgeHi2
+					}
+					for L := lo; L <= hi; L++ {
+						up := L - 1 + d
+						dgl := L - 1 + dd
+						hu := getLane16(hCur, up)
+						iu := getLane16(iCur, up)
+						hl := getLane16(hCur, up+1)
+						dl := getLane16(dCur, up+1)
+						hd := getLane16(hPrev, dgl)
+						iv := sub016(iu, e16)
+						if v := sub016(hu, oe16); v > iv {
+							iv = v
+						}
+						dv := sub016(dl, e16)
+						if v := sub016(hl, oe16); v > dv {
+							dv = v
+						}
+						sum := uint32(hd)
+						origin := btDiagMismatch
+						if seq.MatchMask(pa, pb, aiBase+L, biBase+L)&1 == 1 {
+							sum += uint32(smd)
+							origin = btDiagMatch
+						}
+						if sum > narrowTop {
+							overflow = true
+							sum = narrowTop
+						}
+						dg := sub016(uint16(sum), nm16)
+						best := dg
+						if iv > best {
+							best = iv
+							origin = btFromI
+						}
+						if dv > best {
+							best = dv
+							origin = btFromD
+						}
+						if best < gb16 {
+							overflow = true
+						}
+						setLane16(hNext, L, best)
+						setLane16(iNext, L, iv)
+						setLane16(dNext, L, dv)
+						btRow.Set(L, MakeBTNibble(origin, sub016(iu, e16) == iv, sub016(dl, e16) == dv))
+					}
 				}
-				for L := lo; L <= hi; L++ {
-					up := L - 1 + d
-					dgl := L - 1 + dd
-					hu := getLane16(hCur, up)
-					iu := getLane16(iCur, up)
-					hl := getLane16(hCur, up+1)
-					dl := getLane16(dCur, up+1)
-					hd := getLane16(hPrev, dgl)
-					iv := sub016(iu, e16)
-					if v := sub016(hu, oe16); v > iv {
-						iv = v
+			} else {
+				for r := 0; r < 2; r++ {
+					lo, hi := edgeLo1, edgeHi1
+					if r == 1 {
+						lo, hi = edgeLo2, edgeHi2
 					}
-					dv := sub016(dl, e16)
-					if v := sub016(hl, oe16); v > dv {
-						dv = v
+					for L := lo; L <= hi; L++ {
+						up := L - 1 + d
+						dgl := L - 1 + dd
+						hu := getLane16(hCur, up)
+						iu := getLane16(iCur, up)
+						hl := getLane16(hCur, up+1)
+						dl := getLane16(dCur, up+1)
+						hd := getLane16(hPrev, dgl)
+						iv := sub016(iu, e16)
+						if v := sub016(hu, oe16); v > iv {
+							iv = v
+						}
+						dv := sub016(dl, e16)
+						if v := sub016(hl, oe16); v > dv {
+							dv = v
+						}
+						sum := uint32(hd)
+						if seq.MatchMask(pa, pb, aiBase+L, biBase+L)&1 == 1 {
+							sum += uint32(smd)
+						}
+						if sum > narrowTop {
+							overflow = true
+							sum = narrowTop
+						}
+						dg := sub016(uint16(sum), nm16)
+						best := dg
+						if iv > best {
+							best = iv
+						}
+						if dv > best {
+							best = dv
+						}
+						if best < gb16 {
+							overflow = true
+						}
+						setLane16(hNext, L, best)
+						setLane16(iNext, L, iv)
+						setLane16(dNext, L, dv)
 					}
-					sum := uint32(hd)
-					if seq.MatchMask(pa, pb, aiBase+L, biBase+L)&1 == 1 {
-						sum += uint32(smd)
-					}
-					if sum > narrowTop {
-						overflow = true
-						sum = narrowTop
-					}
-					dg := sub016(uint16(sum), nm16)
-					best := dg
-					if iv > best {
-						best = iv
-					}
-					if dv > best {
-						best = dv
-					}
-					if best < gb16 {
-						overflow = true
-					}
-					setLane16(hNext, L, best)
-					setLane16(iNext, L, iv)
-					setLane16(dNext, L, dv)
 				}
 			}
 			if ovAcc != 0 {
@@ -519,5 +638,8 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, variant Adap
 	res.InBand = true
 	res.Score = int32(st) - narrowCenter + base
 	res.Clipped = maxPot > res.Score
+	if traceback {
+		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, 1)
+	}
 	return res, true
 }

@@ -88,6 +88,11 @@ func TestTracebacksAllValidAndOptimal(t *testing.T) {
 			{"quadratic", core.GotohAlign(a, b, params)},
 			{"linear", core.GotohAlignLinear(a, b, params)},
 			{"static-wide", core.StaticBandAlign(a, b, params, 2*(len(a)+len(b)))},
+			// A window taller than the matrix never drops a valid cell:
+			// both adaptive traceback engines are exact here. Band 512
+			// passes NarrowFits, so the first runs in 16-bit lanes.
+			{"adaptive-narrow", core.AdaptiveBandAlign(a, b, params, 512)},
+			{"adaptive-wide", core.AdaptiveBandAlignWide(a, b, params, 512)},
 			{"wfa", core.Result{Score: wres.Score, Cigar: wres.Cigar, InBand: true}},
 		}
 		for _, r := range routes {

@@ -21,40 +21,41 @@ var narrowFuzzParams = []Params{
 // FuzzEngineEquivalence: on arbitrary pairs, bands and scoring models, a
 // narrow-lane run that does not report Overflowed must be bit-identical to
 // the wide word-packed engine (itself pinned to the scalar reference) on
-// every result field. Overflowed runs must carry the NegInf sentinel and
-// never leak a partial score.
+// every result field — in traceback mode the CIGAR included. Overflowed
+// runs must carry the NegInf sentinel and never leak a partial score or
+// CIGAR.
 func FuzzNarrowWideEquivalence(f *testing.F) {
-	f.Add([]byte("ACGTACGTACGT"), []byte("ACGAACGT"), uint8(8), uint8(0), true)
-	f.Add([]byte(""), []byte("TTTT"), uint8(2), uint8(1), false)
-	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), []byte("AAAA"), uint8(3), uint8(2), false)
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0}, []byte{3, 2, 1, 0}, uint8(63), uint8(3), true)
-	f.Add([]byte("ACACACACACACACACACACACAC"), []byte("ACACACACACACACACACACACAC"), uint8(16), uint8(4), true)
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte, wRaw, pRaw uint8, steer bool) {
+	f.Add([]byte("ACGTACGTACGT"), []byte("ACGAACGT"), uint8(8), uint8(0), true, true)
+	f.Add([]byte(""), []byte("TTTT"), uint8(2), uint8(1), false, true)
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), []byte("AAAA"), uint8(3), uint8(2), false, false)
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0}, []byte{3, 2, 1, 0}, uint8(63), uint8(3), true, false)
+	f.Add([]byte("ACACACACACACACACACACACAC"), []byte("ACACACACACACACACACACACAC"), uint8(16), uint8(4), true, true)
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, wRaw, pRaw uint8, steer, traceback bool) {
 		a := bytesToSeq(rawA, 96)
 		b := bytesToSeq(rawB, 96)
 		w := 2 + int(wRaw)%96
 		p := narrowFuzzParams[int(pRaw)%len(narrowFuzzParams)]
 		v := AdaptiveVariant{SteerTies: steer}
 		s := NewScratch()
-		narrow, ok := s.adaptiveBandNarrow(a, b, p, w, v)
+		narrow, ok := s.adaptiveBandNarrow(a, b, p, w, traceback, v)
 		if !ok {
 			if !narrow.Overflowed {
 				t.Fatalf("ok=false without Overflowed (w=%d p=%+v a=%v b=%v)", w, p, a, b)
 			}
-			if narrow.Score != NegInf {
-				t.Fatalf("overflowed run leaked score %d (w=%d p=%+v a=%v b=%v)", narrow.Score, w, p, a, b)
+			if narrow.Score != NegInf || narrow.Cigar != nil {
+				t.Fatalf("overflowed run leaked %+v (w=%d p=%+v a=%v b=%v)", narrow, w, p, a, b)
 			}
 			return
 		}
 		if narrow.Overflowed {
 			t.Fatalf("ok=true with Overflowed set (w=%d p=%+v a=%v b=%v)", w, p, a, b)
 		}
-		wide, _ := s.adaptiveBand(a, b, p, w, false, v)
+		wide, _ := s.adaptiveBand(a, b, p, w, traceback, v)
 		if narrow.Score != wide.Score || narrow.InBand != wide.InBand ||
 			narrow.Clipped != wide.Clipped || narrow.Cells != wide.Cells ||
-			narrow.Steps != wide.Steps {
-			t.Fatalf("narrow engine diverged (w=%d steer=%v p=%+v):\n narrow %+v\n wide   %+v\n a=%v\n b=%v",
-				w, steer, p, narrow, wide, a, b)
+			narrow.Steps != wide.Steps || narrow.Cigar.String() != wide.Cigar.String() {
+			t.Fatalf("narrow engine diverged (w=%d steer=%v traceback=%v p=%+v):\n narrow %+v\n wide   %+v\n a=%v\n b=%v",
+				w, steer, traceback, p, narrow, wide, a, b)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pimnw/internal/seq"
@@ -47,24 +48,25 @@ func TestNarrowPositiveSaturationBoundary(t *testing.T) {
 		{129, 2, true},
 	} {
 		a := identicalSeq(tc.length)
-		label := fmt.Sprintf("L=%d w=%d", tc.length, tc.w)
-		narrow, ok := s.adaptiveBandNarrow(a, a, p, tc.w, DefaultVariant())
-		if tc.wantOverflow {
-			if ok || !narrow.Overflowed {
-				t.Fatalf("%s: want Overflowed at the +2^15 boundary, got ok=%v %+v", label, ok, narrow)
+		for _, tb := range bothModes {
+			label := fmt.Sprintf("L=%d w=%d tb=%v", tc.length, tc.w, tb)
+			narrow, wide, ok := narrowAndWide(s, a, a, p, tc.w, tb)
+			if tc.wantOverflow {
+				if ok || !narrow.Overflowed {
+					t.Fatalf("%s: want Overflowed at the +2^15 boundary, got ok=%v %+v", label, ok, narrow)
+				}
+				if narrow.Score != NegInf || narrow.Cigar != nil {
+					t.Fatalf("%s: overflowed result leaked %+v", label, narrow)
+				}
+				continue
 			}
-			if narrow.Score != NegInf {
-				t.Fatalf("%s: overflowed result leaked a score %d", label, narrow.Score)
+			if !ok {
+				t.Fatalf("%s: spurious overflow below the boundary", label)
 			}
-			continue
-		}
-		if !ok {
-			t.Fatalf("%s: spurious overflow below the boundary", label)
-		}
-		wide, _ := s.adaptiveBand(a, a, p, tc.w, false, DefaultVariant())
-		requireNarrowEqual(t, label, narrow, wide)
-		if want := int32(tc.length) * p.Match; narrow.Score != want {
-			t.Fatalf("%s: score %d, want %d", label, narrow.Score, want)
+			requireNarrowEqual(t, label, narrow, wide)
+			if want := int32(tc.length) * p.Match; narrow.Score != want {
+				t.Fatalf("%s: score %d, want %d", label, narrow.Score, want)
+			}
 		}
 	}
 }
@@ -94,23 +96,38 @@ func TestNarrowNegativeSaturationBoundary(t *testing.T) {
 		{600, true},
 	} {
 		b := identicalSeq(tc.n)
-		label := fmt.Sprintf("n=%d", tc.n)
-		narrow, ok := s.adaptiveBandNarrow(nil, b, p, 4, DefaultVariant())
-		if tc.wantOverflow {
-			if ok || !narrow.Overflowed {
-				t.Fatalf("%s: want Overflowed at the −2^15 boundary, got ok=%v %+v", label, ok, narrow)
+		for _, tb := range bothModes {
+			label := fmt.Sprintf("n=%d tb=%v", tc.n, tb)
+			narrow, wide, ok := narrowAndWide(s, nil, b, p, 4, tb)
+			if tc.wantOverflow {
+				if ok || !narrow.Overflowed {
+					t.Fatalf("%s: want Overflowed at the −2^15 boundary, got ok=%v %+v", label, ok, narrow)
+				}
+				continue
 			}
-			continue
-		}
-		if !ok {
-			t.Fatalf("%s: spurious overflow below the boundary", label)
-		}
-		wide, _ := s.adaptiveBand(nil, b, p, 4, false, DefaultVariant())
-		requireNarrowEqual(t, label, narrow, wide)
-		if want := -p.GapCost(tc.n); narrow.Score != want {
-			t.Fatalf("%s: score %d, want %d", label, narrow.Score, want)
+			if !ok {
+				t.Fatalf("%s: spurious overflow below the boundary", label)
+			}
+			requireNarrowEqual(t, label, narrow, wide)
+			if want := -p.GapCost(tc.n); narrow.Score != want {
+				t.Fatalf("%s: score %d, want %d", label, narrow.Score, want)
+			}
 		}
 	}
+}
+
+// stickyMidMatrixPair climbs past the +2^15 boundary on an identical
+// prefix at Match=127 (160·127 = 20320 > 16383 mid-run), then falls back
+// on an all-mismatch tail: the final score is representable, only the
+// transient is not.
+func stickyMidMatrixPair() (a, b seq.Seq, p Params) {
+	prefix := identicalSeq(160)
+	a = append(append(seq.Seq{}, prefix...), make(seq.Seq, 120)...)
+	b = append(seq.Seq{}, a...)
+	for i := len(prefix); i < len(b); i++ {
+		b[i] = seq.Base(1)
+	}
+	return a, b, Params{Match: 127, Mismatch: -4, GapOpen: 4, GapExt: 2}
 }
 
 // TestNarrowStickyPropagatesAcrossDiagonals pins the sticky-bit contract:
@@ -120,20 +137,14 @@ func TestNarrowNegativeSaturationBoundary(t *testing.T) {
 // all-mismatch tail; the final score is small, but the engine must not
 // forget the transient.
 func TestNarrowStickyPropagatesAcrossDiagonals(t *testing.T) {
-	p := Params{Match: 127, Mismatch: -4, GapOpen: 4, GapExt: 2}
-	prefix := identicalSeq(160) // climbs to 160·127 = 20320 > 16383 mid-run
-	tail := make(seq.Seq, 120)
-	a := append(append(seq.Seq{}, prefix...), tail...)
-	b := append(append(seq.Seq{}, prefix...), tail...)
-	for i := range tail {
-		a[len(prefix)+i] = seq.Base(0)
-		b[len(prefix)+i] = seq.Base(1) // mismatch wall: score only falls
-	}
+	a, b, p := stickyMidMatrixPair()
 	s := NewScratch()
 	for _, w := range []int{2, 32} { // scalar-edge-only and word-loop shapes
-		narrow, ok := s.adaptiveBandNarrow(a, b, p, w, DefaultVariant())
-		if ok || !narrow.Overflowed {
-			t.Fatalf("w=%d: transient saturation was forgotten: ok=%v %+v", w, ok, narrow)
+		for _, tb := range bothModes {
+			narrow, ok := s.adaptiveBandNarrow(a, b, p, w, tb, DefaultVariant())
+			if ok || !narrow.Overflowed {
+				t.Fatalf("w=%d tb=%v: transient saturation was forgotten: ok=%v %+v", w, tb, ok, narrow)
+			}
 		}
 	}
 	// Sanity: the wide engine handles the same pair without complaint, so
@@ -156,14 +167,15 @@ func TestNarrowRebaseBoundary(t *testing.T) {
 	// 62000, far past 2^15, rebasing several times without saturating.
 	up := Params{Match: 31, Mismatch: -4, GapOpen: 4, GapExt: 2}
 	a := identicalSeq(2000)
-	narrow, ok := s.adaptiveBandNarrow(a, a, up, 8, DefaultVariant())
-	if !ok {
-		t.Fatal("climbing rebase overflowed")
-	}
-	wide, _ := s.adaptiveBand(a, a, up, 8, false, DefaultVariant())
-	requireNarrowEqual(t, "climb", narrow, wide)
-	if narrow.Score != 2000*31 {
-		t.Fatalf("climb score %d, want %d", narrow.Score, 2000*31)
+	for _, tb := range bothModes {
+		narrow, wide, ok := narrowAndWide(s, a, a, up, 8, tb)
+		if !ok {
+			t.Fatal("climbing rebase overflowed")
+		}
+		requireNarrowEqual(t, fmt.Sprintf("climb tb=%v", tb), narrow, wide)
+		if narrow.Score != 2000*31 {
+			t.Fatalf("climb score %d, want %d", narrow.Score, 2000*31)
+		}
 	}
 
 	// Fall: an empty query against 3000 bases at GapExt=2 drifts down
@@ -171,13 +183,51 @@ func TestNarrowRebaseBoundary(t *testing.T) {
 	// writes leave the representable range.
 	down := DefaultParams()
 	b := identicalSeq(3000)
-	narrow, ok = s.adaptiveBandNarrow(nil, b, down, 8, DefaultVariant())
-	if !ok {
-		t.Fatal("falling rebase overflowed")
+	for _, tb := range bothModes {
+		narrow, wide, ok := narrowAndWide(s, nil, b, down, 8, tb)
+		if !ok {
+			t.Fatal("falling rebase overflowed")
+		}
+		requireNarrowEqual(t, fmt.Sprintf("fall tb=%v", tb), narrow, wide)
+		if want := -down.GapCost(3000); narrow.Score != want {
+			t.Fatalf("fall score %d, want %d", narrow.Score, want)
+		}
 	}
-	wide, _ = s.adaptiveBand(nil, b, down, 8, false, DefaultVariant())
-	requireNarrowEqual(t, "fall", narrow, wide)
-	if want := -down.GapCost(3000); narrow.Score != want {
-		t.Fatalf("fall score %d, want %d", narrow.Score, want)
+}
+
+// TestAdaptiveBandAlignFallsBackToWide pins the invisible fallback of the
+// traceback entry point: whatever stops the narrow engine, the caller gets
+// the wide engine's exact Result, CIGAR included. Two routes lead there.
+// The a-priori gate: NarrowFits refuses this scoring model, so
+// (*Scratch).AdaptiveBandAlign must not run the narrow engine at all. The
+// runtime sticky: the narrow traceback aborts mid-matrix on the same
+// Scratch — leaving its un-zeroed lane-indexed rows in the shared arena —
+// and the wide run that follows must be unaffected. (No admitted
+// model/band/pair combination is known to raise the sticky — NarrowFits'
+// bound is sufficient on everything tried — so the second route is driven
+// by the two calls adaptiveBandAuto makes, in its order.)
+func TestAdaptiveBandAlignFallsBackToWide(t *testing.T) {
+	a, b, p := stickyMidMatrixPair()
+	for _, w := range []int{2, 32} {
+		want := NewScratch().AdaptiveBandAlignWide(a, b, p, w)
+		if !want.InBand || want.Cigar == nil || want.Overflowed {
+			t.Fatalf("w=%d: wide oracle implausible: %+v", w, want)
+		}
+
+		if NarrowFits(p, w) {
+			t.Fatalf("w=%d: NarrowFits admits Match=127; the gate route is not exercised", w)
+		}
+		s := NewScratch()
+		if got := s.AdaptiveBandAlign(a, b, p, w); !reflect.DeepEqual(got, want) {
+			t.Errorf("w=%d gate route:\n got  %+v\n want %+v", w, got, want)
+		}
+
+		s = NewScratch()
+		if res, ok := s.adaptiveBandNarrow(a, b, p, w, true, DefaultVariant()); ok || !res.Overflowed || res.Cigar != nil {
+			t.Fatalf("w=%d: narrow traceback did not abort on the transient: ok=%v %+v", w, ok, res)
+		}
+		if got, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant()); !reflect.DeepEqual(got, want) {
+			t.Errorf("w=%d sticky route:\n got  %+v\n want %+v", w, got, want)
+		}
 	}
 }

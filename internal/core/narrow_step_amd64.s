@@ -93,3 +93,137 @@ loop:
 	ORQ   BX, AX
 	MOVQ  AX, ret+8(FP)
 	RET
+
+// func narrowStepSSETB(a *narrowSSEArgs) uint64
+//
+// The traceback twin: the recurrence of narrowStepSSE with the compare
+// masks of its maxima kept. Masks are 0/−1 per lane, so the nibble is
+// assembled negated — −(4·iExt + 8·dExt) − origin, all adds and mins of
+// masks, no constants — and one PMADDWD against (−1, −16) both restores
+// the sign and folds each lane pair into its byte. The sticky verdict is
+// the same as narrowStepSSE's but accumulated cheaper: the raw diagonal
+// sums are OR-ed (bit 15 tested once at the end) and the H outputs are
+// min-reduced against the guard floor.
+TEXT ·narrowStepSSETB(SB), NOSPLIT, $0-16
+	MOVQ a+0(FP), AX
+
+	MOVQ 0(AX), R8    // hNext
+	MOVQ 8(AX), R9    // iNext
+	MOVQ 16(AX), R10  // dNext
+	MOVQ 24(AX), R11  // hCur1: up stream
+	MOVQ 32(AX), R12  // iCur1: up stream
+	MOVQ 40(AX), R13  // hCur0: left stream
+	MOVQ 48(AX), R14  // dCur0: left stream
+	MOVQ 56(AX), DX   // hPrev1: diagonal stream
+	MOVQ 64(AX), DI   // sub
+	MOVQ 72(AX), SI   // pairs
+
+	MOVQ 80(AX), BX   // dUp
+	ADDQ BX, R11
+	ADDQ BX, R12
+	MOVQ 88(AX), BX   // dLt
+	ADDQ BX, R13
+	ADDQ BX, R14
+	MOVQ 96(AX), BX   // dDg
+	ADDQ BX, DX
+	MOVQ 144(AX), BX  // bt: four bytes per iteration
+
+	MOVQ       104(AX), X9  // eV
+	PUNPCKLQDQ X9, X9
+	MOVQ       112(AX), X10 // oeV
+	PUNPCKLQDQ X10, X10
+	MOVQ       120(AX), X11 // nmV
+	PUNPCKLQDQ X11, X11
+
+	PCMPEQW X12, X12 // running min of the H outputs, from 0x7fff
+	PSRLW   $1, X12
+	PXOR    X13, X13 // OR of the raw diagonal sums
+
+	MOVQ       $0xfff0fffffff0ffff, CX // PMADDWD weights: even lane −1, odd lane −16
+	MOVQ       CX, X14
+	PUNPCKLQDQ X14, X14
+
+	XORQ CX, CX // byte index
+
+tbloop:
+	// iv = max(iUp ⊖ e, hUp ⊖ oe); X2 = −1 where the extend candidate wins or ties
+	MOVOU   (R12)(CX*1), X0
+	PSUBUSW X9, X0
+	MOVOU   (R11)(CX*1), X1
+	PSUBUSW X10, X1
+	MOVOA   X0, X2
+	PMAXSW  X1, X0
+	PCMPEQW X0, X2
+
+	// dv = max(dLt ⊖ e, hLt ⊖ oe); X6 likewise
+	MOVOU   (R14)(CX*1), X3
+	PSUBUSW X9, X3
+	MOVOU   (R13)(CX*1), X4
+	PSUBUSW X10, X4
+	MOVOA   X3, X6
+	PMAXSW  X4, X3
+	PCMPEQW X3, X6
+
+	// X2 = −(4·iExt + 8·dExt)
+	PADDW X6, X6
+	PADDW X6, X2
+	PSLLW $2, X2
+
+	// diag = (hDg + sub) ⊖ nm; X7 = −1 on mismatch lanes (−btDiagMismatch)
+	MOVOU   (DX)(CX*1), X5
+	MOVOU   (DI)(CX*1), X8
+	PXOR    X7, X7
+	PCMPEQW X8, X7
+	PADDW   X8, X5
+	POR     X5, X13
+	PSUBUSW X11, X5
+
+	// best = max(diag, iv, dv); X1 = −1 where iv > diag, X4 = −1 where
+	// dv > max(diag, iv): strict, so ties keep the earlier origin
+	MOVOA   X0, X1
+	PCMPGTW X5, X1
+	PMAXSW  X0, X5
+	MOVOA   X3, X4
+	PCMPGTW X5, X4
+	PMAXSW  X3, X5
+	PMINSW  X5, X12
+
+	MOVOU X5, (R8)(CX*1)
+	MOVOU X0, (R9)(CX*1)
+	MOVOU X3, (R10)(CX*1)
+
+	// X7 = −origin: −2 from I, −3 from D, else the mismatch mask
+	PADDW  X1, X1
+	PMINSW X1, X7
+	MOVOA  X4, X6
+	PADDW  X4, X4
+	PMINSW X4, X7
+	PADDW  X6, X7
+	PADDW  X7, X2
+
+	// eight negated nibbles → four bytes
+	PMADDWL  X14, X2
+	PACKSSLW X2, X2
+	PACKUSWB X2, X2
+	MOVL     X2, (BX)
+
+	ADDQ $4, BX
+	ADDQ $16, CX
+	DECQ SI
+	JNZ  tbloop
+
+	// sticky = (OR of sums) & nH  |  gb ⊖ min(H outputs)
+	MOVQ       136(AX), X0
+	PUNPCKLQDQ X0, X0
+	PAND       X0, X13
+	MOVQ       128(AX), X1
+	PUNPCKLQDQ X1, X1
+	PSUBUSW    X12, X1
+	POR        X1, X13
+
+	MOVQ  X13, BX
+	PSRLO $8, X13
+	MOVQ  X13, AX
+	ORQ   BX, AX
+	MOVQ  AX, ret+8(FP)
+	RET

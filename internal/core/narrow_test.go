@@ -8,8 +8,19 @@ import (
 	"pimnw/internal/seq"
 )
 
+// bothModes is the traceback axis every narrow-vs-wide test runs over.
+var bothModes = []bool{false, true}
+
+// narrowAndWide runs the pinned narrow and wide engines on one pair in one
+// mode; ok is the narrow engine's no-overflow verdict.
+func narrowAndWide(s *Scratch, a, b seq.Seq, p Params, w int, traceback bool) (narrow, wide Result, ok bool) {
+	narrow, ok = s.adaptiveBandNarrow(a, b, p, w, traceback, DefaultVariant())
+	wide, _ = s.adaptiveBand(a, b, p, w, traceback, DefaultVariant())
+	return narrow, wide, ok
+}
+
 // requireNarrowEqual asserts a non-overflowed narrow result is
-// bit-identical to the wide engine's on every field.
+// bit-identical to the wide engine's on every field, CIGAR included.
 func requireNarrowEqual(t *testing.T, label string, narrow, wide Result) {
 	t.Helper()
 	if narrow.Overflowed {
@@ -17,7 +28,7 @@ func requireNarrowEqual(t *testing.T, label string, narrow, wide Result) {
 	}
 	if narrow.Score != wide.Score || narrow.InBand != wide.InBand ||
 		narrow.Clipped != wide.Clipped || narrow.Cells != wide.Cells ||
-		narrow.Steps != wide.Steps {
+		narrow.Steps != wide.Steps || narrow.Cigar.String() != wide.Cigar.String() {
 		t.Fatalf("%s:\n narrow = %+v\n wide   = %+v", label, narrow, wide)
 	}
 }
@@ -38,19 +49,20 @@ func TestNarrowWideDifferentialSweep(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					a := seq.Random(rng, nLen)
 					b := seq.UniformErrors(rate).Apply(rng, a)
-					label := fmt.Sprintf("n=%d rate=%.2f w=%d rep=%d", nLen, rate, w, rep)
-					narrow, ok := s.adaptiveBandNarrow(a, b, p, w, DefaultVariant())
-					wide, _ := s.adaptiveBand(a, b, p, w, false, DefaultVariant())
-					if !ok {
-						continue // overflow is allowed, silence is not: counted below
+					for _, tb := range bothModes {
+						label := fmt.Sprintf("n=%d rate=%.2f w=%d rep=%d tb=%v", nLen, rate, w, rep, tb)
+						narrow, wide, ok := narrowAndWide(s, a, b, p, w, tb)
+						if !ok {
+							continue // overflow is allowed, silence is not: counted below
+						}
+						cases++
+						requireNarrowEqual(t, label, narrow, wide)
 					}
-					cases++
-					requireNarrowEqual(t, label, narrow, wide)
 				}
 			}
 		}
 	}
-	if cases < 200 {
+	if cases < 400 {
 		t.Fatalf("only %d non-overflowed sweep cases; narrow path is over-escalating", cases)
 	}
 }
@@ -67,13 +79,14 @@ func TestNarrowSkewedPairs(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(tc.m*7 + tc.n*13 + tc.w)))
 		a := seq.Random(rng, tc.m)
 		b := seq.Random(rng, tc.n)
-		label := fmt.Sprintf("m=%d n=%d w=%d", tc.m, tc.n, tc.w)
-		narrow, ok := s.adaptiveBandNarrow(a, b, p, tc.w, DefaultVariant())
-		wide, _ := s.adaptiveBand(a, b, p, tc.w, false, DefaultVariant())
-		if !ok {
-			continue
+		for _, tb := range bothModes {
+			label := fmt.Sprintf("m=%d n=%d w=%d tb=%v", tc.m, tc.n, tc.w, tb)
+			narrow, wide, ok := narrowAndWide(s, a, b, p, tc.w, tb)
+			if !ok {
+				continue
+			}
+			requireNarrowEqual(t, label, narrow, wide)
 		}
-		requireNarrowEqual(t, label, narrow, wide)
 	}
 }
 
@@ -89,13 +102,14 @@ func TestNarrowLongSimilar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := seq.Random(rng, 30_000)
 	b := seq.UniformErrors(0.05).Apply(rng, a)
-	narrow, ok := s.adaptiveBandNarrow(a, b, p, 128, DefaultVariant())
-	wide, _ := s.adaptiveBand(a, b, p, 128, false, DefaultVariant())
-	if !ok {
-		t.Fatal("narrow engine overflowed on the benchmark shape")
-	}
-	requireNarrowEqual(t, "30k 5%", narrow, wide)
-	if narrow.Score < narrowTop {
-		t.Fatalf("score %d does not exercise the rebase (want > %d)", narrow.Score, narrowTop)
+	for _, tb := range bothModes {
+		narrow, wide, ok := narrowAndWide(s, a, b, p, 128, tb)
+		if !ok {
+			t.Fatal("narrow engine overflowed on the benchmark shape")
+		}
+		requireNarrowEqual(t, fmt.Sprintf("30k 5%% tb=%v", tb), narrow, wide)
+		if narrow.Score < narrowTop {
+			t.Fatalf("score %d does not exercise the rebase (want > %d)", narrow.Score, narrowTop)
+		}
 	}
 }

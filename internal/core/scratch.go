@@ -38,7 +38,9 @@ type Scratch struct {
 	pa, pb []byte
 
 	// Traceback arena, lazily sized on the first traceback call — the
-	// score-only paths never touch it.
+	// score-only paths never touch it. The wide engine lays it out as
+	// zeroed NibbleRows (btBuf); the narrow engine as lane-indexed rows
+	// it does not zero (banded_narrow.go).
 	bt []byte
 
 	// Row-major lanes shared by the static-band and Gotoh engines.

@@ -148,13 +148,22 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	}
 	// The align path may allocate only the result CIGAR (and the traceback
 	// closure feeding it) — a handful of objects, not O(w) lanes.
-	if allocs := testing.AllocsPerRun(20, func() {
+	alignAllocs := testing.AllocsPerRun(20, func() {
 		sink = s.AdaptiveBandAlign(a, b, p, 64)
-	}); allocs > 12 {
-		t.Errorf("warmed AdaptiveBandAlign allocates %.1f objects/op, want only CIGAR machinery (<= 12)", allocs)
+	})
+	if alignAllocs > 12 {
+		t.Errorf("warmed AdaptiveBandAlign allocates %.1f objects/op, want only CIGAR machinery (<= 12)", alignAllocs)
 	}
 	if !sink.InBand {
 		t.Fatal("sanity: alignment fell out of band")
+	}
+	// The narrow-lane fast path behind AdaptiveBandAlign builds the same
+	// CIGAR from its own arena: not one object more than the wide engine.
+	s.AdaptiveBandAlignWide(a, b, p, 64)
+	if wideAllocs := testing.AllocsPerRun(20, func() {
+		sink = s.AdaptiveBandAlignWide(a, b, p, 64)
+	}); alignAllocs != wideAllocs {
+		t.Errorf("AdaptiveBandAlign allocates %.1f objects/op, the wide engine %.1f: the fast path may allocate only the CIGAR", alignAllocs, wideAllocs)
 	}
 
 	// Static band and Gotoh share the arena.

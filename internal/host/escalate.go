@@ -160,7 +160,14 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		roundCfg.Kernel.Band = rg.band
 		roundCfg.Kernel.Geometry = rg.geom
 		roundCfg.Kernel.Traceback = rg.traceback
-		roundCfg.Kernel.LaneWidth = 64 // ladder rungs are always full-width
+		// Ladder rungs are always *modelled* full-width. A score-only rung
+		// says so by pinning the lane width; a traceback rung is modelled
+		// at 64 under any lane width (Config.Lanes) and keeps the
+		// configured one, so only an explicit -lanes 64 pins the
+		// full-width *engine* there too (kernel.Config.Align).
+		if !rg.traceback {
+			roundCfg.Kernel.LaneWidth = 64
+		}
 		// Decorrelate this round's injected faults from the earlier
 		// rounds': the (batch, attempt, dpu) draw coordinates recur every
 		// round, and reusing the seed would make the same fault chase the

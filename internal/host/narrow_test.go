@@ -1,6 +1,7 @@
 package host
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,60 @@ func TestChecksumCoversOverflowFlag(t *testing.T) {
 	b := []kernel.PairResult{{ID: 1, Score: 10, InBand: true, Overflowed: true}}
 	if kernel.ChecksumResults(a) == kernel.ChecksumResults(b) {
 		t.Fatal("checksum ignores the Overflowed flag")
+	}
+}
+
+// TestTracebackAutoLanesMatchPinnedWide: under auto lanes a traceback run
+// is *modelled* on the full-width DPU kernel but *computed* in 16-bit
+// lanes (core's AdaptiveBandAlign, in-engine fallback); LaneWidth 64 pins
+// the full-width engine. The two must be indistinguishable from the host:
+// results pair for pair (score, CIGAR, status, dpu-banded@w provenance,
+// placement), every report counter (no overflow is ever surfaced) and the
+// modelled makespan — with the ladder off and with clipped pairs climbing
+// it through bands 128 and up.
+func TestTracebackAutoLanesMatchPinnedWide(t *testing.T) {
+	// Band 64 holds the 3 % half of the batch and clips the 14 % half.
+	pairs := makePairs(18, 12, 700, 0.03)
+	for _, p := range makePairs(19, 12, 700, 0.14) {
+		p.ID += 12
+		pairs = append(pairs, p)
+	}
+	for _, escalate := range []bool{false, true} {
+		run := func(lanes int) (*Report, []Result) {
+			cfg := testConfig(2, true)
+			cfg.Kernel.LaneWidth = lanes
+			cfg.Escalate = escalate
+			rep, results, err := AlignPairs(cfg, pairs)
+			if err != nil {
+				t.Fatalf("lanes=%d escalate=%v: %v", lanes, escalate, err)
+			}
+			return rep, results
+		}
+		autoRep, autoRes := run(0)
+		wideRep, wideRes := run(64)
+		if len(autoRes) != len(pairs) || len(wideRes) != len(pairs) {
+			t.Fatalf("escalate=%v: %d / %d results for %d pairs", escalate, len(autoRes), len(wideRes), len(pairs))
+		}
+		for i := range autoRes {
+			if !reflect.DeepEqual(autoRes[i], wideRes[i]) {
+				t.Errorf("escalate=%v pair %d:\n auto %+v\n wide %+v", escalate, pairs[i].ID, autoRes[i], wideRes[i])
+			}
+		}
+		if !reflect.DeepEqual(autoRep.Counters, wideRep.Counters) {
+			t.Errorf("escalate=%v counters:\n auto %+v\n wide %+v", escalate, autoRep.Counters, wideRep.Counters)
+		}
+		if autoRep.MakespanSec != wideRep.MakespanSec {
+			t.Errorf("escalate=%v: modelled makespan %v under auto, %v at lanes 64", escalate, autoRep.MakespanSec, wideRep.MakespanSec)
+		}
+		if autoRep.OverflowedPairs != 0 {
+			t.Errorf("escalate=%v: %d overflowed pairs surfaced from the in-engine fallback", escalate, autoRep.OverflowedPairs)
+		}
+		if n := autoRep.Provenance["dpu-banded@64"]; n == 0 || (escalate && n == len(pairs)) {
+			t.Errorf("escalate=%v: %d of %d pairs settled at dpu-banded@64; want some, and under the ladder not all (%v)",
+				escalate, n, len(pairs), autoRep.Provenance)
+		}
+		if escalate && autoRep.Escalations == 0 {
+			t.Errorf("no pair climbed the ladder: %+v", autoRep.Provenance)
+		}
 	}
 }

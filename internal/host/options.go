@@ -39,7 +39,7 @@ type Options struct {
 // Bind registers the flags pimalign, alignd and experiments share, with
 // their defaults, on fs.
 func (o *Options) Bind(fs *flag.FlagSet) {
-	fs.StringVar(&o.Lanes, "lanes", "auto", "DP lane width of the DPU kernel: auto, 16 (saturating narrow lanes, score-only) or 64")
+	fs.StringVar(&o.Lanes, "lanes", "auto", "DP lane width of the modelled DPU kernel: auto, 16 (saturating narrow lanes; the modelled narrow DPU kernel is score-only, the simulator already runs traceback in 16-bit lanes under auto) or 64 (pin the full-width engine)")
 	fs.StringVar(&o.Fleet, "fleet", "", "shard the batch pipeline across a multi-backend fleet: comma-separated pim[:RANKS[@FREQMHZ]][~FAULTRATE] / cpu[:THREADS] entries (empty = the single fabric)")
 	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "per-DPU fault injection probability in [0,1] for the batch pipeline (0 = perfect fabric)")
 	fs.Int64Var(&o.FaultSeed, "fault-seed", 1, "fault injection seed (deterministic per seed)")

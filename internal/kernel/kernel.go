@@ -45,12 +45,17 @@ type Config struct {
 	// Traceback selects the CIGAR-producing kernel; false is the
 	// score-only kernel used by the 16S experiment.
 	Traceback bool
-	// LaneWidth selects the DP cell width in bits: 64 is the full-width
-	// word-packed kernel, 16 the saturating narrow-lane kernel (score-only;
+	// LaneWidth selects the DP cell width in bits of the modelled DPU
+	// kernel: 64 is the full-width word-packed kernel, 16 the saturating
+	// narrow-lane kernel (the modelled narrow DPU kernel is score-only;
 	// overflowed pairs come back flagged for the host ladder), and 0 is
 	// auto — narrow whenever the mode and scoring model admit it. Narrow
 	// lanes halve the per-pool WRAM working set, so wider bands fit
-	// on-DPU at the same geometry.
+	// on-DPU at the same geometry. The lane width names the model, not the
+	// arithmetic the simulator runs: under auto a traceback run is
+	// modelled at 64 yet computed in 16-bit lanes when they fit (same
+	// answers, see Align); an explicit 64 pins the full-width engine in
+	// both modes.
 	LaneWidth int
 	// PIM provides the WRAM/MRAM capacities the kernel must fit in.
 	PIM pim.Config
@@ -138,7 +143,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("kernel: lane width %d not supported (want 0, 16 or 64)", c.LaneWidth)
 	}
 	if c.LaneWidth == 16 && c.Traceback {
-		return fmt.Errorf("kernel: the 16-bit narrow-lane kernel is score-only (traceback needs the full-width kernel)")
+		return fmt.Errorf("kernel: the modelled narrow DPU kernel is score-only; the simulator already runs traceback in 16-bit lanes under auto (use lane width 0 or 64 with traceback)")
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err
@@ -205,13 +210,18 @@ type PairResult struct {
 // result as the host receives it — the one place the engine is chosen, for
 // the DPU kernel and for the CPU pool backend alike, so scores, CIGARs and
 // clip/overflow flags (and with them every escalation-ladder decision) are
-// bit-identical wherever a pair runs. The traceback kernel is always
-// full-width; the score-only kernel pins the engine the resolved lane width
-// names, so a narrow overflow surfaces as a flagged result for the host
-// ladder instead of silently falling back on-device.
+// bit-identical wherever a pair runs. The traceback kernel is modelled
+// full-width; it is computed narrow-first with an in-engine fallback
+// (core's AdaptiveBandAlign — the result is the wide engine's bit for bit)
+// unless the lane width is pinned to 64. The score-only kernel pins the
+// engine the resolved lane width names, so a narrow overflow surfaces as a
+// flagged result for the host ladder instead of silently falling back
+// on-device.
 func (c Config) Align(scratch *core.Scratch, id int, a, b seq.Seq) PairResult {
 	var res core.Result
 	switch {
+	case c.Traceback && c.LaneWidth == 64:
+		res = scratch.AdaptiveBandAlignWide(a, b, c.Params, c.Band)
 	case c.Traceback:
 		res = scratch.AdaptiveBandAlign(a, b, c.Params, c.Band)
 	case c.Lanes(c.Band, c.Traceback) == 16:

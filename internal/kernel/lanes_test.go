@@ -109,16 +109,18 @@ func TestNarrowLanesWidenFitGeometry(t *testing.T) {
 // TestAlignMatchesRun: Config.Align is the engine choice the kernel itself
 // makes, so calling it directly (as the CPU pool backend does) returns
 // exactly the PairResult a DPU launch reports — for the traceback, narrow
-// and wide engines alike.
+// and wide engines alike. Traceback under auto lanes (computed in 16-bit
+// lanes) and under the pinned full-width engine must be the same result.
 func TestAlignMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := seq.Random(rng, 400)
 	b := seq.UniformErrors(0.08).Apply(rng, a)
+	var tracebacks []PairResult
 	for _, tc := range []struct {
 		name      string
 		traceback bool
 		lanes     int
-	}{{"traceback", true, 64}, {"narrow", false, 16}, {"wide", false, 64}} {
+	}{{"traceback", true, 64}, {"traceback-auto", true, 0}, {"narrow", false, 16}, {"wide", false, 64}} {
 		cfg := testConfig(tc.traceback)
 		cfg.LaneWidth = tc.lanes
 		d := cfg.PIM.NewDPU(0)
@@ -139,5 +141,11 @@ func TestAlignMatchesRun(t *testing.T) {
 		if tc.traceback == (got.Cigar == nil) {
 			t.Errorf("%s: cigar presence %v", tc.name, got.Cigar != nil)
 		}
+		if tc.traceback {
+			tracebacks = append(tracebacks, got)
+		}
+	}
+	if !reflect.DeepEqual(tracebacks[0], tracebacks[1]) {
+		t.Errorf("traceback at lanes 64 = %+v, at auto = %+v", tracebacks[0], tracebacks[1])
 	}
 }
