@@ -5,7 +5,9 @@
 #   1. gofmt -l          (fails if any file is unformatted)
 #   2. go vet ./...      (plus GOARCH=arm64 go vet ./internal/core, so the
 #                         !amd64 twins of the assembly kernels keep
-#                         compiling)
+#                         compiling, and GOARCH=386 go test -short
+#                         ./internal/core, so they run end to end: on amd64
+#                         the SWAR steps see only edge and trailing words)
 #   3. go build ./...
 #   4. go test -race ./...
 #   5. golden reports x5 (the report goldens again, five times under
@@ -44,6 +46,7 @@ fi
 echo "== go vet =="
 go vet ./...
 GOARCH=arm64 go vet ./internal/core
+GOARCH=386 go test -short ./internal/core
 
 echo "== go build =="
 go build ./...

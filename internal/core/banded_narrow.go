@@ -12,6 +12,20 @@ import (
 // stored relative to a running base, so the interior cell loop runs four
 // lanes per ALU op instead of one.
 //
+// Lane layout. Window cell p lives at lane p+narrowLane0 = p+4: a whole
+// dead word comes first (lanes 0–3, the last of them the top sentinel),
+// the bottom sentinel and a zero pad word last, so every word a span
+// touches has in-bounds neighbours for its funnel-shifted loads, and a
+// full window of a band that is a multiple of 8 is whole SSE2 iterations.
+// The operands are expanded once per call to one base per 16-bit lane (a
+// forward, b reversed, so both advance with stride +1 along an
+// anti-diagonal), and the step forms the substitution word itself by
+// comparing the two base streams lane for lane — the SSE2 analogue of the
+// paper's cmpb4 (§4.2.4). A span that starts or ends mid-word runs its
+// partial edge words through the same portable word step under a lane
+// keep-mask, so the cell update exists exactly four times: SSE2 and SWAR,
+// each with and without traceback (narrow_step*.go).
+//
 // Value encoding. Lane values are unsigned 15-bit magnitudes under a bias:
 //
 //	stored = trueScore − base + narrowCenter,  live ⇔ stored ∈ (0, 2^15)
@@ -43,15 +57,16 @@ import (
 // the nibble of an interior cell is read off the lane compares the
 // recurrence already makes (extend ⇔ the extend candidate equals the lane
 // max, so ties extend; origin from two strict compares, diagonal before I
-// before D; match/mismatch from the zero lanes of the substitution word),
-// eight cells packed to four bytes per SSE2 iteration. The arena is
-// private to the engine and indexed by lane — nibble L of row t is lane L
-// of anti-diagonal t, two bytes per packed word — and is never zeroed:
-// every nibble the walk consults is written. A consulted nibble belongs to
-// a cell whose walked state holds an exact value at or above the guard
-// floor, while a dead or clamped candidate is below it, so a candidate
-// that ties the lane max is itself exact and every compare agrees with
-// adaptiveStepTB's; DESIGN.md "Narrow-lane arithmetic" has the argument.
+// before D; match/mismatch from the same base compare that forms the
+// substitution word), eight cells packed to four bytes per SSE2 iteration.
+// The arena is private to the engine and indexed by lane — nibble L of row
+// t is lane L of anti-diagonal t, two bytes per packed word — and is never
+// zeroed: every nibble the walk consults is written. A consulted nibble
+// belongs to a cell whose walked state holds an exact value at or above
+// the guard floor, while a dead or clamped candidate is below it, so a
+// candidate that ties the lane max is itself exact and every compare
+// agrees with adaptiveStepTB's; DESIGN.md "Narrow-lane arithmetic" has the
+// argument.
 
 const (
 	// narrowCenter is the storage bias: a freshly rebased window maximum
@@ -70,6 +85,10 @@ const (
 	// broadcast SWAR constants are faithful and lane sums cannot carry
 	// across lanes.
 	narrowParamMax = 4096
+	// narrowLane0 is the lane of window cell 0, the first lane after the
+	// dead word that ends in the top sentinel — and, behind the same dead
+	// word, the lane of base 0 in the one-base-per-lane operands.
+	narrowLane0 = 4
 
 	nH       = 0x8000800080008000 // bit 15 of every lane
 	nLow     = 0x7fff7fff7fff7fff // low 15 bits of every lane
@@ -87,7 +106,7 @@ func narrowGuard(p Params) int32 {
 // narrowParamsFit reports whether the scoring parameters are small enough
 // for faithful 16-bit broadcast arithmetic, and a match scores above a
 // mismatch so that the zero lanes of a substitution word are exactly the
-// mismatches (the traceback reads the diagonal origin code off them).
+// mismatches (the SSE2 traceback reads the diagonal origin code off them).
 func narrowParamsFit(p Params) bool {
 	return p.Match <= narrowParamMax && -p.Mismatch <= narrowParamMax &&
 		p.GapOpen <= narrowParamMax && p.GapExt <= narrowParamMax &&
@@ -177,14 +196,6 @@ func setLane16(a []uint64, l int, v uint16) {
 	a[g] = a[g]&^(uint64(0xffff)<<sh) | uint64(v)<<sh
 }
 
-// sub016 is the scalar twin of the SWAR saturating-at-zero subtract.
-func sub016(x, c uint16) uint16 {
-	if x >= c {
-		return x - c
-	}
-	return 0
-}
-
 // narrowRebase shifts every live lane of arr down by shift (up when shift
 // is negative), leaving dead lanes dead. It returns false if any live
 // lane would leave the representable (0, narrowTop] range — exactness can
@@ -242,12 +253,9 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	off := s.off
 	off[0] = 0
 
-	// Lane layout as in adaptiveBand — cell p at lane p+1, dead sentinels
-	// at lanes 0 and w+1 — packed four lanes per word, plus one permanent
-	// zero pad word so the funnel-shifted neighbour loads below never
-	// bound-check.
-	lanes := w + 2
-	words := (lanes+3)/4 + 1
+	// Lanes 0 … narrowLane0+w (the dead word, the w cells and the bottom
+	// sentinel) packed four per word, plus one permanent zero pad word.
+	words := (narrowLane0+w+4)/4 + 1
 	s.nh0 = growU64(s.nh0, words)
 	s.nh1 = growU64(s.nh1, words)
 	s.nh2 = growU64(s.nh2, words)
@@ -255,20 +263,19 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	s.ni1 = growU64(s.ni1, words)
 	s.nd0 = growU64(s.nd0, words)
 	s.nd1 = growU64(s.nd1, words)
-	s.nsub = growU64(s.nsub, words)
 	hPrev, hCur, hNext := s.nh0, s.nh1, s.nh2
 	iCur, iNext := s.ni0, s.ni1
 	dCur, dNext := s.nd0, s.nd1
-	nsub := s.nsub
 	for g := 0; g < words; g++ {
 		hPrev[g], hCur[g], hNext[g] = 0, 0, 0
 		iCur[g], iNext[g] = 0, 0
 		dCur[g], dNext[g] = 0, 0
 	}
-	setLane16(hCur, 1, narrowCenter) // cell (0,0): score 0 at bias, base 0
+	setLane16(hCur, narrowLane0, narrowCenter) // cell (0,0): score 0 at bias, base 0
 	res.Cells = 1
 
-	pa, pb := s.packOperands(a, b)
+	s.na = laneBases(s.na, a, false)
+	s.nb = laneBases(s.nb, b, true)
 
 	// Lane-indexed traceback rows: two bytes per packed lane word. Not
 	// zeroed — see the header comment.
@@ -279,28 +286,14 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		bt = s.bt
 	}
 
-	// Broadcast SWAR constants and the 16-entry substitution LUT: index
-	// bit k set ⇔ lane k matches, lane value Match−Mismatch (added on top
-	// of the unconditional Mismatch fold below).
-	e16 := uint16(p.GapExt)
-	oe16 := uint16(p.GapOpen + p.GapExt)
-	nm16 := uint16(-p.Mismatch)
-	gb := narrowGuard(p)
-	gb16 := uint16(gb)
-	eV := uint64(e16) * lanesOne
-	oeV := uint64(oe16) * lanesOne
-	nmV := uint64(nm16) * lanesOne
-	gbV := uint64(gb16) * lanesOne
-	smd := uint64(uint16(p.Match - p.Mismatch))
-	var lut [16]uint64
-	for i := 1; i < 16; i++ {
-		var v uint64
-		for k := uint(0); k < 4; k++ {
-			if i>>k&1 == 1 {
-				v |= smd << (k * 16)
-			}
-		}
-		lut[i] = v
+	st := narrowStep{
+		a:   s.na,
+		b:   s.nb,
+		eV:  uint64(uint16(p.GapExt)) * lanesOne,
+		oeV: uint64(uint16(p.GapOpen+p.GapExt)) * lanesOne,
+		nmV: uint64(uint16(-p.Mismatch)) * lanesOne,
+		gbV: uint64(uint16(narrowGuard(p))) * lanesOne,
+		smV: uint64(uint16(p.Match-p.Mismatch)) * lanesOne,
 	}
 
 	var base int32 // cumulative rebase: trueScore = stored − narrowCenter + base
@@ -317,7 +310,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	}
 
 	for t := 0; t < m+n; t++ {
-		d := int(chooseShift(nval(getLane16(hCur, 1)), nval(getLane16(hCur, w)), off[t], t, m, n, w, variant))
+		d := int(chooseShift(nval(getLane16(hCur, narrowLane0)), nval(getLane16(hCur, narrowLane0+w-1)), off[t], t, m, n, w, variant))
 		loI := t + 1 - n
 		if loI < 0 {
 			loI = 0
@@ -338,7 +331,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			o := int(off[t])
 			if d == 1 {
 				if j := t - o; j >= 0 && j < n && o <= m {
-					if hv := nval(getLane16(hCur, 1)); hv > NegInf/2 {
+					if hv := nval(getLane16(hCur, narrowLane0)); hv > NegInf/2 {
 						if pot := hv + escapeBound(p, m-o, n-j); pot > maxPot {
 							maxPot = pot
 						}
@@ -347,7 +340,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			} else {
 				i := o + w - 1
 				if j := t - i; i >= 0 && i < m && j >= 0 && j <= n {
-					if hv := nval(getLane16(hCur, w)); hv > NegInf/2 {
+					if hv := nval(getLane16(hCur, narrowLane0+w-1)); hv > NegInf/2 {
 						if pot := hv + escapeBound(p, m-i, n-j); pot > maxPot {
 							maxPot = pot
 						}
@@ -381,14 +374,14 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 
 		// Out-of-matrix flanks become dead lanes.
 		for q := 0; q < pLo; q++ {
-			setLane16(hNext, q+1, 0)
-			setLane16(iNext, q+1, 0)
-			setLane16(dNext, q+1, 0)
+			setLane16(hNext, q+narrowLane0, 0)
+			setLane16(iNext, q+narrowLane0, 0)
+			setLane16(dNext, q+narrowLane0, 0)
 		}
 		for q := pHi + 1; q < w; q++ {
-			setLane16(hNext, q+1, 0)
-			setLane16(iNext, q+1, 0)
-			setLane16(dNext, q+1, 0)
+			setLane16(hNext, q+narrowLane0, 0)
+			setLane16(iNext, q+narrowLane0, 0)
+			setLane16(dNext, q+narrowLane0, 0)
 		}
 
 		cLo := 0
@@ -414,11 +407,11 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 				overflow = true
 				rel = 1
 			}
-			setLane16(hNext, 1, uint16(rel))
-			setLane16(dNext, 1, uint16(rel))
-			setLane16(iNext, 1, 0)
+			setLane16(hNext, narrowLane0, uint16(rel))
+			setLane16(dNext, narrowLane0, uint16(rel))
+			setLane16(iNext, narrowLane0, 0)
 			if traceback {
-				btRow.Set(1, MakeBTNibble(btFromD, false, t+1 > 1))
+				btRow.Set(narrowLane0, MakeBTNibble(btFromD, false, t+1 > 1))
 			}
 		}
 		if q := t + 1 - o; q >= 0 && q < w && t+1 <= m {
@@ -427,162 +420,25 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 				overflow = true
 				rel = 1
 			}
-			setLane16(hNext, q+1, uint16(rel))
-			setLane16(iNext, q+1, uint16(rel))
-			setLane16(dNext, q+1, 0)
+			setLane16(hNext, q+narrowLane0, uint16(rel))
+			setLane16(iNext, q+narrowLane0, uint16(rel))
+			setLane16(dNext, q+narrowLane0, 0)
 			if traceback {
-				btRow.Set(q+1, MakeBTNibble(btFromI, t+1 > 1, false))
+				btRow.Set(q+narrowLane0, MakeBTNibble(btFromI, t+1 > 1, false))
 			}
 		}
 
 		if pLo <= pHi {
-			dd := d + dPrevShift
-			loLane := pLo + 1
-			hiLane := pHi + 1
-			gA := (loLane + 3) >> 2 // first word whose four lanes are all interior
-			gB := (hiLane - 3) >> 2 // last such word (arithmetic shift: floor)
-
-			var ovAcc uint64
-			aiBase := o - 2         // a index of lane L is aiBase+L
-			biBase := n - 2 - t + o // reversed-b index of lane L is biBase+L
-
-			if gA <= gB {
-				// Lane-aligned packed substitution words: lane values are
-				// Match−Mismatch on a comparator hit, 0 otherwise; the
-				// Mismatch part is folded in unconditionally via nmV below.
-				for g := gA; g <= gB; {
-					c0 := g * 4
-					cm := seq.CompressMask(seq.MatchMask(pa, pb, aiBase+c0, biBase+c0))
-					gEnd := min(g+8, gB+1)
-					for ; g < gEnd; g++ {
-						nsub[g] = lut[cm&0xf]
-						cm >>= 4
-					}
-				}
-
-				if traceback {
-					ovAcc |= narrowStepWordsTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub, btRow,
-						gA, gB, d, dd, eV, oeV, nmV, gbV)
-				} else {
-					ovAcc |= narrowStepWords(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub,
-						gA, gB, d, dd, eV, oeV, nmV, gbV)
-				}
-			}
-
-			// Partial words at the span edges, cell by cell with scalar
-			// twins of the SWAR primitives (identical saturation and guard
-			// semantics).
-			edgeLo1, edgeHi1 := loLane, min(gA*4-1, hiLane)
-			edgeLo2, edgeHi2 := max(gB*4+4, loLane), hiLane
-			if gA > gB {
-				edgeLo1, edgeHi1 = loLane, hiLane
-				edgeLo2, edgeHi2 = 1, 0
-			}
-			// The loop exists twice, like the word step (and like
-			// adaptiveStepScore/adaptiveStepTB): the traceback copy adds the
-			// nibble — the scalar twin of the word step's derivation, ties
-			// extend, diagonal before I before D — so the score-only copy
-			// carries no per-lane traceback branch (a flag, or a second pass
-			// re-reading the lanes, each cost one of the two paths 3–15 %).
-			if traceback {
-				for r := 0; r < 2; r++ {
-					lo, hi := edgeLo1, edgeHi1
-					if r == 1 {
-						lo, hi = edgeLo2, edgeHi2
-					}
-					for L := lo; L <= hi; L++ {
-						up := L - 1 + d
-						dgl := L - 1 + dd
-						hu := getLane16(hCur, up)
-						iu := getLane16(iCur, up)
-						hl := getLane16(hCur, up+1)
-						dl := getLane16(dCur, up+1)
-						hd := getLane16(hPrev, dgl)
-						iv := sub016(iu, e16)
-						if v := sub016(hu, oe16); v > iv {
-							iv = v
-						}
-						dv := sub016(dl, e16)
-						if v := sub016(hl, oe16); v > dv {
-							dv = v
-						}
-						sum := uint32(hd)
-						origin := btDiagMismatch
-						if seq.MatchMask(pa, pb, aiBase+L, biBase+L)&1 == 1 {
-							sum += uint32(smd)
-							origin = btDiagMatch
-						}
-						if sum > narrowTop {
-							overflow = true
-							sum = narrowTop
-						}
-						dg := sub016(uint16(sum), nm16)
-						best := dg
-						if iv > best {
-							best = iv
-							origin = btFromI
-						}
-						if dv > best {
-							best = dv
-							origin = btFromD
-						}
-						if best < gb16 {
-							overflow = true
-						}
-						setLane16(hNext, L, best)
-						setLane16(iNext, L, iv)
-						setLane16(dNext, L, dv)
-						btRow.Set(L, MakeBTNibble(origin, sub016(iu, e16) == iv, sub016(dl, e16) == dv))
-					}
-				}
-			} else {
-				for r := 0; r < 2; r++ {
-					lo, hi := edgeLo1, edgeHi1
-					if r == 1 {
-						lo, hi = edgeLo2, edgeHi2
-					}
-					for L := lo; L <= hi; L++ {
-						up := L - 1 + d
-						dgl := L - 1 + dd
-						hu := getLane16(hCur, up)
-						iu := getLane16(iCur, up)
-						hl := getLane16(hCur, up+1)
-						dl := getLane16(dCur, up+1)
-						hd := getLane16(hPrev, dgl)
-						iv := sub016(iu, e16)
-						if v := sub016(hu, oe16); v > iv {
-							iv = v
-						}
-						dv := sub016(dl, e16)
-						if v := sub016(hl, oe16); v > dv {
-							dv = v
-						}
-						sum := uint32(hd)
-						if seq.MatchMask(pa, pb, aiBase+L, biBase+L)&1 == 1 {
-							sum += uint32(smd)
-						}
-						if sum > narrowTop {
-							overflow = true
-							sum = narrowTop
-						}
-						dg := sub016(uint16(sum), nm16)
-						best := dg
-						if iv > best {
-							best = iv
-						}
-						if dv > best {
-							best = dv
-						}
-						if best < gb16 {
-							overflow = true
-						}
-						setLane16(hNext, L, best)
-						setLane16(iNext, L, iv)
-						setLane16(dNext, L, dv)
-					}
-				}
-			}
-			if ovAcc != 0 {
+			st.hNext, st.iNext, st.dNext = hNext, iNext, dNext
+			st.hCur, st.iCur, st.dCur, st.hPrev = hCur, iCur, dCur, hPrev
+			st.bt = btRow
+			st.d, st.dd = d, d+dPrevShift
+			// Lane L is cell (i, j) = (o+L−narrowLane0, t+1−i): it compares
+			// a[i−1], at base lane L+o−1, with b[j−1], which sits at
+			// reversed index n−j, base lane L+n−t−1+o.
+			st.aOff = o - 1
+			st.bOff = n - t - 1 + o
+			if st.span(pLo+narrowLane0, pHi+narrowLane0, traceback) != 0 {
 				overflow = true
 			}
 		}
@@ -602,7 +458,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		// window must fit the lane, not the absolute score.
 		if (t+1)%narrowRebaseEvery == 0 {
 			maxSt := uint16(0)
-			for l := 1; l <= w; l++ {
+			for l := narrowLane0; l < narrowLane0+w; l++ {
 				if v := getLane16(hCur, l); v > maxSt {
 					maxSt = v
 				}
@@ -630,16 +486,55 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		res.Score = NegInf
 		return res, true
 	}
-	st := getLane16(hCur, pFinal+1)
-	if st == 0 {
+	v := getLane16(hCur, pFinal+narrowLane0)
+	if v == 0 {
 		res.Score = NegInf
 		return res, true
 	}
 	res.InBand = true
-	res.Score = int32(st) - narrowCenter + base
+	res.Score = int32(v) - narrowCenter + base
 	res.Clipped = maxPot > res.Score
 	if traceback {
-		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, 1)
+		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, narrowLane0)
 	}
 	return res, true
+}
+
+// span steps lanes [lo, hi] of one anti-diagonal: whole words through the
+// vector step, a partial word at either edge through the portable step
+// under a lane keep-mask, so the flank, boundary and sentinel lanes beside
+// the span keep what the caller wrote there. Returns the sticky
+// accumulator of the kept lanes.
+func (st *narrowStep) span(lo, hi int, traceback bool) uint64 {
+	gLo, gHi := lo>>2, hi>>2
+	keepLo := ^uint64(0) << (16 * uint(lo&3))
+	keepHi := ^uint64(0) >> (16 * uint(3-hi&3))
+	if gLo == gHi {
+		return st.masked(gLo, keepLo&keepHi, traceback)
+	}
+	var ov uint64
+	if keepLo != ^uint64(0) {
+		ov |= st.masked(gLo, keepLo, traceback)
+		gLo++
+	}
+	if keepHi != ^uint64(0) {
+		ov |= st.masked(gHi, keepHi, traceback)
+		gHi--
+	}
+	if gLo <= gHi {
+		if traceback {
+			ov |= narrowStepWordsTB(st, gLo, gHi)
+		} else {
+			ov |= narrowStepWords(st, gLo, gHi)
+		}
+	}
+	return ov
+}
+
+// masked steps the single word g, writing only the lanes set in keep.
+func (st *narrowStep) masked(g int, keep uint64, traceback bool) uint64 {
+	if traceback {
+		return narrowStepWordsGoTB(st, g, g, keep)
+	}
+	return narrowStepWordsGo(st, g, g, keep)
 }

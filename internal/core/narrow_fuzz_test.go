@@ -30,6 +30,15 @@ func FuzzNarrowWideEquivalence(f *testing.F) {
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), []byte("AAAA"), uint8(3), uint8(2), false, false)
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0}, []byte{3, 2, 1, 0}, uint8(63), uint8(3), true, false)
 	f.Add([]byte("ACACACACACACACACACACACAC"), []byte("ACACACACACACACACACACACAC"), uint8(16), uint8(4), true, true)
+	// Bands w ≡ 1, 2, 3 (mod 4), so the window ends mid-word, on pairs
+	// whose first anti-diagonals open the span mid-word beside the o == 0
+	// boundary cell and close it mid-word beside the j == 0 one, and whose
+	// last ones do the same against the i == m and j == n edges.
+	f.Add([]byte("ACGTTGCAACGTAGGCTTACGATCG"), []byte("ACGTTGCTACGTAGCTTACGTTCG"), uint8(3), uint8(0), false, true)
+	f.Add([]byte("ACGTTGCAACGTAGGCTTACGATCG"), []byte("ACGTTGCTACGTAGCTTACGTTCG"), uint8(4), uint8(1), true, false)
+	f.Add([]byte("TTGACCGATAGCCAGTTAGCAAT"), []byte("TTGACGATAGCCCAGTTAGGCAAT"), uint8(5), uint8(0), false, true)
+	f.Add([]byte("GATTACAGATTACAGATTACAGATTACA"), []byte("GATTACAGATTCAGATTACAGATTTACA"), uint8(9), uint8(4), true, true)
+	f.Add([]byte("CCGGTTAACCGGTTAA"), []byte("CCGGTAACCGGTTTAAG"), uint8(7), uint8(2), false, false)
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, wRaw, pRaw uint8, steer, traceback bool) {
 		a := bytesToSeq(rawA, 96)
 		b := bytesToSeq(rawB, 96)

@@ -42,8 +42,8 @@ func TestNarrowPositiveSaturationBoundary(t *testing.T) {
 		// value, but the pre-fold sum 32640+131 crosses 2^15 → sticky.
 		{129, 32, true},
 		{200, 32, true},
-		// w=2 keeps every lane in the scalar edge loop: the scalar
-		// saturation twin must agree with the word path lane for lane.
+		// w=2 keeps every lane in a masked edge word: the portable step
+		// under a keep-mask must saturate exactly like the whole-word path.
 		{128, 2, false},
 		{129, 2, true},
 	} {
@@ -139,7 +139,7 @@ func stickyMidMatrixPair() (a, b seq.Seq, p Params) {
 func TestNarrowStickyPropagatesAcrossDiagonals(t *testing.T) {
 	a, b, p := stickyMidMatrixPair()
 	s := NewScratch()
-	for _, w := range []int{2, 32} { // scalar-edge-only and word-loop shapes
+	for _, w := range []int{2, 32} { // edge-word-only and whole-word shapes
 		for _, tb := range bothModes {
 			narrow, ok := s.adaptiveBandNarrow(a, b, p, w, tb, DefaultVariant())
 			if ok || !narrow.Overflowed {

@@ -1,26 +1,51 @@
 package core
 
-// narrowStepWordsGo is the portable SWAR form of the narrow engine's
-// interior word loop: for each packed word g in [gA, gB] it computes the
-// four H/I/D cells of one anti-diagonal from funnel-shifted neighbour
-// loads, with per-lane saturating arithmetic as described in
-// banded_narrow.go. The return value is the sticky accumulator — nonzero
-// means a saturating-add carry or a below-guard H output was seen and the
-// step must be treated as overflowed. narrow_step_amd64.s implements the
-// same contract eight lanes at a time; the two are kept in lockstep by the
-// differential sweeps, FuzzNarrowWideEquivalence and, word for word, by
-// TestNarrowStepAsmMatchesPortable.
-func narrowStepWordsGo(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []uint64,
-	gA, gB, d, dd int, eV, oeV, nmV, gbV uint64) uint64 {
-	// Funnel-shift bases for the three neighbour streams; the shift
-	// amounts are loop-invariant (the lane offset mod 4 never changes
-	// within one anti-diagonal).
-	upS := gA*4 + d - 1
+// narrowStep carries one anti-diagonal into the narrow engine's step
+// functions: the seven packed lane arrays (banded_narrow.go), the operands
+// one base per 16-bit lane, the lane-indexed traceback row, the stream
+// offsets and the broadcast constants.
+type narrowStep struct {
+	hNext, iNext, dNext, hCur, iCur, dCur, hPrev []uint64
+	a, b                                         []uint64 // bases one per lane: a, and b reversed
+	bt                                           []byte   // traceback row (traceback steps only)
+	// Output lane L reads its up neighbours at lane L−1+d, its left ones at
+	// L+d, its diagonal at L−1+dd, and compares base lane L+aOff of a with
+	// base lane L+bOff of b.
+	d, dd, aOff, bOff int
+	// GapExt, GapOpen+GapExt, −Mismatch, the guard floor and
+	// Match−Mismatch, broadcast to every lane.
+	eV, oeV, nmV, gbV, smV uint64
+}
+
+// narrowStepWordsGo is the portable SWAR form of the narrow engine's word
+// step: for each packed word g in [gA, gB] it computes the four H/I/D cells
+// of one anti-diagonal from funnel-shifted neighbour and base loads, with
+// per-lane saturating arithmetic as described in banded_narrow.go, and
+// writes only the lanes set in keep (0xffff per kept lane): the engine
+// passes all ones for whole words and a partial mask for the words at the
+// span edges. The return value is the sticky accumulator of the kept lanes
+// — nonzero means a saturating-add carry or a below-guard H output was seen
+// and the step must be treated as overflowed. narrow_step_amd64.s
+// implements the unmasked contract eight lanes at a time; the two are kept
+// in lockstep by the differential sweeps, FuzzNarrowWideEquivalence and,
+// word for word, by TestNarrowStepAsmMatchesPortable.
+func narrowStepWordsGo(st *narrowStep, gA, gB int, keep uint64) uint64 {
+	hNext, iNext, dNext := st.hNext, st.iNext, st.dNext
+	hCur, iCur, dCur, hPrev := st.hCur, st.iCur, st.dCur, st.hPrev
+	ba, bb := st.a, st.b
+	eV, oeV, nmV, gbV, smV := st.eV, st.oeV, st.nmV, st.gbV, st.smV
+	// Funnel-shift bases for the five input streams; the shift amounts are
+	// loop-invariant (the lane offset mod 4 never changes within one
+	// anti-diagonal).
+	upS := gA*4 + st.d - 1
 	ltS := upS + 1
-	dgS := gA*4 + dd - 1
+	dgS := gA*4 + st.dd - 1
+	aS, bS := gA*4+st.aOff, gA*4+st.bOff
 	qU, shU := upS>>2, uint(upS&3)*16
 	qL, shL := ltS>>2, uint(ltS&3)*16
 	qD, shD := dgS>>2, uint(dgS&3)*16
+	qA, shA := aS>>2, uint(aS&3)*16
+	qB, shB := bS>>2, uint(bS&3)*16
 	var ovAcc uint64
 	for g := gA; g <= gB; g++ {
 		hUp := hCur[qU]>>shU | hCur[qU+1]<<(64-shU)
@@ -28,9 +53,12 @@ func narrowStepWordsGo(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []uint
 		hLt := hCur[qL]>>shL | hCur[qL+1]<<(64-shL)
 		dLt := dCur[qL]>>shL | dCur[qL+1]<<(64-shL)
 		hDg := hPrev[qD]>>shD | hPrev[qD+1]<<(64-shD)
+		x := (ba[qA]>>shA | ba[qA+1]<<(64-shA)) ^ (bb[qB]>>shB | bb[qB+1]<<(64-shB))
 		qU++
 		qL++
 		qD++
+		qA++
+		qB++
 
 		// iv = max(iUp ⊖ e, hUp ⊖ oe), per-lane, ⊖ saturating at 0.
 		t1 := (iUp | nH) - eV
@@ -54,12 +82,13 @@ func narrowStepWordsGo(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []uint
 		m6 := t6 & nH
 		dv := dvB + t6&(m6-m6>>15)
 
-		// diag = (hDg ⊕ sub) ⊖ (−Mismatch): a saturating add of the LUT
-		// word (carry → sticky), then the fold of the unconditional
-		// Mismatch.
-		sd := hDg + nsub[g]
+		// diag = (hDg ⊕ sub) ⊖ (−Mismatch): sub is Match−Mismatch where the
+		// bases agree (a lane of x is 0…3, so x + 0x7fff reaches bit 15
+		// exactly on a mismatch), added saturating (carry → sticky), then
+		// the unconditional Mismatch folded in.
+		ne := (x + nLow) & nH
+		sd := hDg + smV&^(ne-ne>>15)
 		md := sd & nH
-		ovAcc |= md
 		sd = sd&nLow | (md - md>>15)
 		t7 := (sd | nH) - nmV
 		m7 := t7 & nH
@@ -76,30 +105,40 @@ func narrowStepWordsGo(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []uint
 		// Bottom guard: any interior H output below the floor is where an
 		// inexact chain would surface — sticky.
 		tg := (best | nH) - gbV
-		ovAcc |= ^tg & nH
+		ovAcc |= md | ^tg&nH
 
-		hNext[g] = best
-		iNext[g] = iv
-		dNext[g] = dv
+		hNext[g] ^= (hNext[g] ^ best) & keep
+		iNext[g] ^= (iNext[g] ^ iv) & keep
+		dNext[g] ^= (dNext[g] ^ dv) & keep
 	}
-	return ovAcc
+	return ovAcc & keep
 }
 
 // narrowStepWordsGoTB is the traceback twin of narrowStepWordsGo: the same
-// recurrence and sticky contract, plus the four bt.go nibbles of every
-// word, read off the borrow bits the maxima already produce — m3/m6 are
-// the extend compares (extend candidate ≥ open candidate: ties extend),
-// the complements of m8/m9 the two strict origin compares (diagonal
-// before I before D), and a zero substitution lane is a mismatch. Word g
-// lands in bytes 2g and 2g+1 of the lane-indexed row bt.
-func narrowStepWordsGoTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []uint64, bt []byte,
-	gA, gB, d, dd int, eV, oeV, nmV, gbV uint64) uint64 {
-	upS := gA*4 + d - 1
+// recurrence, keep-mask and sticky contract, plus the four bt.go nibbles of
+// every word, read off the borrow bits the maxima already produce — m3/m6
+// are the extend compares (extend candidate ≥ open candidate: ties
+// extend), the complements of m8/m9 the two strict origin compares
+// (diagonal before I before D), and the base compare's mismatch bit the
+// diagonal code. Word g lands in bytes 2g and 2g+1 of the lane-indexed row
+// st.bt, kept lanes' nibbles only.
+func narrowStepWordsGoTB(st *narrowStep, gA, gB int, keep uint64) uint64 {
+	hNext, iNext, dNext := st.hNext, st.iNext, st.dNext
+	hCur, iCur, dCur, hPrev := st.hCur, st.iCur, st.dCur, st.hPrev
+	ba, bb, bt := st.a, st.b, st.bt
+	eV, oeV, nmV, gbV, smV := st.eV, st.oeV, st.nmV, st.gbV, st.smV
+	upS := gA*4 + st.d - 1
 	ltS := upS + 1
-	dgS := gA*4 + dd - 1
+	dgS := gA*4 + st.dd - 1
+	aS, bS := gA*4+st.aOff, gA*4+st.bOff
 	qU, shU := upS>>2, uint(upS&3)*16
 	qL, shL := ltS>>2, uint(ltS&3)*16
 	qD, shD := dgS>>2, uint(dgS&3)*16
+	qA, shA := aS>>2, uint(aS&3)*16
+	qB, shB := bS>>2, uint(bS&3)*16
+	// The keep-mask folded like the nibbles below: one 0xf per kept lane.
+	kn := keep & 0x000f000f000f000f
+	kn |= kn >> 12
 	var ovAcc uint64
 	for g := gA; g <= gB; g++ {
 		hUp := hCur[qU]>>shU | hCur[qU+1]<<(64-shU)
@@ -107,9 +146,12 @@ func narrowStepWordsGoTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []ui
 		hLt := hCur[qL]>>shL | hCur[qL+1]<<(64-shL)
 		dLt := dCur[qL]>>shL | dCur[qL+1]<<(64-shL)
 		hDg := hPrev[qD]>>shD | hPrev[qD+1]<<(64-shD)
+		x := (ba[qA]>>shA | ba[qA+1]<<(64-shA)) ^ (bb[qB]>>shB | bb[qB+1]<<(64-shB))
 		qU++
 		qL++
 		qD++
+		qA++
+		qB++
 
 		t1 := (iUp | nH) - eV
 		m1 := t1 & nH
@@ -131,10 +173,9 @@ func narrowStepWordsGoTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []ui
 		m6 := t6 & nH
 		dv := dvB + t6&(m6-m6>>15)
 
-		sub := nsub[g]
-		sd := hDg + sub
+		mis := (x + nLow) & nH
+		sd := hDg + smV&^(mis-mis>>15)
 		md := sd & nH
-		ovAcc |= md
 		sd = sd&nLow | (md - md>>15)
 		t7 := (sd | nH) - nmV
 		m7 := t7 & nH
@@ -148,21 +189,20 @@ func narrowStepWordsGoTB(hNext, iNext, dNext, hCur, iCur, dCur, hPrev, nsub []ui
 		best = dv + t9&(m9-m9>>15)
 
 		tg := (best | nH) - gbV
-		ovAcc |= ^tg & nH
+		ovAcc |= md | ^tg&nH
 
-		hNext[g] = best
-		iNext[g] = iv
-		dNext[g] = dv
+		hNext[g] ^= (hNext[g] ^ best) & keep
+		iNext[g] ^= (iNext[g] ^ iv) & keep
+		dNext[g] ^= (dNext[g] ^ dv) & keep
 
 		// One flag per lane at bit 15, assembled into a nibble in the low
 		// four bits of each lane, then folded to two bytes.
-		mis := ^((sub | nH) - lanesOne) & nH
 		fromI := ^m8 & nH
 		fromD := ^m9 & nH
 		nb := (fromD|mis&^fromI)>>15 | (fromI|fromD)>>14 | m3>>13 | m6>>12
 		nb |= nb >> 12
-		bt[2*g] = byte(nb)
-		bt[2*g+1] = byte(nb >> 32)
+		bt[2*g] ^= (bt[2*g] ^ byte(nb)) & byte(kn)
+		bt[2*g+1] ^= (bt[2*g+1] ^ byte(nb>>32)) & byte(kn>>32)
 	}
-	return ovAcc
+	return ovAcc & keep
 }

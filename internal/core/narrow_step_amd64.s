@@ -1,12 +1,19 @@
 // SSE2 inner loop of the 16-bit narrow-lane adaptive-band engine.
 // See banded_narrow.go for the value encoding and narrow_step.go for the
-// portable SWAR reference this must match lane for lane: PSUBUSW is the
-// per-lane saturating-at-zero subtract, PMAXSW the lane max (sound because
-// live lanes keep bit 15 clear), PADDW the substitution add whose bit-15
-// carry is trapped into the sticky accumulator, and a final PSUBUSW
-// against the guard floor flags any below-guard H output. On a sticky the
-// in-flight lane values may diverge from the reference — the caller
-// discards the whole step — so no clamp reconstruction is done here.
+// portable SWAR reference this must match lane for lane: PCMPEQW of the
+// two one-base-per-lane streams, masked with Match−Mismatch, is the
+// substitution word (the in-lane cmpb4), PSUBUSW is the per-lane
+// saturating-at-zero subtract, PMAXSW the lane max (sound because live
+// lanes keep bit 15 clear), PADDW the substitution add whose bit-15 carry
+// is trapped into the sticky accumulator, and a final PSUBUSW against the
+// guard floor flags any below-guard H output. On a sticky the in-flight
+// lane values may diverge from the reference — the caller discards the
+// whole step — so no clamp reconstruction is done here.
+//
+// Argument block offsets (narrowSSEArgs): hNext 0, iNext 8, dNext 16,
+// hCur1 24, iCur1 32, hCur0 40, dCur0 48, hPrev1 56, a 64, b 72, pairs 80,
+// dUp 88, dLt 96, dDg 104, dA 112, dB 120, eV 128, oeV 136, nmV 144,
+// gbV 152, smV 160, hV 168, bt 176.
 
 #include "textflag.h"
 
@@ -22,28 +29,34 @@ TEXT ·narrowStepSSE(SB), NOSPLIT, $0-16
 	MOVQ 40(AX), R13  // hCur0: left stream
 	MOVQ 48(AX), R14  // dCur0: left stream
 	MOVQ 56(AX), DX   // hPrev1: diagonal stream
-	MOVQ 64(AX), DI   // sub
-	MOVQ 72(AX), SI   // pairs
+	MOVQ 64(AX), DI   // a: base stream
+	MOVQ 80(AX), SI   // pairs
 
-	MOVQ 80(AX), BX   // dUp
+	MOVQ 88(AX), BX   // dUp
 	ADDQ BX, R11
 	ADDQ BX, R12
-	MOVQ 88(AX), BX   // dLt
+	MOVQ 96(AX), BX   // dLt
 	ADDQ BX, R13
 	ADDQ BX, R14
-	MOVQ 96(AX), BX   // dDg
-	ADDQ BX, DX
+	ADDQ 104(AX), DX  // dDg
+	ADDQ 112(AX), DI  // dA
 
-	MOVQ       104(AX), X9  // eV
+	MOVQ       128(AX), X9  // eV
 	PUNPCKLQDQ X9, X9
-	MOVQ       112(AX), X10 // oeV
+	MOVQ       136(AX), X10 // oeV
 	PUNPCKLQDQ X10, X10
-	MOVQ       120(AX), X11 // nmV
+	MOVQ       144(AX), X11 // nmV
 	PUNPCKLQDQ X11, X11
-	MOVQ       128(AX), X12 // gbV
+	MOVQ       152(AX), X12 // gbV
 	PUNPCKLQDQ X12, X12
-	MOVQ       136(AX), X13 // nH: bit 15 of every lane
+	MOVQ       160(AX), X15 // smV
+	PUNPCKLQDQ X15, X15
+	MOVQ       168(AX), X13 // nH: bit 15 of every lane
 	PUNPCKLQDQ X13, X13
+
+	MOVQ 120(AX), BX  // dB
+	MOVQ 72(AX), AX   // b: base stream (the argument block is done with)
+	ADDQ BX, AX
 
 	PXOR X14, X14 // sticky accumulator
 	XORQ CX, CX   // byte index
@@ -63,13 +76,18 @@ loop:
 	PSUBUSW X10, X4
 	PMAXSW  X4, X3
 
+	// sub = (a == b) & (Match − Mismatch)
+	MOVOU   (DI)(CX*1), X8
+	MOVOU   (AX)(CX*1), X6
+	PCMPEQW X6, X8
+	PAND    X15, X8
+
 	// diag = (hDg + sub) ⊖ nm, bit-15 carry → sticky
-	MOVOU (DX)(CX*1), X5
-	MOVOU (DI)(CX*1), X8
-	PADDW X8, X5
-	MOVOA X5, X6
-	PAND  X13, X6
-	POR   X6, X14
+	MOVOU   (DX)(CX*1), X5
+	PADDW   X8, X5
+	MOVOA   X5, X6
+	PAND    X13, X6
+	POR     X6, X14
 	PSUBUSW X11, X5
 
 	// best = max(diag, iv, dv); below-guard output → sticky
@@ -100,10 +118,12 @@ loop:
 // masks of its maxima kept. Masks are 0/−1 per lane, so the nibble is
 // assembled negated — −(4·iExt + 8·dExt) − origin, all adds and mins of
 // masks, no constants — and one PMADDWD against (−1, −16) both restores
-// the sign and folds each lane pair into its byte. The sticky verdict is
-// the same as narrowStepSSE's but accumulated cheaper: the raw diagonal
-// sums are OR-ed (bit 15 tested once at the end) and the H outputs are
-// min-reduced against the guard floor.
+// the sign and folds each lane pair into its byte. The mismatch mask is
+// the zero lanes of the substitution word (Match > Mismatch, so a match
+// lane is never zero). The sticky verdict is the same as narrowStepSSE's
+// but accumulated cheaper: the raw diagonal sums are OR-ed (bit 15 tested
+// once at the end) and the H outputs are min-reduced against the guard
+// floor.
 TEXT ·narrowStepSSETB(SB), NOSPLIT, $0-16
 	MOVQ a+0(FP), AX
 
@@ -115,25 +135,26 @@ TEXT ·narrowStepSSETB(SB), NOSPLIT, $0-16
 	MOVQ 40(AX), R13  // hCur0: left stream
 	MOVQ 48(AX), R14  // dCur0: left stream
 	MOVQ 56(AX), DX   // hPrev1: diagonal stream
-	MOVQ 64(AX), DI   // sub
-	MOVQ 72(AX), SI   // pairs
+	MOVQ 64(AX), DI   // a: base stream
+	MOVQ 80(AX), SI   // pairs
 
-	MOVQ 80(AX), BX   // dUp
+	MOVQ 88(AX), BX   // dUp
 	ADDQ BX, R11
 	ADDQ BX, R12
-	MOVQ 88(AX), BX   // dLt
+	MOVQ 96(AX), BX   // dLt
 	ADDQ BX, R13
 	ADDQ BX, R14
-	MOVQ 96(AX), BX   // dDg
-	ADDQ BX, DX
-	MOVQ 144(AX), BX  // bt: four bytes per iteration
+	ADDQ 104(AX), DX  // dDg
+	ADDQ 112(AX), DI  // dA
 
-	MOVQ       104(AX), X9  // eV
+	MOVQ       128(AX), X9  // eV
 	PUNPCKLQDQ X9, X9
-	MOVQ       112(AX), X10 // oeV
+	MOVQ       136(AX), X10 // oeV
 	PUNPCKLQDQ X10, X10
-	MOVQ       120(AX), X11 // nmV
+	MOVQ       144(AX), X11 // nmV
 	PUNPCKLQDQ X11, X11
+	MOVQ       160(AX), X15 // smV
+	PUNPCKLQDQ X15, X15
 
 	PCMPEQW X12, X12 // running min of the H outputs, from 0x7fff
 	PSRLW   $1, X12
@@ -142,6 +163,11 @@ TEXT ·narrowStepSSETB(SB), NOSPLIT, $0-16
 	MOVQ       $0xfff0fffffff0ffff, CX // PMADDWD weights: even lane −1, odd lane −16
 	MOVQ       CX, X14
 	PUNPCKLQDQ X14, X14
+
+	MOVQ 176(AX), BX  // bt: four bytes per iteration
+	MOVQ 120(AX), CX  // dB
+	MOVQ 72(AX), AX   // b: base stream (reloaded after the loop)
+	ADDQ CX, AX
 
 	XORQ CX, CX // byte index
 
@@ -169,11 +195,15 @@ tbloop:
 	PADDW X6, X2
 	PSLLW $2, X2
 
-	// diag = (hDg + sub) ⊖ nm; X7 = −1 on mismatch lanes (−btDiagMismatch)
-	MOVOU   (DX)(CX*1), X5
+	// sub = (a == b) & (Match − Mismatch); X7 = −1 on mismatch lanes
+	// (−btDiagMismatch); diag = (hDg + sub) ⊖ nm
 	MOVOU   (DI)(CX*1), X8
+	MOVOU   (AX)(CX*1), X7
+	PCMPEQW X7, X8
+	PAND    X15, X8
 	PXOR    X7, X7
 	PCMPEQW X8, X7
+	MOVOU   (DX)(CX*1), X5
 	PADDW   X8, X5
 	POR     X5, X13
 	PSUBUSW X11, X5
@@ -213,10 +243,11 @@ tbloop:
 	JNZ  tbloop
 
 	// sticky = (OR of sums) & nH  |  gb ⊖ min(H outputs)
-	MOVQ       136(AX), X0
+	MOVQ       a+0(FP), AX
+	MOVQ       168(AX), X0
 	PUNPCKLQDQ X0, X0
 	PAND       X0, X13
-	MOVQ       128(AX), X1
+	MOVQ       152(AX), X1
 	PUNPCKLQDQ X1, X1
 	PSUBUSW    X12, X1
 	POR        X1, X13

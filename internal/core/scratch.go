@@ -10,11 +10,11 @@ import (
 // four w-sized anti-diagonal lanes of §4.2.1 (held as sentinel-padded
 // double buffers), the window-offset vector, the per-anti-diagonal
 // substitution scores fed by the word-packed comparator, the traceback
-// arena, the packed operand buffers, and the row-major lanes of the static
-// and full aligners. Every buffer grows monotonically and is reused across
-// calls, so a worker that threads one Scratch through repeated alignments
-// performs zero engine allocations in steady state (a property the tests
-// assert with testing.AllocsPerRun).
+// arena, the packed and one-base-per-lane operand buffers, and the
+// row-major lanes of the static and full aligners. Every buffer grows
+// monotonically and is reused across calls, so a worker that threads one
+// Scratch through repeated alignments performs zero engine allocations in
+// steady state (a property the tests assert with testing.AllocsPerRun).
 //
 // A Scratch is not safe for concurrent use; give each worker its own, via
 // NewScratch or the package's GetScratch/PutScratch pool.
@@ -28,13 +28,16 @@ type Scratch struct {
 	org                        []uint8 // matching diagonal-origin nibbles
 
 	// Narrow-lane (16-bit) engine state: the same seven lanes, packed four
-	// cells per uint64 word plus one zero pad word for the funnel-shifted
-	// neighbour loads, and the lane-aligned packed substitution words.
+	// cells per uint64 word behind a dead word and ahead of a zero pad
+	// word, so every word a span touches has in-bounds funnel-shifted
+	// neighbour loads; and the operands one base per 16-bit lane (a, and
+	// b reversed), which the step compares in-lane (laneBases).
 	nh0, nh1, nh2, ni0, ni1, nd0, nd1 []uint64
-	nsub                              []uint64
+	na, nb                            []uint64
 
-	// Packed operands of the word comparator: the query as-is, the target
-	// reversed (see seq.PackReversed), both with WordAt's zero tail.
+	// Packed operands of the wide engine's word comparator: the query
+	// as-is, the target reversed (see seq.PackReversed), both with
+	// WordAt's zero tail.
 	pa, pb []byte
 
 	// Traceback arena, lazily sized on the first traceback call — the
@@ -109,4 +112,22 @@ func (s *Scratch) packOperands(a, b seq.Seq) (pa, pb seq.Packed) {
 	s.pa, pa = seq.PackPadded(s.pa, a)
 	s.pb, pb = seq.PackReversed(s.pb, b)
 	return pa, pb
+}
+
+// laneBases expands s into buf (grown as needed) one base per 16-bit lane,
+// base k at lane k+narrowLane0 — of s reversed when reverse is set, so
+// that along an anti-diagonal both operands advance with stride +1. A
+// dead word on either side keeps the out-of-span lanes of a partial edge
+// word in bounds.
+func laneBases(buf []uint64, s seq.Seq, reverse bool) []uint64 {
+	buf = growU64(buf, len(s)/4+4)
+	clear(buf)
+	for i, b := range s {
+		if reverse {
+			i = len(s) - 1 - i
+		}
+		k := i + narrowLane0
+		buf[k>>2] |= uint64(b&3) << (uint(k&3) * 16)
+	}
+	return buf
 }

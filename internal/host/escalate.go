@@ -40,9 +40,11 @@ func (r rung) provenance() string {
 func buildLadder(cfg Config) []rung {
 	var rungs []rung
 	maxBand := cfg.maxBand()
-	// Ladder rungs always run the full-width kernel: escalation is the
-	// correctness path, and a narrow kernel that saturated once would be
-	// re-risking the same saturation at every wider band.
+	// Ladder rungs always run the modelled full-width kernel: escalation
+	// is the correctness path, and a narrow kernel that saturated once
+	// would be re-risking the same saturation at every wider band. Only
+	// the geometry is fitted at 64 here; a traceback rung still computes
+	// narrow-first (see escalate).
 	wideK := cfg.Kernel
 	wideK.LaneWidth = 64
 	// A narrow-lane base kernel gets one extra rung before the band

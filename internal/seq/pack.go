@@ -160,17 +160,3 @@ func MatchMask(a, b Packed, ai, bi int) uint64 {
 	x := a.WordAt(ai) ^ b.WordAt(bi)
 	return ^(x | x>>1) & matchEven
 }
-
-// CompressMask compacts a MatchMask word — one result bit per 2-bit base
-// lane, at the even positions — into its low 32 bits: bit k of the result
-// is bit 2k of mask. The narrow-lane engine uses it to turn 32 comparator
-// results into eight 4-bit substitution-LUT indices per mask word.
-func CompressMask(mask uint64) uint32 {
-	x := mask & matchEven
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x>>4) & 0x00ff00ff00ff00ff
-	x = (x | x>>8) & 0x0000ffff0000ffff
-	x = (x | x>>16) & 0x00000000ffffffff
-	return uint32(x)
-}
