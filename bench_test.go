@@ -107,8 +107,8 @@ func BenchmarkAdaptiveBandScore10k(b *testing.B) {
 // The two score engines pinned individually: AdaptiveBandScore10k above
 // measures whatever the lane-width dispatch picks, so a regression in one
 // engine could hide behind the other. These two keep the 16-bit
-// saturating kernel and the full-width word-packed kernel separately in
-// the baseline, and their ratio is the measured narrow-lane speedup.
+// saturating engine and the full-width recurrence separately in the
+// baseline, and their ratio is the measured narrow-lane speedup.
 func BenchmarkAdaptiveBandScoreNarrow10k(b *testing.B) {
 	a, q := benchPair(10_000)
 	p := core.DefaultParams()
@@ -155,7 +155,7 @@ func BenchmarkAdaptiveBandAlignWide10k(b *testing.B) {
 	}
 }
 
-// Band sweep of the word-packed engine (ISSUE 4): per-band cell throughput
+// Band sweep of the default (narrow-first) engine: per-band cell throughput
 // and the zero-allocation steady state, on a held scratch arena as the
 // kernel and baseline workers use it. ns/op scales ~linearly with w; the
 // allocs/op column is the regression tripwire ci.sh gates on.

@@ -27,7 +27,6 @@ fuzz ./internal/cigar FuzzValidate
 fuzz ./internal/seq FuzzFromStringPackRoundTrip
 fuzz ./internal/core FuzzLinearVsQuadratic
 fuzz ./internal/core FuzzBandedNeverBeatsOptimal
-fuzz ./internal/core FuzzEngineEquivalence
 fuzz ./internal/core FuzzNarrowWideEquivalence
 fuzz ./internal/admission/config FuzzAdmissionConfig
 fuzz ./internal/cache FuzzWALRecordRoundTrip

@@ -65,7 +65,7 @@ import (
 // belongs to a cell whose walked state holds an exact value at or above
 // the guard floor, while a dead or clamped candidate is below it, so a
 // candidate that ties the lane max is itself exact and every compare
-// agrees with adaptiveStepTB's; DESIGN.md "Narrow-lane arithmetic" has the
+// agrees with the full-width engine's; DESIGN.md "Narrow-lane arithmetic" has the
 // argument.
 
 const (
@@ -140,7 +140,7 @@ func NarrowFits(p Params, w int) bool {
 // the host escalation ladder to the wide kernel.
 func AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
 	s := GetScratch()
-	res, _ := s.adaptiveBandNarrow(a, b, p, w, false, DefaultVariant())
+	res, _ := s.adaptiveBandNarrow(a, b, p, w, false)
 	PutScratch(s)
 	return res
 }
@@ -148,40 +148,7 @@ func AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
 // AdaptiveBandScoreNarrow is the explicit-scratch form of the package
 // function.
 func (s *Scratch) AdaptiveBandScoreNarrow(a, b seq.Seq, p Params, w int) Result {
-	res, _ := s.adaptiveBandNarrow(a, b, p, w, false, DefaultVariant())
-	return res
-}
-
-// AdaptiveBandScoreWide is the explicit full-width entry point, bypassing
-// the narrow-lane fast path of AdaptiveBandScore.
-func AdaptiveBandScoreWide(a, b seq.Seq, p Params, w int) Result {
-	s := GetScratch()
-	res, _ := s.adaptiveBand(a, b, p, w, false, DefaultVariant())
-	PutScratch(s)
-	return res
-}
-
-// AdaptiveBandScoreWide is the explicit-scratch form of the package
-// function.
-func (s *Scratch) AdaptiveBandScoreWide(a, b seq.Seq, p Params, w int) Result {
-	res, _ := s.adaptiveBand(a, b, p, w, false, DefaultVariant())
-	return res
-}
-
-// AdaptiveBandAlignWide is the traceback twin of AdaptiveBandScoreWide:
-// the full-width engine, bypassing AdaptiveBandAlign's narrow-lane fast
-// path. It is the oracle the narrow traceback is pinned to.
-func AdaptiveBandAlignWide(a, b seq.Seq, p Params, w int) Result {
-	s := GetScratch()
-	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
-	PutScratch(s)
-	return res
-}
-
-// AdaptiveBandAlignWide is the explicit-scratch form of the package
-// function.
-func (s *Scratch) AdaptiveBandAlignWide(a, b seq.Seq, p Params, w int) Result {
-	res, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant())
+	res, _ := s.adaptiveBandNarrow(a, b, p, w, false)
 	return res
 }
 
@@ -230,7 +197,7 @@ func narrowRebase(arr []uint64, shift int32) bool {
 // non-overflowed run is bit-identical, CIGAR included; only the interior
 // cell loop, the value encoding and the traceback arena's layout differ.
 // Returns ok=false (Result.Overflowed) on any saturation sticky bit.
-func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bool, variant AdaptiveVariant) (Result, bool) {
+func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bool) (Result, bool) {
 	m, n := len(a), len(b)
 	if w < 2 {
 		w = 2
@@ -310,7 +277,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	}
 
 	for t := 0; t < m+n; t++ {
-		d := int(chooseShift(nval(getLane16(hCur, narrowLane0)), nval(getLane16(hCur, narrowLane0+w-1)), off[t], t, m, n, w, variant))
+		d := int(chooseShift(nval(getLane16(hCur, narrowLane0)), nval(getLane16(hCur, narrowLane0+w-1)), off[t], t, m, n, w))
 		loI := t + 1 - n
 		if loI < 0 {
 			loI = 0

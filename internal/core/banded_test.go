@@ -207,6 +207,29 @@ func TestAdaptiveBandHandlesLengthSkew(t *testing.T) {
 	}
 }
 
+// TestTieSteeringAblation checks the steered half of the DESIGN.md
+// ablation: identical-content pairs whose lengths differ by ~3x the band
+// need a long tail gap, which the window reaches in time only because
+// shift ties steer it toward the (m,n) corner diagonal.
+func TestTieSteeringAblation(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	p := DefaultParams()
+	optimal := 0
+	const trials = 40
+	for trial := 0; trial < trials; trial++ {
+		n := 300 + rng.Intn(300)
+		skew := 80 + rng.Intn(60)
+		a := seq.Random(rng, n)
+		b := a[:n-skew].Clone()
+		if r := AdaptiveBandScore(a, b, p, 32); r.InBand && r.Score == GotohScore(a, b, p).Score {
+			optimal++
+		}
+	}
+	if optimal < trials*3/4 {
+		t.Errorf("adaptive band only optimal on %d/%d skewed pairs", optimal, trials)
+	}
+}
+
 func TestAdaptiveBandRecoversBigGap(t *testing.T) {
 	// A 60-base internal deletion: a static band of 32 cannot contain the
 	// path, the adaptive band of the same size can (Table 1's story).

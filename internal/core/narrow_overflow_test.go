@@ -141,7 +141,7 @@ func TestNarrowStickyPropagatesAcrossDiagonals(t *testing.T) {
 	s := NewScratch()
 	for _, w := range []int{2, 32} { // edge-word-only and whole-word shapes
 		for _, tb := range bothModes {
-			narrow, ok := s.adaptiveBandNarrow(a, b, p, w, tb, DefaultVariant())
+			narrow, ok := s.adaptiveBandNarrow(a, b, p, w, tb)
 			if ok || !narrow.Overflowed {
 				t.Fatalf("w=%d tb=%v: transient saturation was forgotten: ok=%v %+v", w, tb, ok, narrow)
 			}
@@ -149,7 +149,7 @@ func TestNarrowStickyPropagatesAcrossDiagonals(t *testing.T) {
 	}
 	// Sanity: the wide engine handles the same pair without complaint, so
 	// the sticky really is a narrow-lane artefact, not a scoring anomaly.
-	wide, _ := s.adaptiveBand(a, b, p, 32, false, DefaultVariant())
+	wide, _ := s.adaptiveBand(a, b, p, 32, false)
 	if wide.Score >= 20000 || !wide.InBand {
 		t.Fatalf("wide result implausible: %+v", wide)
 	}
@@ -223,10 +223,10 @@ func TestAdaptiveBandAlignFallsBackToWide(t *testing.T) {
 		}
 
 		s = NewScratch()
-		if res, ok := s.adaptiveBandNarrow(a, b, p, w, true, DefaultVariant()); ok || !res.Overflowed || res.Cigar != nil {
+		if res, ok := s.adaptiveBandNarrow(a, b, p, w, true); ok || !res.Overflowed || res.Cigar != nil {
 			t.Fatalf("w=%d: narrow traceback did not abort on the transient: ok=%v %+v", w, ok, res)
 		}
-		if got, _ := s.adaptiveBand(a, b, p, w, true, DefaultVariant()); !reflect.DeepEqual(got, want) {
+		if got, _ := s.adaptiveBand(a, b, p, w, true); !reflect.DeepEqual(got, want) {
 			t.Errorf("w=%d sticky route:\n got  %+v\n want %+v", w, got, want)
 		}
 	}

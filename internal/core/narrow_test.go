@@ -14,8 +14,8 @@ var bothModes = []bool{false, true}
 // narrowAndWide runs the pinned narrow and wide engines on one pair in one
 // mode; ok is the narrow engine's no-overflow verdict.
 func narrowAndWide(s *Scratch, a, b seq.Seq, p Params, w int, traceback bool) (narrow, wide Result, ok bool) {
-	narrow, ok = s.adaptiveBandNarrow(a, b, p, w, traceback, DefaultVariant())
-	wide, _ = s.adaptiveBand(a, b, p, w, traceback, DefaultVariant())
+	narrow, ok = s.adaptiveBandNarrow(a, b, p, w, traceback)
+	wide, _ = s.adaptiveBand(a, b, p, w, traceback)
 	return narrow, wide, ok
 }
 
@@ -33,10 +33,9 @@ func requireNarrowEqual(t *testing.T, label string, narrow, wide Result) {
 	}
 }
 
-// TestNarrowWideDifferentialSweep extends the PR-4 oracle sweep to the
-// narrow path: over error rates, lengths, bands and length skews, a
-// non-overflowed narrow score must match the wide engine (itself pinned to
-// adaptiveBandRef) bit for bit.
+// TestNarrowWideDifferentialSweep pins the narrow path to the wide engine:
+// over error rates, lengths, bands and length skews, a non-overflowed
+// narrow score must match the wide engine bit for bit.
 func TestNarrowWideDifferentialSweep(t *testing.T) {
 	p := DefaultParams()
 	s := NewScratch()

@@ -26,9 +26,10 @@ type Result struct {
 	// The banded aligners bound every path that could escape the band
 	// (band-edge cell score plus an admissible estimate of what remains,
 	// escapeBound); Clipped is set when some escaping path could in
-	// principle outscore the result. The certificate is sound — a banded
-	// score below the exact optimum is always flagged — but conservative:
-	// a near-miss potential may flag a result that is in fact optimal.
+	// principle outscore the result. The certificate is sound to within
+	// one gap open (see escapeBound) — a banded score further below the
+	// exact optimum is always flagged — and conservative: a near-miss
+	// potential may flag a result that is in fact optimal.
 	// A clipped result is still self-consistent (its CIGAR reproduces its
 	// score); the host's escalation ladder re-aligns clipped pairs at
 	// wider bands until the flag clears. Full-matrix alignments never

@@ -74,7 +74,10 @@ func (p Params) GapCost(k int) int32 {
 // unavoidable gap for the length difference. The banded aligners add it
 // to the band-edge cell scores to bound every path that escapes the band
 // — if no escaping path can beat the banded score, the result is
-// certified optimal and Clipped stays false.
+// certified optimal and Clipped stays false. The bound is admissible only
+// up to one GapOpen: a path already inside the remaining gap at the cell
+// owes no second open, so a certified score can sit up to GapOpen below
+// the optimum.
 func escapeBound(p Params, ri, rj int) int32 {
 	mn, d := ri, ri-rj
 	if rj < ri {

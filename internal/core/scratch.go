@@ -7,11 +7,10 @@ import (
 )
 
 // Scratch is the reusable working-memory arena of the hot-path engines: the
-// four w-sized anti-diagonal lanes of §4.2.1 (held as sentinel-padded
-// double buffers), the window-offset vector, the per-anti-diagonal
-// substitution scores fed by the word-packed comparator, the traceback
-// arena, the packed and one-base-per-lane operand buffers, and the
-// row-major lanes of the static and full aligners. Every buffer grows
+// four w-sized anti-diagonal lanes of §4.2.1 (held as rotating buffers,
+// full-width and 16-bit packed), the window-offset vector, the traceback
+// arena, the one-base-per-lane operand buffers, and the row-major lanes of
+// the static and full aligners. Every buffer grows
 // monotonically and is reused across calls, so a worker that threads one
 // Scratch through repeated alignments performs zero engine allocations in
 // steady state (a property the tests assert with testing.AllocsPerRun).
@@ -19,13 +18,11 @@ import (
 // A Scratch is not safe for concurrent use; give each worker its own, via
 // NewScratch or the package's GetScratch/PutScratch pool.
 type Scratch struct {
-	// Adaptive-band state. The seven lanes are sized w+2: cell p lives at
-	// index p+1, and indices 0 and w+1 hold permanent NegInf sentinels so
-	// the inner loop's window-edge neighbour loads need no branches.
+	// Adaptive-band state: the window offset of every anti-diagonal and
+	// the full-width engine's seven w-sized lanes (H over three
+	// anti-diagonals, I and D over two), cell p at index p.
 	off                        []int32
 	h0, h1, h2, i0, i1, d0, d1 []int32
-	sub                        []int32 // substitution scores of one anti-diagonal
-	org                        []uint8 // matching diagonal-origin nibbles
 
 	// Narrow-lane (16-bit) engine state: the same seven lanes, packed four
 	// cells per uint64 word behind a dead word and ahead of a zero pad
@@ -34,11 +31,6 @@ type Scratch struct {
 	// b reversed), which the step compares in-lane (laneBases).
 	nh0, nh1, nh2, ni0, ni1, nd0, nd1 []uint64
 	na, nb                            []uint64
-
-	// Packed operands of the wide engine's word comparator: the query
-	// as-is, the target reversed (see seq.PackReversed), both with
-	// WordAt's zero tail.
-	pa, pb []byte
 
 	// Traceback arena, lazily sized on the first traceback call — the
 	// score-only paths never touch it. The wide engine lays it out as
@@ -92,10 +84,9 @@ func growU8(buf []uint8, n int) []uint8 {
 	return buf[:n]
 }
 
-// btBuf returns the n-byte traceback arena, zeroed: nibble rows are written
-// sparsely (only in-matrix cells), and a zeroed backing keeps the unwritten
-// cells bit-identical to the freshly-allocated buffers of the scalar
-// reference engine.
+// btBuf returns the n-byte traceback arena, zeroed: the full-width engine
+// writes nibble rows sparsely (only in-matrix cells), and a zeroed backing
+// keeps the unwritten cells the same whatever ran on s before.
 func (s *Scratch) btBuf(n int) []byte {
 	if cap(s.bt) < n {
 		s.bt = make([]byte, n)
@@ -104,14 +95,6 @@ func (s *Scratch) btBuf(n int) []byte {
 	s.bt = s.bt[:n]
 	clear(s.bt)
 	return s.bt
-}
-
-// packOperands 2-bit packs the engine's comparator operands into the
-// arena: a forward, b reversed (both stride +1 along an anti-diagonal).
-func (s *Scratch) packOperands(a, b seq.Seq) (pa, pb seq.Packed) {
-	s.pa, pa = seq.PackPadded(s.pa, a)
-	s.pb, pb = seq.PackReversed(s.pb, b)
-	return pa, pb
 }
 
 // laneBases expands s into buf (grown as needed) one base per 16-bit lane,

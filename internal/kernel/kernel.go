@@ -46,7 +46,7 @@ type Config struct {
 	// score-only kernel used by the 16S experiment.
 	Traceback bool
 	// LaneWidth selects the DP cell width in bits of the modelled DPU
-	// kernel: 64 is the full-width word-packed kernel, 16 the saturating
+	// kernel: 64 is the full-width kernel, 16 the saturating
 	// narrow-lane kernel (the modelled narrow DPU kernel is score-only;
 	// overflowed pairs come back flagged for the host ladder), and 0 is
 	// auto — narrow whenever the mode and scoring model admit it. Narrow

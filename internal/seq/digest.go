@@ -1,8 +1,8 @@
 package seq
 
 // Digest is a 128-bit content digest of a DNA sequence, computed over the
-// 2-bit packed representation (the same words the cmpb4-style comparator
-// consumes). Two sequences with equal content — regardless of how they
+// 2-bit packed representation (the layout PackInto stages for the DPU
+// kernel). Two sequences with equal content — regardless of how they
 // were built — have equal digests, which is what makes the result cache
 // content-addressed: the digest pair stands in for the packed operands in
 // the cache key. The hash is a non-cryptographic splitmix64-style mix

@@ -259,25 +259,6 @@ func TestPackedValidate(t *testing.T) {
 	}
 }
 
-func TestWord64(t *testing.T) {
-	s := make(Seq, 32)
-	for i := range s {
-		s[i] = Base(i & 3)
-	}
-	p := Pack(s)
-	w := p.Word64(0)
-	for i := 0; i < 32; i++ {
-		if got := Base(w >> uint(2*i) & 3); got != s[i] {
-			t.Errorf("word base %d = %v, want %v", i, got, s[i])
-		}
-	}
-	// Short tail: must not read out of bounds.
-	short := Pack(MustFromString("ACG"))
-	if w := short.Word64(0); Base(w&3) != A || Base(w>>2&3) != C || Base(w>>4&3) != G {
-		t.Errorf("short word = %#x", w)
-	}
-}
-
 func TestFASTARoundTrip(t *testing.T) {
 	recs := []Record{
 		{Name: "read1 description", Seq: MustFromString("ACGTACGTACGT")},
