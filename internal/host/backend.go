@@ -79,7 +79,7 @@ func pimEstimateSec(cfg *Config, p pim.Config, load int64) float64 {
 // PiMBackend is one simulated PiM server: the fabric model with its own
 // rank count, clock and (optionally) fault profile. The single fabric a
 // fleet-less Config describes is an unnamed one at the Config's own rank
-// count and clock (alignOnce). Results are bit-identical to the
+// count and clock (alignBatch). Results are bit-identical to the
 // single-fabric run on the same pairs — geometry limits (MRAM/WRAM) are
 // inherited from the parent Config, so the escalation ladder makes
 // identical decisions everywhere; only the modelled timeline scales with

@@ -24,13 +24,6 @@ type rung struct {
 	overflowOnly bool
 }
 
-func (r rung) provenance() string {
-	if r.traceback {
-		return fmt.Sprintf("dpu-banded@%d", r.band)
-	}
-	return fmt.Sprintf("dpu-score-only@%d", r.band)
-}
-
 // buildLadder enumerates the DPU rungs below the configured kernel:
 // doubled bands in the requested mode while any geometry admits them,
 // then — for traceback runs — one score-only rung at the widest feasible
@@ -90,40 +83,25 @@ func buildLadder(cfg Config) []rung {
 // the CPU rung, so with escalation on nothing is ever dropped. Escalation
 // rounds run sequentially after the first round on the simulated
 // timeline; the CPU rung is host-side work and is accounted separately in
-// Report.CPUFallbackSec. Results come back in input order, each stamped
-// with its Status and the Provenance of the engine that answered it.
-// Every DPU rung executes on the backend that ran the first round, so a
-// fleet shard escalates on its own server.
+// Report.CPUFallbackSec. Every DPU rung executes on the backend that ran
+// the first round, so a fleet shard escalates on its own server.
+//
+// pairs[i].ID must be i. A rung receives its pairs in the order the
+// previous round returned them, which is part of the model: LPT breaks
+// ties by position. Results come back in input order, each stamped with
+// its Status and the Provenance of the engine that answered it.
 func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result, sp *obs.Span) ([]Result, error) {
-	byID := make(map[int]Pair, len(pairs))
-	for _, p := range pairs {
-		if _, dup := byID[p.ID]; dup {
-			return nil, fmt.Errorf("host: escalation requires unique pair IDs; ID %d repeats", p.ID)
-		}
-		byID[p.ID] = p
-	}
-
-	final := make(map[int]Result, len(pairs))
+	// final holds every pair's answer so far, indexed by ID; a pair still
+	// pending keeps its untrusted first-round classification until a rung
+	// overwrites it.
+	final := make([]Result, len(pairs))
 	baseProv := kernelProvenance(cfg.Kernel)
 	var pending []int
-	overflowed := make(map[int]bool)
 	for _, r := range first {
-		switch {
-		case r.Overflowed:
-			rep.OverflowedPairs++
-			overflowed[r.ID] = true
+		if !classify(rep, &r, baseProv) {
 			pending = append(pending, r.ID)
-		case !r.InBand:
-			rep.OutOfBandPairs++
-			pending = append(pending, r.ID)
-		case r.Clipped:
-			rep.ClippedPairs++
-			pending = append(pending, r.ID)
-		default:
-			r.Status = StatusOK
-			r.Provenance = baseProv
-			final[r.ID] = r
 		}
+		final[r.ID] = r
 	}
 	// Pairs the first round abandoned (retries exhausted under faults) are
 	// rescued by the CPU rung rather than dropped: with escalation on,
@@ -141,8 +119,8 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		// score-only rung (no BT scratch) or the CPU.
 		var runnable, skipped []int
 		for _, id := range pending {
-			p := byID[id]
-			if rg.overflowOnly && !overflowed[id] {
+			p := pairs[id]
+			if rg.overflowOnly && final[id].Status != StatusOverflowed {
 				skipped = append(skipped, id)
 				continue
 			}
@@ -170,6 +148,7 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		if !rg.traceback {
 			roundCfg.Kernel.LaneWidth = 64
 		}
+		prov := kernelProvenance(roundCfg.Kernel)
 		// Decorrelate this round's injected faults from the earlier
 		// rounds': the (batch, attempt, dpu) draw coordinates recur every
 		// round, and reusing the seed would make the same fault chase the
@@ -178,7 +157,7 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 
 		rp := make([]Pair, len(runnable))
 		for i, id := range runnable {
-			rp[i] = byID[id]
+			rp[i] = pairs[id]
 		}
 		esp := sp.Child("host.escalate")
 		esp.SetAttrInt("round", int64(round))
@@ -198,13 +177,13 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		rep.EscalationRounds++
 		rep.Escalations += len(runnable)
 		rep.Escalation = append(rep.Escalation, EscalationRound{
-			Round: round, Band: rg.band, Provenance: rg.provenance(),
+			Round: round, Band: rg.band, Provenance: prov,
 			Pairs: len(runnable), StartSec: start, EndSec: rep.MakespanSec,
 		})
 		obs.Info("escalation round", "trace_id", cfg.TraceID,
-			"round", round, "pairs", len(runnable), "rung", rg.provenance())
+			"round", round, "pairs", len(runnable), "rung", prov)
 		obs.Flight().Recordf("escalation", cfg.TraceID,
-			"round %d: %d pairs redispatched at %s", round, len(runnable), rg.provenance())
+			"round %d: %d pairs redispatched at %s", round, len(runnable), prov)
 
 		next := skipped
 		for _, r := range subResults {
@@ -218,7 +197,7 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 				r.Status = StatusDegradedScoreOnly
 				rep.DegradedScoreOnly++
 			}
-			r.Provenance = rg.provenance()
+			r.Provenance = prov
 			final[r.ID] = r
 		}
 		pending = next
@@ -236,8 +215,7 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		}
 		bp := make([]baseline.Pair, len(cpuIDs))
 		for i, id := range cpuIDs {
-			p := byID[id]
-			bp[i] = baseline.Pair{ID: id, A: p.A, B: p.B}
+			bp[i] = baseline.Pair{ID: id, A: pairs[id].A, B: pairs[id].B}
 		}
 		csp := sp.Child("host.cpu_rescue")
 		csp.SetAttrInt("pairs", int64(len(bp)))
@@ -259,7 +237,7 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 			}
 			if cfg.Verify && cfg.Kernel.Traceback {
 				rep.VerifyChecked++
-				p := byID[br.ID]
+				p := pairs[br.ID]
 				vStart := time.Now()
 				err := verify.CheckPair(p.A, p.B, cfg.Kernel.Params, br.Score, string(pr.Cigar))
 				rep.VerifySec += time.Since(vStart).Seconds()
@@ -273,20 +251,18 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		}
 	}
 
-	// Emit in input order; every pair must have resolved on some rung.
-	results := make([]Result, 0, len(pairs))
-	for _, p := range pairs {
-		r, ok := final[p.ID]
-		if !ok {
-			return nil, fmt.Errorf("host: pair %d fell through the degradation ladder", p.ID)
+	// Every pair must have resolved on some rung.
+	for id := range final {
+		r := &final[id]
+		if r.Provenance == "" || !r.Status.Trusted() {
+			return nil, fmt.Errorf("host: pair %d fell through the degradation ladder", id)
 		}
-		results = append(results, r)
 		rep.countProvenance(r.Provenance)
 		switch r.Status {
 		case StatusDegradedScoreOnly, StatusDegradedCPU:
 			rep.addIssue(PairIssue{ID: r.ID, Status: r.Status, Provenance: r.Provenance})
 		}
 	}
-	rep.Alignments = len(results)
-	return results, nil
+	rep.Alignments = len(final)
+	return final, nil
 }

@@ -59,8 +59,8 @@ func PlacementAssign(loads []int64, secPerUnit []float64) [][]int {
 
 // shardOutcome is one backend's finished share of a fleet round.
 type shardOutcome struct {
-	backend int // index into cfg.Backends
-	pairs   []Pair
+	backend int   // index into cfg.Backends
+	ids     []int // the shard's pairs, as IDs of the fleet's pairs
 	rep     *Report
 	results []Result
 	lost    bool // ErrBackendDown: redispatch the shard
@@ -72,17 +72,11 @@ type shardOutcome struct {
 // whole-backend loss back through placement onto the survivors, and
 // merges the per-backend timelines into one report whose makespan is the
 // union of the concurrent backend windows — never the back-to-back sum.
-// Results come back in input order, bit-identical to the single-fabric
-// run on the same pairs.
+// pairs[i].ID must be i; a shard is renumbered the same way on its way
+// down and mapped back on its way up. Results come back in input order,
+// bit-identical to the single-fabric run on the same pairs.
 func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
 	backends := cfg.Backends
-	byID := make(map[int]int, len(pairs)) // pair ID -> input position
-	for i, p := range pairs {
-		if _, dup := byID[p.ID]; dup {
-			return nil, nil, fmt.Errorf("host: fleet placement requires unique pair IDs; ID %d repeats", p.ID)
-		}
-		byID[p.ID] = i
-	}
 
 	// Rank-ID offsets are fixed by fleet position (not by which backends
 	// happen to be alive), so rank numbering is stable across runs that
@@ -105,10 +99,12 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 		stats[i] = BackendStats{Name: be.Name(), Ranks: be.Ranks()}
 	}
 	ordered := make([]Result, len(pairs))
-	have := make([]bool, len(pairs))
 	redispatched := 0
 
-	remaining := pairs
+	remaining := make([]int, len(pairs))
+	for i := range remaining {
+		remaining[i] = i
+	}
 	for round := 0; len(remaining) > 0; round++ {
 		var alive []int
 		for i, be := range backends {
@@ -124,8 +120,8 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 		// cells, so a 10-rank server takes a proportionally smaller shard
 		// than a 40-rank one.
 		loads := make([]int64, len(remaining))
-		for i, p := range remaining {
-			loads[i] = p.Workload(cfg.Kernel.Band)
+		for i, id := range remaining {
+			loads[i] = pairs[id].Workload(cfg.Kernel.Band)
 		}
 		secPerUnit := make([]float64, len(alive))
 		for i, bi := range alive {
@@ -141,11 +137,13 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 			if len(bucket) == 0 {
 				return nil
 			}
+			ids := make([]int, len(bucket))
 			shard := make([]Pair, len(bucket))
 			for i, idx := range bucket {
-				shard[i] = remaining[idx]
+				ids[i] = remaining[idx]
+				shard[i] = Pair{ID: i, A: pairs[ids[i]].A, B: pairs[ids[i]].B}
 			}
-			outs[si].pairs = shard
+			outs[si].ids = ids
 			ssp := fsp.Child("host.fleet_shard")
 			ssp.SetAttr("backend", backends[bi].Name())
 			ssp.SetAttrInt("pairs", int64(len(shard)))
@@ -169,30 +167,27 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 			bi := out.backend
 			if out.lost {
 				stats[bi].Down = true
-				stats[bi].Redispatched += len(out.pairs)
-				redispatched += len(out.pairs)
-				remaining = append(remaining, out.pairs...)
+				stats[bi].Redispatched += len(out.ids)
+				redispatched += len(out.ids)
+				remaining = append(remaining, out.ids...)
 				obs.Info("fleet backend lost", "trace_id", cfg.TraceID,
-					"backend", backends[bi].Name(), "pairs", len(out.pairs))
+					"backend", backends[bi].Name(), "pairs", len(out.ids))
 				obs.Flight().Recordf("fleet", cfg.TraceID,
 					"backend %s down; redispatching %d pairs onto survivors",
-					backends[bi].Name(), len(out.pairs))
+					backends[bi].Name(), len(out.ids))
 				continue
 			}
 			if out.rep == nil {
 				continue // empty bucket
 			}
-			stats[bi].Pairs += len(out.pairs)
+			stats[bi].Pairs += len(out.ids)
 			name := backends[bi].Name()
-			for i := range out.results {
-				out.results[i].Backend = name
-				pos, ok := byID[out.results[i].ID]
-				if !ok {
-					return nil, nil, fmt.Errorf("host: fleet shard returned unknown pair ID %d", out.results[i].ID)
-				}
-				ordered[pos] = out.results[i]
-				have[pos] = true
+			for i, r := range out.results {
+				r.ID = out.ids[i]
+				r.Backend = name
+				ordered[r.ID] = r
 			}
+			out.rep.relabel(func(i int) int { return out.ids[i] })
 			for i := range out.rep.Ranks {
 				out.rep.Ranks[i].Backend = name
 			}
@@ -203,12 +198,6 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 				// its own timeline.
 				perBackend[bi].Then(out.rep)
 			}
-		}
-	}
-
-	for i := range ordered {
-		if !have[i] {
-			return nil, nil, fmt.Errorf("host: pair %d fell through fleet placement", pairs[i].ID)
 		}
 	}
 

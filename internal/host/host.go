@@ -577,6 +577,17 @@ func (c *Counters) countProvenance(p string) {
 	c.Provenance[p]++
 }
 
+// relabel maps the pair IDs the counters name (AbandonedIDs, Issues)
+// through id, from a lower layer's index space into its caller's.
+func (c *Counters) relabel(id func(int) int) {
+	for i := range c.AbandonedIDs {
+		c.AbandonedIDs[i] = id(c.AbandonedIDs[i])
+	}
+	for i := range c.Issues {
+		c.Issues[i].ID = id(c.Issues[i].ID)
+	}
+}
+
 // HostOverheadFraction is the share of the makespan during which no DPU
 // kernel was computing anywhere — the paper reports 15 % on S1000
 // shrinking to <0.1 % on S30000. It is derived from the rank timelines:

@@ -43,7 +43,7 @@ func makePairs(seed int64, n, length int, errRate float64) []Pair {
 
 func TestLPTBalances(t *testing.T) {
 	loads := []int64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	buckets, sums := lpt(loads, 3)
+	buckets, sums := kernel.LPT(loads, 3)
 	var total, max int64
 	seen := map[int]bool{}
 	for b, bucket := range buckets {
@@ -102,6 +102,86 @@ func TestAlignPairsMatchesReference(t *testing.T) {
 		if r.Rank < 0 || r.Rank >= cfg.PIM.Ranks {
 			t.Errorf("pair %d: rank %d out of range", p.ID, r.Rank)
 		}
+	}
+}
+
+// TestAlignPairsRepeatedIDs: caller IDs are labels, not keys. Pairs that
+// share an ID must come back exactly as the same pairs with unique IDs
+// do, position by position and with the same timeline, in every
+// configuration — and the report must name the shared IDs.
+func TestAlignPairsRepeatedIDs(t *testing.T) {
+	unique := makePairs(61, 400, 120, 0.08)
+	repeated := make([]Pair, len(unique))
+	for i, p := range unique {
+		repeated[i] = Pair{ID: i % 2, A: p.A, B: p.B}
+	}
+	verify := testConfig(1, true)
+	verify.Verify = true
+	faults := testConfig(1, true)
+	faults.Faults = pim.FaultConfig{Rate: 0.3, CrashWeight: 1, Seed: 99}
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"plain", func() Config { return testConfig(1, true) }},
+		{"verify", func() Config { return verify }},
+		{"escalate", func() Config { return escalationConfig(true) }},
+		{"fleet", func() Config {
+			cfg := testConfig(1, true)
+			fleet, err := ParseFleet("pim:1,cpu:2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Backends = fleet
+			return cfg
+		}},
+		{"faults", func() Config { return faults }},
+	}
+	key := func(r Result) [4]any {
+		return [4]any{r.Score, string(r.Cigar), r.Status, r.Provenance}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantRep, want, err := AlignPairs(tc.cfg(), unique)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, got, err := AlignPairs(tc.cfg(), repeated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(repeated) || len(want) != len(unique) {
+				t.Fatalf("%d results for repeated IDs, %d for unique, want %d", len(got), len(want), len(unique))
+			}
+			for i := range got {
+				if got[i].ID != repeated[i].ID {
+					t.Fatalf("result %d has ID %d, want %d", i, got[i].ID, repeated[i].ID)
+				}
+				if key(got[i]) != key(want[i]) {
+					t.Fatalf("result %d: repeated IDs give %v, unique IDs %v", i, key(got[i]), key(want[i]))
+				}
+			}
+			if rep.MakespanSec != wantRep.MakespanSec || rep.Alignments != wantRep.Alignments ||
+				rep.VerifyFailures != 0 || rep.FaultsDetected != wantRep.FaultsDetected {
+				t.Errorf("report differs: makespan %v/%v, alignments %d/%d, verify failures %d, faults %d/%d",
+					rep.MakespanSec, wantRep.MakespanSec, rep.Alignments, wantRep.Alignments,
+					rep.VerifyFailures, rep.FaultsDetected, wantRep.FaultsDetected)
+			}
+			if len(rep.AbandonedIDs) != len(wantRep.AbandonedIDs) || len(rep.Issues) != len(wantRep.Issues) {
+				t.Fatalf("report names %d abandoned / %d issues, want %d / %d",
+					len(rep.AbandonedIDs), len(rep.Issues), len(wantRep.AbandonedIDs), len(wantRep.Issues))
+			}
+			for i, id := range wantRep.AbandonedIDs {
+				if rep.AbandonedIDs[i] != id%2 {
+					t.Errorf("AbandonedIDs[%d] = %d, want caller ID %d", i, rep.AbandonedIDs[i], id%2)
+				}
+			}
+			for i, is := range wantRep.Issues {
+				if rep.Issues[i].ID != is.ID%2 || rep.Issues[i].Status != is.Status {
+					t.Errorf("Issues[%d] = %+v, want caller ID %d with %v", i, rep.Issues[i], is.ID%2, is.Status)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"pimnw/internal/cache"
 	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
@@ -18,40 +19,31 @@ const pairDescriptorBytes = 24
 const resultHeaderBytes = 16
 
 // batchExec is the outcome of executing one rank-sized batch, recovery
-// included.
+// included. Its Counters are what the batch adds to the run's tallies;
+// runBatch and runAttempt accumulate into them, and scheduleTimeline
+// fills in the bus time before folding them into the report.
 type batchExec struct {
+	Counters
 	results    []Result
-	bytesIn    int64
-	bytesOut   int64
-	kernelSec  float64 // kernel compute: every attempt's slowest DPU
-	waitSec    float64 // waiting between attempts: backoffs, fault detection
 	minDPUSec  float64 // fastest accepted DPU launch
 	stats      pim.DPUStats
 	loadedDPUs int
 	utilMin    float64
 	utilSum    float64
-	cells      int64
-	// Recovery outcome.
-	attempts     int
-	retrySec     float64
-	redispatches int
-	abandoned    []int // pair IDs dropped after retries were exhausted
-	faults       []FaultEvent
-	// Result-validation outcome (Config.Verify): CIGAR re-derivation
-	// checks performed, the failures among them, and the measured host
-	// wall-clock the checks cost (kept out of the modelled timeline).
-	verifyChecked  int
-	verifyFailures int
-	verifySec      float64
+	faults     []FaultEvent // batch-relative; rebased by scheduleTimeline
 }
 
 // AlignPairs runs the paper's main-loop workflow (§4.1) over independent
-// pairs: balance, dispatch, execute, collect. It returns the
-// simulated timeline report and every alignment result. With
-// Config.Escalate set, pairs whose banded result is out-of-band or
-// clipped are walked down the degradation ladder (escalate.go) until
-// every pair has a trusted answer; either way each result carries a
-// typed Status and a Provenance label.
+// pairs: balance, dispatch, execute, collect. It returns the simulated
+// timeline report and exactly one result per input pair, in input order,
+// whatever the configuration. With Config.Escalate set, pairs whose
+// banded result is out-of-band or clipped are walked down the
+// degradation ladder (escalate.go) until every pair has a trusted
+// answer; either way each result carries a typed Status and a Provenance
+// label. Without escalation a pair abandoned under injected faults comes
+// back as StatusAbandoned with Rank and DPU -1, and Report.Alignments
+// does not count it. Pair IDs are the caller's labels, carried through
+// verbatim; they may repeat.
 func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -66,7 +58,11 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 	}
 	defer sp.End()
 
-	rep, results, err := alignOnce(cfg, pairs, sp)
+	subs := make([]submission, len(pairs))
+	for i, p := range pairs {
+		subs[i].pair = p
+	}
+	rep, results, err := alignBatch(SessionConfig{Host: cfg}, subs, sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,70 +70,159 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 	return rep, results, nil
 }
 
-// alignOnce is the validated core of AlignPairs — one complete workload
-// through dispatch plus (when configured) the escalation ladder, with
-// results fully annotated. The streaming Session calls it once per
-// micro-batch; metrics publication is left to the caller so a session can
-// publish once over its merged report. With Config.Backends set the
-// workload is sharded across the fleet (fleet.go); otherwise it runs on
-// the single fabric cfg.PIM describes — an unnamed PiM server, so reports
-// carry no backend names.
-func alignOnce(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
-	if len(cfg.Backends) > 0 {
-		return alignFleet(cfg, pairs, sp)
+// alignBatch is the one batch path under AlignPairs and every session
+// micro-batch: it turns a batch of caller submissions into exactly one
+// result per submission, in submission order, and a report. Metrics
+// publication is left to the caller, so a session publishes once over
+// its merged report.
+//
+// It owns pair identity. Caller IDs may repeat, so each pair that
+// computes gets a dense ID — its index in the pair list handed down —
+// and below this function a pair's ID is that index. With cfg.Cache
+// attached two more classes of submission never reach the kernel:
+// admission-time hits, replayed as they are, and in-batch duplicates,
+// which share the dense ID of their first identical sibling. On the way
+// out every result, AbandonedIDs entry and Issue is mapped back to the
+// caller's ID. With cfg.Host.Backends set the pairs are sharded across
+// the fleet (fleet.go); otherwise they run on the single fabric cfg.PIM
+// describes — an unnamed PiM server, so reports carry no backend names.
+func alignBatch(cfg SessionConfig, subs []submission, sp *obs.Span) (*Report, []Result, error) {
+	hc := cfg.Host
+	slot := make([]int, len(subs)) // submission -> dense ID, -1 = hit
+	var first []int                // dense ID -> first submission index
+	var pairs []Pair
+	var keyOf map[cache.Key]int
+	if cfg.Cache != nil {
+		keyOf = make(map[cache.Key]int, len(subs))
 	}
-	return alignOnceOn(&PiMBackend{ranks: cfg.PIM.Ranks, freqMHz: cfg.PIM.FreqMHz}, cfg, pairs, sp)
+	hits := 0
+	for i, sub := range subs {
+		if sub.hit != nil {
+			slot[i] = -1
+			hits++
+			continue
+		}
+		if id, dup := keyOf[sub.key]; dup {
+			slot[i] = id
+			continue
+		}
+		id := len(pairs)
+		pairs = append(pairs, Pair{ID: id, A: sub.pair.A, B: sub.pair.B})
+		first = append(first, i)
+		slot[i] = id
+		if keyOf != nil {
+			keyOf[sub.key] = id
+		}
+	}
+	dups := len(subs) - hits - len(pairs)
+
+	// Every submission hit: nothing executes, the fabric is never
+	// touched, and the report says so.
+	rep, results := newReport(hc.TraceID), []Result(nil)
+	if len(pairs) > 0 {
+		var err error
+		if len(hc.Backends) > 0 {
+			rep, results, err = alignFleet(hc, pairs, sp)
+		} else {
+			rep, results, err = alignOnceOn(&PiMBackend{ranks: hc.PIM.Ranks, freqMHz: hc.PIM.FreqMHz}, hc, pairs, sp)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if cfg.Cache != nil && !cfg.CacheNoStore {
+		for id, r := range results {
+			if cacheInsertable(r.Status) {
+				if err := cfg.Cache.Insert(subs[first[id]].key, valueFromResult(r)); err != nil {
+					obs.Flight().Recordf("cache", hc.TraceID, "insert failed: %v", err)
+				}
+			}
+		}
+	}
+
+	out := make([]Result, len(subs))
+	for i, sub := range subs {
+		var r Result
+		if id := slot[i]; id < 0 {
+			r = *sub.hit
+			rep.countProvenance(r.Provenance)
+		} else {
+			r = results[id]
+			if i != first[id] && r.Status != StatusAbandoned {
+				// A deduped sibling: same answer, counted once per delivery.
+				rep.countProvenance(r.Provenance)
+			}
+		}
+		r.ID = sub.pair.ID
+		out[i] = r
+	}
+	rep.relabel(func(id int) int { return subs[first[id]].pair.ID })
+	rep.CacheHits += hits
+	if cfg.Cache != nil {
+		rep.CacheMisses += len(subs) - hits
+	}
+	rep.DedupedPairs += dups
+	// Every submission yields exactly one delivered result; hits and
+	// deduped siblings count in Alignments just like computed pairs, so
+	// Σ Provenance == Alignments holds with or without a cache.
+	rep.Alignments += hits + dups
+	return rep, out, nil
 }
 
-// alignOnceOn runs the complete pipeline — dispatch round, then
-// escalation or terminal annotation — on one backend. Every fleet shard
-// goes through here, so each server walks the same ladder the single
-// fabric would.
+// alignOnceOn runs the complete pipeline — dispatch round, then the
+// escalation ladder or the first-round classification — on one backend
+// and returns one result per pair, in input order. pairs[i].ID must be i.
+// Every fleet shard goes through here, so each server walks the same
+// ladder the single fabric would.
 func alignOnceOn(be Backend, cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
-	rep, results, err := be.Round(cfg, pairs, sp)
+	rep, round, err := be.Round(cfg, pairs, sp)
 	if err != nil {
 		return nil, nil, err
 	}
 	if cfg.Escalate {
-		results, err = escalate(be, cfg, pairs, rep, results, sp)
+		results, err := escalate(be, cfg, pairs, rep, round, sp)
 		if err != nil {
 			return nil, nil, err
 		}
-	} else {
-		annotateResults(cfg.Kernel, rep, results)
+		return rep, results, nil
+	}
+	// No ladder: the first-round classification is terminal.
+	prov := kernelProvenance(cfg.Kernel)
+	results := make([]Result, len(pairs))
+	for _, r := range round {
+		if !classify(rep, &r, prov) {
+			rep.addIssue(PairIssue{ID: r.ID, Status: r.Status, Provenance: prov})
+		}
+		rep.countProvenance(prov)
+		results[r.ID] = r
+	}
+	for _, id := range rep.AbandonedIDs {
+		results[id] = Result{PairResult: kernel.PairResult{ID: id}, Rank: -1, DPU: -1, Status: StatusAbandoned}
+		rep.addIssue(PairIssue{ID: id, Status: StatusAbandoned})
 	}
 	return rep, results, nil
 }
 
-// annotateResults stamps Status/Provenance on a round's raw results and
-// folds the band-failure and provenance tallies into the report — the
-// terminal classification when no escalation ladder runs.
-func annotateResults(k kernel.Config, rep *Report, results []Result) {
-	prov := kernelProvenance(k)
-	for i := range results {
-		r := &results[i]
-		r.Provenance = prov
-		switch {
-		case r.Overflowed:
-			r.Status = StatusOverflowed
-			rep.OverflowedPairs++
-		case !r.InBand:
-			r.Status = StatusOutOfBand
-			rep.OutOfBandPairs++
-		case r.Clipped:
-			r.Status = StatusClipped
-			rep.ClippedPairs++
-		default:
-			r.Status = StatusOK
-		}
-		rep.countProvenance(prov)
-		if r.Status != StatusOK {
-			rep.addIssue(PairIssue{ID: r.ID, Status: r.Status, Provenance: prov})
-		}
+// classify stamps a first-round result with the provenance of the engine
+// that ran it and the status it earns on its own, tallies a band or
+// precision failure into rep, and reports whether the answer is trusted
+// as it stands.
+func classify(rep *Report, r *Result, prov string) bool {
+	r.Provenance = prov
+	switch {
+	case r.Overflowed:
+		r.Status = StatusOverflowed
+		rep.OverflowedPairs++
+	case !r.InBand:
+		r.Status = StatusOutOfBand
+		rep.OutOfBandPairs++
+	case r.Clipped:
+		r.Status = StatusClipped
+		rep.ClippedPairs++
+	default:
+		r.Status = StatusOK
 	}
-	for _, id := range rep.AbandonedIDs {
-		rep.addIssue(PairIssue{ID: id, Status: StatusAbandoned})
-	}
+	return r.Status == StatusOK
 }
 
 // kernelProvenance names the engine a kernel config stands for.
@@ -224,11 +309,8 @@ func alignPairsRound(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result,
 			execs[bi].results[i].Rank = rank
 		}
 		results = append(results, execs[bi].results...)
-		rep.TotalCells += execs[bi].cells
-		rep.TotalInstr += execs[bi].stats.Instr
 	}
 	csp.End()
-	rep.Alignments = len(results)
 	rep.Batches = len(batches)
 	return rep, results, nil
 }
@@ -302,14 +384,14 @@ func scheduleTimeline(cfg Config, execs []batchExec, rep *Report) {
 			}
 		}
 		start := math.Max(rankFree[r], busInFree)
-		inDur := cfg.PIM.HostTransferSeconds(ex.bytesIn)
+		inDur := cfg.PIM.HostTransferSeconds(ex.BytesIn)
 		busInFree = start + inDur
 		kStart := start + inDur + launch
 		// The rank is busy for compute plus the recovery waits; only the
 		// compute share is reported as KernelSec.
-		kEnd := kStart + ex.kernelSec + ex.waitSec
+		kEnd := kStart + ex.KernelSecSum + ex.WaitSec
 		outStart := math.Max(kEnd, busOutFree)
-		outDur := cfg.PIM.HostTransferSeconds(ex.bytesOut)
+		outDur := cfg.PIM.HostTransferSeconds(ex.BytesOut)
 		busOutFree = outStart + outDur
 		rankFree[r] = outStart + outDur
 		if rankFree[r] > makespan {
@@ -328,30 +410,15 @@ func scheduleTimeline(cfg Config, execs []batchExec, rep *Report) {
 		}
 		rep.Ranks = append(rep.Ranks, RankStats{
 			Rank: r, Batch: bi, StartSec: start,
-			TransferInSec: inDur, KernelSec: ex.kernelSec,
+			TransferInSec: inDur, KernelSec: ex.KernelSecSum,
 			FastestDPUSec: ex.minDPUSec, TransferOutSec: outDur,
-			EndSec: rankFree[r], BytesIn: ex.bytesIn, BytesOut: ex.bytesOut,
+			EndSec: rankFree[r], BytesIn: ex.BytesIn, BytesOut: ex.BytesOut,
 			DPUStats: ex.stats, LoadedDPUs: ex.loadedDPUs,
-			Attempts: ex.attempts, WaitSec: ex.waitSec, RetrySec: ex.retrySec,
+			Attempts: ex.Retries + 1, WaitSec: ex.WaitSec, RetrySec: ex.RetrySec,
 			Faults: faults,
 		})
-		rep.TransferInSec += inDur
-		rep.TransferOutSec += outDur
-		rep.KernelSecSum += ex.kernelSec
-		rep.WaitSec += ex.waitSec
-		rep.BytesIn += ex.bytesIn
-		rep.BytesOut += ex.bytesOut
-		rep.Retries += ex.attempts - 1
-		rep.Redispatches += ex.redispatches
-		rep.FaultsDetected += len(ex.faults)
-		rep.RetrySec += ex.retrySec
-		rep.VerifyChecked += ex.verifyChecked
-		rep.VerifyFailures += ex.verifyFailures
-		rep.VerifySec += ex.verifySec
-		if len(ex.abandoned) > 0 {
-			rep.AbandonedPairs += len(ex.abandoned)
-			rep.AbandonedIDs = append(rep.AbandonedIDs, ex.abandoned...)
-		}
+		ex.TransferInSec, ex.TransferOutSec = inDur, outDur
+		rep.Counters.Add(&ex.Counters)
 		if ex.loadedDPUs > 0 {
 			if ex.utilMin < rep.UtilizationMin {
 				rep.UtilizationMin = ex.utilMin

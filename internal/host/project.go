@@ -20,13 +20,10 @@ func Project(cfg Config, batches []SyntheticBatch) *Report {
 	execs := make([]batchExec, len(batches))
 	for i, b := range batches {
 		execs[i] = batchExec{
-			bytesIn:    b.BytesIn,
-			bytesOut:   b.BytesOut,
-			kernelSec:  b.KernelSec,
+			Counters:   Counters{BytesIn: b.BytesIn, BytesOut: b.BytesOut, KernelSecSum: b.KernelSec},
 			minDPUSec:  b.KernelSec,
 			loadedDPUs: b.LoadedDPUs,
 			utilMin:    1,
-			attempts:   1,
 		}
 	}
 	scheduleTimeline(cfg, execs, rep)

@@ -75,7 +75,9 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 	}
 
 	for attempt := 0; len(pending) > 0; attempt++ {
-		ex.attempts++
+		if attempt > 0 {
+			ex.Retries++
+		}
 		asp := sp.Child("host.attempt")
 		asp.SetAttrInt("attempt", int64(attempt))
 		asp.SetAttrInt("pairs", int64(len(pending)))
@@ -90,7 +92,7 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 			// kernel ever ran, so the cost is waiting, not compute.
 			ex.faults = append(ex.faults, FaultEvent{
 				Batch: batch, Attempt: attempt, DPU: -1,
-				Kind: pim.FaultRankDrop.String(), AtSec: ex.kernelSec + ex.waitSec,
+				Kind: pim.FaultRankDrop.String(), AtSec: ex.KernelSecSum + ex.WaitSec,
 			})
 			obs.Flight().Recordf("fault", cfg.TraceID,
 				"batch %d attempt %d: rank dropped off the bus (%d pairs)",
@@ -108,12 +110,12 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 		}
 		asp.End()
 
-		ex.kernelSec += computeSec
-		ex.waitSec += waitSec
+		ex.KernelSecSum += computeSec
+		ex.WaitSec += waitSec
 		if attempt > 0 || len(failed) == len(pending) {
 			// Time past the first launch window, or a first launch that
 			// produced nothing, is recovery cost.
-			ex.retrySec += computeSec + waitSec
+			ex.RetrySec += computeSec + waitSec
 		}
 		pending = failed
 		if len(pending) == 0 {
@@ -121,11 +123,12 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 		}
 		if attempt >= cfg.MaxRetries || len(alive) == 0 {
 			for _, p := range pending {
-				ex.abandoned = append(ex.abandoned, p.ID)
+				ex.AbandonedIDs = append(ex.AbandonedIDs, p.ID)
 			}
+			ex.AbandonedPairs += len(pending)
 			obs.Info("abandoning pairs: retries exhausted",
 				"trace_id", cfg.TraceID, "batch", batch,
-				"pairs", len(pending), "attempts", ex.attempts,
+				"pairs", len(pending), "attempts", attempt+1,
 				"surviving_dpus", len(alive))
 			// Abandonment is the event the flight recorder exists for:
 			// record it, then dump the whole ring to the log so the
@@ -133,7 +136,7 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 			// to the failure.
 			obs.Flight().Recordf("abandon", cfg.TraceID,
 				"batch %d: %d pairs abandoned after %d attempts (%d DPUs surviving)",
-				batch, len(pending), ex.attempts, len(alive))
+				batch, len(pending), attempt+1, len(alive))
 			obs.Flight().DumpToLog("abandonment")
 			break
 		}
@@ -146,13 +149,14 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 		// The backoff interval is pure waiting: charging it to kernelSec
 		// would inflate reported kernel time with fault-rate-dependent
 		// idle time and push HostOverheadFraction negative.
-		ex.waitSec += backoff
-		ex.retrySec += backoff
-		ex.redispatches += len(pending)
+		ex.WaitSec += backoff
+		ex.RetrySec += backoff
+		ex.Redispatches += len(pending)
 	}
 	if math.IsInf(ex.minDPUSec, 1) {
 		ex.minDPUSec = 0
 	}
+	ex.FaultsDetected = len(ex.faults)
 	return ex, nil
 }
 
@@ -241,10 +245,10 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 			survivors = append(survivors, (*alive)[ai])
 			continue
 		}
-		ex.bytesIn += o.bytesIn // retransfers on retry attempts cost bus time too
-		ex.verifyChecked += o.verified
-		ex.verifyFailures += o.badResults
-		ex.verifySec += o.verifySec
+		ex.BytesIn += o.bytesIn // retransfers on retry attempts cost bus time too
+		ex.VerifyChecked += o.verified
+		ex.VerifyFailures += o.badResults
+		ex.VerifySec += o.verifySec
 		sec := o.sec
 		if sec > deadline {
 			sec = deadline // the host gives up on the DPU at the deadline
@@ -265,7 +269,7 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 		if o.fail == pim.FaultNone {
 			kind = "validation"
 		}
-		at := ex.kernelSec + ex.waitSec + sec
+		at := ex.KernelSecSum + ex.WaitSec + sec
 		ex.faults = append(ex.faults, FaultEvent{
 			Batch: batch, Attempt: attempt, DPU: o.dpu,
 			Kind: kind, AtSec: at,
@@ -326,9 +330,11 @@ func (ex *batchExec) accept(o *dpuAttempt) {
 		ex.utilMin = u
 	}
 	ex.stats.Add(o.out.Stats)
+	ex.TotalInstr += o.out.Stats.Instr
+	ex.Alignments += len(o.out.Results)
 	for _, r := range o.out.Results {
-		ex.bytesOut += resultHeaderBytes + int64(len(r.Cigar))
-		ex.cells += r.Cells
+		ex.BytesOut += resultHeaderBytes + int64(len(r.Cigar))
+		ex.TotalCells += r.Cells
 		ex.results = append(ex.results, Result{PairResult: r, DPU: o.dpu})
 	}
 }

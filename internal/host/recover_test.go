@@ -123,8 +123,9 @@ func TestAlignPairsCorruptionNeverLeaks(t *testing.T) {
 }
 
 // TestAlignPairsGracefulDegradation: with retries disabled and crashes
-// injected, the run must complete without error, return the surviving
-// alignments, and account for every dropped pair.
+// injected, the run must complete without error, return one result per
+// pair in input order — the dropped ones as StatusAbandoned placeholders —
+// and account for every dropped pair.
 func TestAlignPairsGracefulDegradation(t *testing.T) {
 	cfg := testConfig(1, true)
 	cfg.Faults = pim.FaultConfig{Rate: 0.3, CrashWeight: 1, Seed: 99}
@@ -137,30 +138,44 @@ func TestAlignPairsGracefulDegradation(t *testing.T) {
 	if rep.AbandonedPairs == 0 {
 		t.Fatal("30% crash rate with no retries should abandon pairs")
 	}
-	if len(results)+rep.AbandonedPairs != len(pairs) {
-		t.Fatalf("%d delivered + %d abandoned != %d submitted",
-			len(results), rep.AbandonedPairs, len(pairs))
+	if len(results) != len(pairs) {
+		t.Fatalf("%d results for %d pairs", len(results), len(pairs))
 	}
 	if len(rep.AbandonedIDs) != rep.AbandonedPairs {
 		t.Fatalf("AbandonedIDs has %d entries for %d abandoned pairs",
 			len(rep.AbandonedIDs), rep.AbandonedPairs)
 	}
-	delivered := resultMap(t, results)
+	abandoned := map[int]bool{}
 	for _, id := range rep.AbandonedIDs {
-		if _, ok := delivered[id]; ok {
-			t.Errorf("pair %d both delivered and abandoned", id)
-		}
+		abandoned[id] = true
 	}
-	// Survivors are still bit-correct.
-	for _, r := range results {
+	placeholders := 0
+	for i, r := range results {
+		if r.ID != pairs[i].ID {
+			t.Fatalf("result %d has ID %d, want input order (%d)", i, r.ID, pairs[i].ID)
+		}
+		if r.Status == StatusAbandoned {
+			placeholders++
+			if !abandoned[r.ID] || r.Rank != -1 || r.DPU != -1 {
+				t.Errorf("pair %d: placeholder %+v not reported as abandoned at rank/DPU -1", r.ID, r)
+			}
+			continue
+		}
+		if abandoned[r.ID] {
+			t.Errorf("pair %d both delivered and abandoned", r.ID)
+		}
+		// Survivors are still bit-correct.
 		p := pairs[r.ID]
 		want := core.AdaptiveBandAlign(p.A, p.B, cfg.Kernel.Params, cfg.Kernel.Band)
 		if r.Score != want.Score {
 			t.Errorf("pair %d: surviving score wrong", r.ID)
 		}
 	}
-	if rep.Alignments != len(results) {
-		t.Errorf("report alignments %d vs %d results", rep.Alignments, len(results))
+	if placeholders != rep.AbandonedPairs {
+		t.Errorf("%d abandoned placeholders for %d abandoned pairs", placeholders, rep.AbandonedPairs)
+	}
+	if want := len(pairs) - rep.AbandonedPairs; rep.Alignments != want {
+		t.Errorf("report alignments %d, want the %d survivors", rep.Alignments, want)
 	}
 }
 

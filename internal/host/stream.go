@@ -4,15 +4,13 @@ import (
 	"context"
 	"time"
 
-	"pimnw/internal/cache"
-	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 )
 
-// runMicroBatch executes one micro-batch through the one-shot pipeline
-// (alignOnce: dispatch, recovery, escalation, annotation) and reorders
-// the results into submission order, so the collector can stream them
-// without any per-pair bookkeeping.
+// runMicroBatch executes one micro-batch through the one batch path
+// (alignBatch: dispatch, recovery, escalation, annotation, cache), which
+// returns the results in submission order, so the collector can stream
+// them without any per-pair bookkeeping.
 func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 	pickup := time.Now()
 	oc := batchOutcome{seq: mb.seq, subs: mb.subs}
@@ -26,135 +24,22 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 		s.stages.QueueWaitSec += pickup.Sub(mb.flushedAt).Seconds() * float64(len(mb.subs))
 		s.mu.Unlock()
 	}
-	cfg := s.cfg.Host
-
-	// The dispatch machinery and the escalation ladder need unique pair
-	// IDs; streaming clients may reuse theirs across (or even within)
-	// submissions, so the batch runs on dense internal IDs that are
-	// mapped back to the caller's on the way out. With a cache attached,
-	// two more classes of submission never reach the kernel at all:
-	// admission-time hits (slot -1), and in-batch duplicates, which map
-	// onto the dense ID of their first identical sibling and share its
-	// computation.
-	cch := s.cfg.Cache
-	slot := make([]int, len(mb.subs)) // submission -> dense pair ID, -1 = hit
-	var firstSub []int                // dense pair ID -> first submission index
-	var pairs []Pair
-	hits := 0
-	var keyOf map[cache.Key]int
-	if cch != nil {
-		keyOf = make(map[cache.Key]int, len(mb.subs))
+	cfg := s.cfg
+	// Decorrelate fault draws across micro-batches: batch coordinates
+	// restart at 0 inside every micro-batch, so reusing the seed would
+	// make the same faults chase every batch — the same trick the
+	// escalation ladder plays for its rounds. Seq 0 keeps the base seed,
+	// which makes a single-micro-batch session bit-identical to one-shot
+	// AlignPairs, faults included.
+	cfg.Host.Faults.Seed += int64(mb.seq) * 999983
+	sp := obs.StartSpan("host.session_batch")
+	sp.SetAttrInt("batch", int64(mb.seq))
+	sp.SetAttrInt("pairs", int64(len(mb.subs)))
+	if cfg.Host.TraceID != "" {
+		sp.SetAttr("trace_id", cfg.Host.TraceID)
 	}
-	for i, sub := range mb.subs {
-		if sub.hit != nil {
-			slot[i] = -1
-			hits++
-			continue
-		}
-		if keyOf != nil {
-			if id, dup := keyOf[sub.key]; dup {
-				slot[i] = id
-				continue
-			}
-		}
-		id := len(pairs)
-		pairs = append(pairs, Pair{ID: id, A: sub.pair.A, B: sub.pair.B})
-		firstSub = append(firstSub, i)
-		slot[i] = id
-		if keyOf != nil {
-			keyOf[sub.key] = id
-		}
-	}
-	dups := len(mb.subs) - hits - len(pairs)
-
-	var rep *Report
-	var results []Result
-	if len(pairs) > 0 {
-		// Decorrelate fault draws across micro-batches: batch coordinates
-		// restart at 0 inside every micro-batch, so reusing the seed would
-		// make the same faults chase every batch — the same trick the
-		// escalation ladder plays for its rounds. Seq 0 keeps the base seed,
-		// which makes a single-micro-batch session bit-identical to one-shot
-		// AlignPairs, faults included.
-		cfg.Faults.Seed += int64(mb.seq) * 999983
-		sp := obs.StartSpan("host.session_batch")
-		sp.SetAttrInt("batch", int64(mb.seq))
-		sp.SetAttrInt("pairs", int64(len(pairs)))
-		if cfg.TraceID != "" {
-			sp.SetAttr("trace_id", cfg.TraceID)
-		}
-		var err error
-		rep, results, err = alignOnce(cfg, pairs, sp)
-		sp.End()
-		if err != nil {
-			oc.err = err
-			return oc
-		}
-	} else {
-		// Every submission hit: nothing executed, the fabric was never
-		// touched, and the report says so.
-		rep = newReport(cfg.TraceID)
-	}
-
-	dense := make([]Result, len(pairs))
-	haveDense := make([]bool, len(pairs))
-	for _, r := range results {
-		dense[r.ID] = r
-		haveDense[r.ID] = true
-	}
-	if cch != nil && !s.cfg.CacheNoStore {
-		for id, r := range dense {
-			if haveDense[id] && cacheInsertable(r.Status) {
-				if err := cch.Insert(mb.subs[firstSub[id]].key, valueFromResult(r)); err != nil {
-					obs.Flight().Recordf("cache", cfg.TraceID, "insert failed: %v", err)
-				}
-			}
-		}
-	}
-
-	ordered := make([]Result, len(mb.subs))
-	for i, sub := range mb.subs {
-		if slot[i] < 0 {
-			r := *sub.hit
-			rep.countProvenance(r.Provenance)
-			ordered[i] = r
-			continue
-		}
-		if id := slot[i]; haveDense[id] {
-			r := dense[id]
-			r.PairResult.ID = sub.pair.ID
-			if i != firstSub[id] {
-				// A deduped sibling: same answer, counted once per delivery.
-				rep.countProvenance(r.Provenance)
-			}
-			ordered[i] = r
-			continue
-		}
-		// Abandoned under faults with escalation off: the submission
-		// still yields exactly one streamed result, carrying the terminal
-		// status instead of silently vanishing from the stream.
-		ordered[i] = Result{
-			PairResult: kernel.PairResult{ID: sub.pair.ID},
-			Rank:       -1, DPU: -1,
-			Status: StatusAbandoned,
-		}
-	}
-	for i, id := range rep.AbandonedIDs {
-		rep.AbandonedIDs[i] = mb.subs[firstSub[id]].pair.ID
-	}
-	for i := range rep.Issues {
-		rep.Issues[i].ID = mb.subs[firstSub[rep.Issues[i].ID]].pair.ID
-	}
-	rep.CacheHits += hits
-	if cch != nil {
-		rep.CacheMisses += len(mb.subs) - hits
-	}
-	rep.DedupedPairs += dups
-	// Every submission yields exactly one delivered result; hits and
-	// deduped siblings count in Alignments just like computed pairs, so
-	// Σ Provenance == Alignments holds with or without a cache.
-	rep.Alignments += hits + dups
-	oc.rep, oc.results = rep, ordered
+	oc.rep, oc.results, oc.err = alignBatch(cfg, mb.subs, sp)
+	sp.End()
 	return oc
 }
 

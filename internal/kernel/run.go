@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"pimnw/internal/core"
 	"pimnw/internal/obs"
@@ -75,8 +74,8 @@ func ChecksumResults(rs []PairResult) uint64 {
 }
 
 // Run executes the kernel on one DPU: the pairs staged in the DPU's MRAM
-// are distributed over the P pools (LPT, mirroring the host's balancing
-// heuristic at pool granularity), each pool's tasklets compute the
+// are distributed over the P pools (LPT, the heuristic the host balances
+// ranks and DPUs with, at pool granularity), each pool's tasklets compute the
 // adaptive-banded DP anti-diagonal by anti-diagonal, the master tasklet
 // streams BT rows to MRAM and performs the sequential traceback, and the
 // whole schedule is priced by the fluid pipeline/DMA simulator.
@@ -97,25 +96,11 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 	}
 
 	// LPT assignment of pairs to pools.
-	order := make([]int, len(pairs))
-	for i := range order {
-		order[i] = i
+	loads := make([]int64, len(pairs))
+	for i, p := range pairs {
+		loads[i] = p.Workload(cfg.Band)
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return pairs[order[x]].Workload(cfg.Band) > pairs[order[y]].Workload(cfg.Band)
-	})
-	poolPairs := make([][]int, g.Pools)
-	poolLoad := make([]int64, g.Pools)
-	for _, idx := range order {
-		best := 0
-		for p := 1; p < g.Pools; p++ {
-			if poolLoad[p] < poolLoad[best] {
-				best = p
-			}
-		}
-		poolPairs[best] = append(poolPairs[best], idx)
-		poolLoad[best] += pairs[idx].Workload(cfg.Band)
-	}
+	poolPairs, _ := LPT(loads, g.Pools)
 
 	out.Results = make([]PairResult, 0, len(pairs))
 	rowBytes := core.NibbleRowSize(cfg.Band)

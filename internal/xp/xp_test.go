@@ -1,12 +1,19 @@
 package xp
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"pimnw/internal/pim"
 )
+
+var updateQuickGolden = flag.Bool("update-quick-golden", false,
+	"rewrite internal/xp/testdata/quick.golden from the current code")
 
 func quickRunner() *Runner {
 	return NewRunner(Options{Quick: true})
@@ -273,11 +280,52 @@ func TestRunnerAll(t *testing.T) {
 	if len(tables) != len(TableIDs()) {
 		t.Errorf("%d tables", len(tables))
 	}
+	// The golden is what `experiments -quick` prints: every table's
+	// rendering followed by a blank line.
+	var got bytes.Buffer
 	for _, tbl := range tables {
-		if tbl.Render() == "" {
+		out := tbl.Render()
+		if out == "" {
 			t.Errorf("table %s renders empty", tbl.ID)
 		}
+		got.WriteString(out + "\n")
 	}
+	path := filepath.Join("testdata", "quick.golden")
+	if *updateQuickGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	// Name every table whose rendering moved, with its first differing line.
+	gotTables, wantTables := splitTables(got.String()), splitTables(string(want))
+	for i := 0; i < len(gotTables) || i < len(wantTables); i++ {
+		g, w := nth(gotTables, i), nth(wantTables, i)
+		if g == w {
+			continue
+		}
+		gl, wl := strings.Split(g, "\n"), strings.Split(w, "\n")
+		name := nth(wl, 0)
+		if name == "" {
+			name = nth(gl, 0)
+		}
+		j := 0
+		for j < len(gl) && j < len(wl) && gl[j] == wl[j] {
+			j++
+		}
+		t.Errorf("%q moved at line %d:\n got  %q\n want %q", name, j+1, nth(gl, j), nth(wl, j))
+	}
+	t.Errorf("quick tables differ from %s (rerun with -update-quick-golden if intended)", path)
 }
 
 func TestHybridTable(t *testing.T) {
@@ -354,4 +402,21 @@ func TestBalanceTable(t *testing.T) {
 			t.Errorf("%s beats LPT: %vx", row[0], v)
 		}
 	}
+}
+
+// splitTables cuts rendered output at each "Table " heading.
+func splitTables(out string) []string {
+	parts := strings.Split(out, "\nTable ")
+	for i := 1; i < len(parts); i++ {
+		parts[i] = "Table " + parts[i]
+	}
+	return parts
+}
+
+// nth is s[i], or "" past the end.
+func nth(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return ""
 }
