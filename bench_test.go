@@ -220,6 +220,10 @@ func BenchmarkCPUBaselineBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkDPUKernelBatch prices one kernel launch of 12 1 kb traceback
+// pairs. The pairs are drawn once and staged per iteration on one DPU,
+// Reset between launches as the host's launch site reuses its DPUs, so
+// every iteration does the same work: alloc-gated.
 func BenchmarkDPUKernelBatch(b *testing.B) {
 	kcfg := kernel.Config{
 		Geometry:  kernel.DefaultGeometry(),
@@ -230,15 +234,20 @@ func BenchmarkDPUKernelBatch(b *testing.B) {
 		PIM:       pim.DefaultConfig(),
 	}
 	rng := rand.New(rand.NewSource(4))
+	seqs := make([][2]seq.Seq, 12)
+	for j := range seqs {
+		a := seq.Random(rng, 1000)
+		seqs[j] = [2]seq.Seq{a, seq.UniformErrors(0.05).Apply(rng, a)}
+	}
+	d := kcfg.PIM.NewDPU(0)
+	pairs := make([]kernel.Pair, len(seqs))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := kcfg.PIM.NewDPU(0)
-		pairs := make([]kernel.Pair, 12)
-		for j := range pairs {
-			a := seq.Random(rng, 1000)
-			q := seq.UniformErrors(0.05).Apply(rng, a)
-			sp, err := kernel.StagePair(d, j, a, q)
+		d.Reset(0)
+		for j, s := range seqs {
+			sp, err := kernel.StagePair(d, j, s[0], s[1])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -373,6 +382,48 @@ func BenchmarkFluidSimulator(b *testing.B) {
 			tr.Barrier(1)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pim.FluidSimulate(run); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFluidSimulatorServing prices the simulator on s1000_bulk's
+// serving shape: a 64-pair micro-batch over 40 ranks leaves one 1 kb
+// traceback pair per DPU, so one pool of the 6×4 geometry is busy and the
+// other 20 tasklets boot idle. The traces follow the kernel's at band 128
+// under the asm cost table: 16-step BT-flush intervals of the DP phase,
+// then the master's streamed traceback. Alloc-gated: a reused run
+// simulates without allocating.
+func BenchmarkFluidSimulatorServing(b *testing.B) {
+	const steps, band, rowBytes, cigarBytes = 2000, 128, 64, 160
+	c := pim.Asm
+	run, _ := pim.NewDPURun(kernel.DefaultGeometry().Tasklets())
+	pool := run.Traces[:kernel.DefaultGeometry().TaskletsPerPool]
+	master := pool[0]
+	master.Exec(c.AlignSetup)
+	for s := 0; s < steps; s += 16 {
+		for _, tr := range pool {
+			tr.Exec(16*band/int64(len(pool))*c.CellTB + 16*c.StepTasklet)
+		}
+		master.Exec(16 * c.StepMaster)
+		master.DMARead(8)
+		master.DMAWrite(16 * rowBytes)
+		for _, tr := range pool {
+			tr.Barrier(0)
+		}
+	}
+	for bt := int64((steps + 1) * rowBytes); bt > 0; bt -= pim.DMAMaxBytes {
+		master.DMARead(min(bt, pim.DMAMaxBytes))
+		master.Exec(cigarBytes * pim.DMAMaxBytes / ((steps + 1) * rowBytes) * c.TracebackCol)
+	}
+	master.DMAWrite(16 + cigarBytes)
+	for _, tr := range pool {
+		tr.Barrier(0)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pim.FluidSimulate(run); err != nil {

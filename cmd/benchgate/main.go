@@ -54,13 +54,15 @@ var gated = []string{
 	"LPT",
 	"Placement",
 	"FluidSimulator",
+	"FluidSimulatorServing",
 	"CacheHit10k",
 	"WALAppend",
 }
 
 // allocGated is the subset whose allocs/op must never exceed the baseline:
-// the deterministic single-goroutine core-engine benchmarks. Host/kernel
-// benchmarks are excluded — goroutine scheduling and GC timing make their
+// the deterministic single-goroutine benchmarks — the core engines, one
+// kernel launch and the fluid simulator on the serving shape. The host
+// benchmarks are excluded: goroutine scheduling and GC timing make their
 // counts noisy by a few objects either way.
 var allocGated = []string{
 	"AdaptiveBandScore10k",
@@ -73,6 +75,8 @@ var allocGated = []string{
 	"AdaptiveBandAlign/w128",
 	"CacheHit10k",
 	"Placement",
+	"DPUKernelBatch",
+	"FluidSimulatorServing",
 }
 
 // baselineFile is the committed reference measurement set.

@@ -20,14 +20,13 @@ import (
 // escalation ladder included — must not re-allocate the engine's working
 // memory.
 //
-// Allocation *counts* cannot see this (the simulated fabric makes ~11k
-// small allocations per round either way — WRAM banks, tasklet traces,
-// staging; testing.AllocsPerRun reads identical before and after the
-// scratch arena), so the test meters allocated *bytes*: the engine's O(w)
-// lanes, offset vectors and O((m+n)·w) traceback arenas are where the
-// megabytes are. On this workload the pre-arena engine allocated ~1.4 MB
-// per round on top of the fabric's ~5.6 MB; the budget sits between the
-// two regimes.
+// The test meters allocated *bytes*: the engine's O(w) lanes, offset
+// vectors and O((m+n)·w) traceback arenas are where the megabytes are.
+// The simulated fabric models WRAM and the BT stream as capacity
+// arithmetic and reuses its DPUs, traces and simulator state, so on this
+// workload a round with the arena allocates ~0.38 MB and one with
+// per-call engine buffers ~2.1 MB; the budget sits between the two
+// regimes.
 func TestAlignPairsSteadyStateAllocs(t *testing.T) {
 	obs.SetLogOutput(io.Discard)
 	defer obs.SetLogOutput(os.Stderr)
@@ -66,10 +65,10 @@ func TestAlignPairsSteadyStateAllocs(t *testing.T) {
 	}
 	perRound := measureBytesPerRound(t, run)
 
-	// Fabric-only rounds measure ~5.6 MB; with per-call engine buffers the
-	// same workload measures ~7.0 MB. Anything above the midpoint means
+	// Fabric-only rounds measure 379 KB; with per-call engine buffers the
+	// same workload measures 2 119 KB. Anything above the midpoint means
 	// core engine buffers are being re-allocated instead of reused.
-	const budget = 6_400_000
+	const budget = 1_249_000
 	if perRound > budget {
 		t.Errorf("steady-state AlignPairs allocates %d bytes/round (budget %d): core engine scratch is not being reused",
 			perRound, budget)

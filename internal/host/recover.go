@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"pimnw/internal/kernel"
@@ -15,6 +16,22 @@ import (
 // maxBackoffShift caps the exponential backoff doubling so the modelled
 // wait never overflows (2^20 base intervals is already hours).
 const maxBackoffShift = 20
+
+// dpuPool recycles the modelled DPUs of runAttempt's launches, so a
+// launch reuses a bank's storage instead of growing a fresh one. A launch
+// holds its DPU exclusively until the kernel's outcome is collected;
+// nothing in the outcome aliases the bank.
+var dpuPool sync.Pool
+
+// getDPU takes a pooled DPU with c's bank size, Reset to index id, or
+// builds one.
+func getDPU(c pim.Config, id int) *pim.DPU {
+	if d, ok := dpuPool.Get().(*pim.DPU); ok && d.MRAM.Capacity() == c.MRAM {
+		d.Reset(id)
+		return d
+	}
+	return c.NewDPU(id)
+}
 
 // dpuAttempt is the outcome of one DPU launch within a batch attempt.
 type dpuAttempt struct {
@@ -182,7 +199,8 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 			return nil
 		}
 		di := (*alive)[ai]
-		d := cfg.PIM.NewDPU(di)
+		d := getDPU(cfg.PIM, di)
+		defer dpuPool.Put(d)
 		d.Fault = faults.Draw(batch, attempt, di)
 		esp := sp.Child("host.encode")
 		esp.SetAttrInt("dpu", int64(di))

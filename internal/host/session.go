@@ -178,6 +178,11 @@ type Session struct {
 	sendWG    sync.WaitGroup // flushes on their way into s.batches
 	workerWG  sync.WaitGroup
 
+	// missed holds the keys whose first cache lookup in this session
+	// missed (see lookup).
+	missMu sync.Mutex
+	missed map[cache.Key]struct{}
+
 	mu       sync.Mutex
 	closed   bool
 	inFlight int // admitted pairs not yet delivered (or dropped)
@@ -247,6 +252,28 @@ func NewSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
+// lookup consults the cache for one submission, unless the key's first
+// lookup in this session missed: the entry can then only come from this
+// session's own earlier micro-batches, and whether their insert has landed
+// yet is scheduler timing. Hits therefore depend only on the cache's
+// contents at the key's first submission, and a repeat of a missed key is
+// computed again.
+func (s *Session) lookup(c *cache.Cache, k cache.Key, id int) *Result {
+	s.missMu.Lock()
+	defer s.missMu.Unlock()
+	if _, ok := s.missed[k]; ok {
+		return nil
+	}
+	if v, ok := c.Lookup(k); ok {
+		return resultFromCache(id, v)
+	}
+	if s.missed == nil {
+		s.missed = map[cache.Key]struct{}{}
+	}
+	s.missed[k] = struct{}{}
+	return nil
+}
+
 // Submit admits one pair. It returns ErrQueueFull when the bounded queue
 // of undelivered pairs is full (backpressure — retry later), and
 // ErrSessionClosed after Close or cancellation. Pair IDs are the
@@ -259,9 +286,7 @@ func (s *Session) Submit(p Pair) error {
 		// path of a warm cache is two digests and a map probe, and a miss
 		// costs the digests it would have needed at insert time anyway.
 		sub.key = cacheKeyFor(&s.cfg.Host, p)
-		if v, ok := c.Lookup(sub.key); ok {
-			sub.hit = resultFromCache(p.ID, v)
-		}
+		sub.hit = s.lookup(c, sub.key, p.ID)
 	}
 	s.mu.Lock()
 	if s.closed {

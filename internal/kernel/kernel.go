@@ -120,8 +120,8 @@ func poolWRAM(w int, traceback bool, lanes int) int {
 }
 
 // Validate checks the geometry against the device: tasklet count, and the
-// full WRAM budget (stacks + per-pool working sets) via a real allocation
-// pass against the scratchpad model.
+// full WRAM budget (stacks + per-pool working sets) via an allocation pass
+// against the scratchpad's capacity model.
 func (c Config) Validate() error {
 	g := c.Geometry
 	if g.Pools < 1 || g.TaskletsPerPool < 1 {
@@ -154,24 +154,24 @@ func (c Config) Validate() error {
 	if c.Costs.CellScore <= 0 {
 		return fmt.Errorf("kernel: cost table %q has no per-cell cost", c.Costs.Name)
 	}
-	_, err := c.allocWRAM()
-	return err
+	return c.layoutWRAM()
 }
 
-// allocWRAM performs the boot-time scratchpad layout and returns it, or an
-// overflow error identifying the geometry as infeasible.
-func (c Config) allocWRAM() (*pim.WRAM, error) {
+// layoutWRAM performs the boot-time scratchpad layout against the capacity
+// model, returning an overflow error identifying the geometry as
+// infeasible.
+func (c Config) layoutWRAM() error {
 	w, err := pim.NewWRAM(c.PIM.WRAM, c.Geometry.Tasklets()*c.PIM.StackBytes)
 	if err != nil {
-		return nil, fmt.Errorf("kernel: %v", err)
+		return fmt.Errorf("kernel: %v", err)
 	}
 	lanes := c.Lanes(c.Band, c.Traceback)
 	for pool := 0; pool < c.Geometry.Pools; pool++ {
-		if _, err := w.Alloc(poolWRAM(c.Band, c.Traceback, lanes)); err != nil {
-			return nil, fmt.Errorf("kernel: pool %d working set does not fit: %v", pool, err)
+		if err := w.Alloc(poolWRAM(c.Band, c.Traceback, lanes)); err != nil {
+			return fmt.Errorf("kernel: pool %d working set does not fit: %v", pool, err)
 		}
 	}
-	return w, nil
+	return nil
 }
 
 // Pair describes one alignment staged in a DPU's MRAM: 2-bit packed
@@ -295,9 +295,10 @@ func stageSeq(d *pim.DPU, s seq.Seq) (int, error) {
 	return off, nil
 }
 
-// loadSeq re-expands a staged sequence from MRAM (the DPU-side 2-bit
-// extraction; its instruction cost is part of the per-cell budget).
-func loadSeq(d *pim.DPU, off, bases int) seq.Seq {
+// loadSeq re-expands a staged sequence from MRAM into dst's storage (the
+// DPU-side 2-bit extraction; its instruction cost is part of the per-cell
+// budget).
+func loadSeq(dst seq.Seq, d *pim.DPU, off, bases int) seq.Seq {
 	p := seq.Packed{Bytes: d.MRAM.Bytes(off, seq.PackedSize(bases)), N: bases}
-	return p.Unpack()
+	return p.UnpackInto(dst)
 }

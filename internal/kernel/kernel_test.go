@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"pimnw/internal/core"
@@ -87,10 +89,10 @@ func TestStagePairRoundTrip(t *testing.T) {
 	if pair.ID != 7 || pair.ALen != 1001 || pair.BLen != 997 {
 		t.Errorf("pair = %+v", pair)
 	}
-	if !loadSeq(d, pair.AOff, pair.ALen).Equal(a) {
+	if !loadSeq(nil, d, pair.AOff, pair.ALen).Equal(a) {
 		t.Error("query corrupted through MRAM staging")
 	}
-	if !loadSeq(d, pair.BOff, pair.BLen).Equal(b) {
+	if !loadSeq(nil, d, pair.BOff, pair.BLen).Equal(b) {
 		t.Error("target corrupted through MRAM staging")
 	}
 }
@@ -138,8 +140,8 @@ func TestRunMatchesReferenceAligner(t *testing.T) {
 		if !ok {
 			t.Fatalf("pair %d missing from results", p.ID)
 		}
-		a := loadSeq(d, p.AOff, p.ALen)
-		b := loadSeq(d, p.BOff, p.BLen)
+		a := loadSeq(nil, d, p.AOff, p.ALen)
+		b := loadSeq(nil, d, p.BOff, p.BLen)
 		want := core.AdaptiveBandAlign(a, b, cfg.Params, cfg.Band)
 		if r.Score != want.Score || r.InBand != want.InBand {
 			t.Errorf("pair %d: kernel %d/%v, reference %d/%v", p.ID, r.Score, r.InBand, want.Score, want.InBand)
@@ -410,4 +412,72 @@ func TestFitsMRAM(t *testing.T) {
 	if !FitsMRAM(p, 80_000_000, 80_000_000, 1024, false) {
 		t.Error("score-only admission should ignore BT scratch")
 	}
+}
+
+// TestRunReusedDPUMatchesFresh stages long pairs, then shorter ones over
+// the stale bank of the same DPU after Reset: results, stats, MRAM peak
+// and checksum must equal a fresh DPU's. seq.PackInto ORs bases into its
+// window, so this holds only while it zeroes the window first.
+func TestRunReusedDPUMatchesFresh(t *testing.T) {
+	for _, tb := range []bool{true, false} {
+		cfg := testConfig(tb)
+		d := cfg.PIM.NewDPU(0)
+		if _, err := Run(d, cfg, stageBatch(t, d, 9, 1200, 0.08, 31)); err != nil {
+			t.Fatal(err)
+		}
+		d.Reset(5)
+		got, err := Run(d, cfg, stageBatch(t, d, 7, 301, 0.08, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := cfg.PIM.NewDPU(5)
+		want, err := Run(fresh, cfg, stageBatch(t, fresh, 7, 301, 0.08, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("traceback=%v: reused DPU gave %+v, fresh DPU %+v", tb, got.Stats, want.Stats)
+		}
+	}
+}
+
+// TestRunConcurrentLaunches runs launches of different shapes from several
+// goroutines at once, so recycled launch state passes between them: every
+// outcome must equal the same launch run alone.
+func TestRunConcurrentLaunches(t *testing.T) {
+	cfg := testConfig(true)
+	type job struct {
+		d     *pim.DPU
+		pairs []Pair
+		want  DPUOutcome
+	}
+	jobs := make([]job, 8)
+	for i := range jobs {
+		d := cfg.PIM.NewDPU(i)
+		pairs := stageBatch(t, d, 1+i%4, 200+150*i, 0.06, int64(40+i))
+		want, err := Run(d, cfg, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job{d, pairs, want}
+	}
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(j job) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got, err := Run(j.d, cfg, j.pairs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, j.want) {
+					t.Errorf("DPU %d: concurrent launch differs from the launch run alone", j.d.ID)
+					return
+				}
+			}
+		}(jobs[i])
+	}
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"pimnw/internal/core"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
+	"pimnw/internal/seq"
 )
 
 // Histogram boundaries for the kernel's registry metrics: effective band
@@ -15,6 +16,24 @@ var (
 	bandWidthBuckets   = []float64{8, 16, 32, 64, 128, 256, 512, 1024}
 	utilizationBuckets = []float64{0.5, 0.7, 0.8, 0.9, 0.95, 0.99}
 )
+
+// launch is Run's working state: the tasklet traces with the simulators'
+// state, the decoded pair and the pool bookkeeping. It is recycled through
+// launches, so a warm launch allocates little beyond what it returns. One
+// launch holds it at a time, and nothing Run returns aliases it.
+type launch struct {
+	run    pim.DPURun
+	a, b   seq.Seq
+	loads  []int64
+	btPeak []int
+}
+
+// launches is the free list of launch states, shared by every caller of
+// Run. It is not a sync.Pool because a pool drops its contents at every GC
+// (and at random under the race detector), and a dropped state regrows
+// 24 traces; the free list keeps one state per launch that ever ran
+// concurrently, up to its capacity, which is one per DPU of a rank.
+var launches = make(chan *launch, pim.DPUsPerRank)
 
 // DPUOutcome is everything one DPU produces for a batch: the alignment
 // results and the simulated execution statistics.
@@ -90,22 +109,34 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 		return out, &pim.FaultError{DPU: d.ID, Kind: pim.FaultCrash}
 	}
 	g := cfg.Geometry
-	run, err := pim.NewDPURun(g.Tasklets())
-	if err != nil {
+	var l *launch
+	select {
+	case l = <-launches:
+	default:
+		l = new(launch)
+	}
+	defer func() {
+		select {
+		case launches <- l:
+		default:
+		}
+	}()
+	run := &l.run
+	if err := run.Reset(g.Tasklets()); err != nil {
 		return out, err
 	}
 
 	// LPT assignment of pairs to pools.
-	loads := make([]int64, len(pairs))
-	for i, p := range pairs {
-		loads[i] = p.Workload(cfg.Band)
+	l.loads = l.loads[:0]
+	for _, p := range pairs {
+		l.loads = append(l.loads, p.Workload(cfg.Band))
 	}
-	poolPairs, _ := LPT(loads, g.Pools)
+	poolPairs, _ := LPT(l.loads, g.Pools)
 
 	out.Results = make([]PairResult, 0, len(pairs))
 	rowBytes := core.NibbleRowSize(cfg.Band)
 	seqBytesStaged := d.MRAM.Used()
-	btPeakPerPool := make([]int, g.Pools)
+	l.btPeak = append(l.btPeak[:0], make([]int, g.Pools)...)
 
 	// One scratch arena serves the whole launch: pools run sequentially in
 	// the simulation, and the arena (the "four integer arrays of size w" in
@@ -119,12 +150,15 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 		workers := run.Traces[base : base+g.TaskletsPerPool]
 		group := int64(pool)
 		for _, idx := range poolPairs[pool] {
-			pr, btBytes, err := alignOne(d, cfg, scratch, pairs[idx], rowBytes, master, workers, group)
+			p := pairs[idx]
+			l.a = loadSeq(l.a, d, p.AOff, p.ALen)
+			l.b = loadSeq(l.b, d, p.BOff, p.BLen)
+			pr, btBytes, err := alignOne(d, cfg, scratch, p, l.a, l.b, rowBytes, master, workers, group)
 			if err != nil {
 				return out, err
 			}
-			if btBytes > btPeakPerPool[pool] {
-				btPeakPerPool[pool] = btBytes
+			if btBytes > l.btPeak[pool] {
+				l.btPeak[pool] = btBytes
 			}
 			out.Results = append(out.Results, pr)
 		}
@@ -133,8 +167,8 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 	// MRAM pressure: in the real device the P pools hold their BT scratch
 	// regions concurrently; model the peak as the sum of per-pool maxima.
 	peak := seqBytesStaged
-	for _, b := range btPeakPerPool {
-		peak += b
+	for _, n := range l.btPeak {
+		peak += n
 	}
 	out.MRAMPeak = peak
 	if peak > d.MRAM.Capacity() {
@@ -170,25 +204,22 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 	return out, nil
 }
 
-// alignOne computes one pair on a pool and appends its execution trace.
-func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes int,
+// alignOne computes one pair, decoded as a and b, on a pool and appends
+// its execution trace.
+func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, a, b seq.Seq, rowBytes int,
 	master *pim.TaskletTrace, workers []*pim.TaskletTrace, group int64) (PairResult, int, error) {
-
-	a := loadSeq(d, pair.AOff, pair.ALen)
-	b := loadSeq(d, pair.BOff, pair.BLen)
 
 	pr := cfg.Align(scratch, pair.ID, a, b)
 
-	// BT scratch in MRAM: (steps+1) nibble rows. Allocated for real so the
-	// capacity constraint of §3.3 is enforced, released after traceback.
+	// BT scratch in MRAM: (steps+1) nibble rows, streamed out and read
+	// back but never inspected by the simulator, so it is a capacity check
+	// (the constraint of §3.3), not bytes.
 	btBytes := 0
 	if cfg.Traceback {
 		btBytes = (pr.Steps + 1) * rowBytes
-		mark := d.MRAM.Mark()
-		if _, err := d.MRAM.Alloc(btBytes); err != nil {
+		if err := d.MRAM.Reserve(btBytes); err != nil {
 			return pr, 0, fmt.Errorf("kernel: BT scratch for pair %d: %v", pair.ID, err)
 		}
-		d.MRAM.Release(mark)
 	}
 
 	emitTrace(cfg, pair, pr, rowBytes, master, workers, group)

@@ -9,97 +9,26 @@ import "fmt"
 // reference model; FluidSimulate is validated against it. Complexity is
 // O(total cycles), so use it for small runs (tests, calibration).
 func ExactSimulate(run *DPURun) (DPUStats, error) {
-	const (
-		stReady = iota
-		stDMA
-		stBarrier
-		stDone
-	)
-	n := len(run.Traces)
-	if n == 0 {
-		return DPUStats{}, fmt.Errorf("pim: empty run")
+	s := &run.sim
+	if err := s.start(run); err != nil {
+		return DPUStats{}, err
 	}
-	type tasklet struct {
-		segs      []Segment
-		idx       int   // current segment
-		remaining int64 // instructions left in current Exec segment
-		state     int
-		nextIssue int64 // earliest cycle the pipeline may issue for it
-	}
-	ts := make([]*tasklet, n)
+	n := len(s.ts)
+	nextIssue := make([]int64, n) // earliest cycle the pipeline may issue for each tasklet
 	var stats DPUStats
-
-	groups := run.barrierGroups()
-	arrived := map[int64]int{}
-	waiting := map[int64][]int{}
-
-	// dmaQueue holds tasklet indices waiting for the engine, FIFO.
-	var dmaQueue []int
-	var dmaActive = -1
-	var dmaRemaining int64
-
-	var advance func(cycle int64, i int) // start tasklet i's next segment
-
-	startDMA := func(i int, bytes int64) {
-		ts[i].state = stDMA
-		dmaQueue = append(dmaQueue, i)
-		ts[i].remaining = DMACycles(bytes)
-		stats.DMABytes += bytes
-		stats.DMATransfers += (bytes + DMAMaxBytes - 1) / DMAMaxBytes
-	}
-
-	advance = func(cycle int64, i int) {
-		t := ts[i]
-		for {
-			t.idx++
-			if t.idx >= len(t.segs) {
-				t.state = stDone
-				return
-			}
-			seg := t.segs[t.idx]
-			switch seg.Kind {
-			case SegExec:
-				t.state = stReady
-				t.remaining = seg.Arg
-				return
-			case SegDMARead, SegDMAWrite:
-				startDMA(i, seg.Arg)
-				return
-			case SegBarrier:
-				g := seg.Arg
-				arrived[g]++
-				if arrived[g] == len(groups[g]) {
-					arrived[g] = 0
-					released := waiting[g]
-					waiting[g] = nil
-					t.state = stReady // placeholder; loop continues below
-					for _, j := range released {
-						advance(cycle, j)
-					}
-					continue // this tasklet proceeds past the barrier too
-				}
-				t.state = stBarrier
-				waiting[g] = append(waiting[g], i)
-				return
-			}
-		}
-	}
-
-	for i, tr := range run.Traces {
-		ts[i] = &tasklet{segs: tr.Segs, idx: -1}
-		advance(0, i)
-	}
+	dmaActive := -1
+	var dmaRemaining float64
 
 	rr := 0
 	var cycle int64
 	for {
 		allDone := true
-		for _, t := range ts {
-			if t.state != stDone {
+		for i := range s.ts {
+			if st := s.ts[i].state; st != stDone {
 				allDone = false
-			}
-			if t.state == stBarrier {
-				stats.BarrierCycles++
+				if st == stBarrier {
+					stats.BarrierCycles++
+				}
 			}
 		}
 		if allDone {
@@ -107,10 +36,10 @@ func ExactSimulate(run *DPURun) (DPUStats, error) {
 		}
 
 		// DMA engine: activate the next queued transfer, progress 1 cycle.
-		if dmaActive < 0 && len(dmaQueue) > 0 {
-			dmaActive = dmaQueue[0]
-			dmaQueue = dmaQueue[1:]
-			dmaRemaining = ts[dmaActive].remaining
+		if dmaActive < 0 && s.head < len(s.dma) {
+			dmaActive = s.dma[s.head]
+			s.head++
+			dmaRemaining = s.ts[dmaActive].remaining
 		}
 		if dmaActive >= 0 {
 			stats.DMACycles++
@@ -118,7 +47,7 @@ func ExactSimulate(run *DPURun) (DPUStats, error) {
 			if dmaRemaining <= 0 {
 				done := dmaActive
 				dmaActive = -1
-				advance(cycle+1, done)
+				s.advance(done)
 			}
 		}
 
@@ -127,29 +56,29 @@ func ExactSimulate(run *DPURun) (DPUStats, error) {
 		anyReady := false
 		for k := 0; k < n; k++ {
 			i := (rr + k) % n
-			t := ts[i]
-			if t.state != stReady || t.remaining <= 0 {
+			t := &s.ts[i]
+			if t.state != stExec || t.remaining <= 0 {
 				continue
 			}
 			anyReady = true
-			if cycle < t.nextIssue {
+			if cycle < nextIssue[i] {
 				continue
 			}
 			t.remaining--
-			t.nextIssue = cycle + PipelineReentry
+			nextIssue[i] = cycle + PipelineReentry
 			stats.Instr++
 			stats.IssueCycles++
 			rr = (i + 1) % n
 			if t.remaining == 0 {
-				advance(cycle+1, i)
+				s.advance(i)
 			}
 			break
 		}
 		// Idle system with nothing in flight: any tasklet still parked on a
 		// barrier can never be released.
-		if !anyReady && dmaActive < 0 && len(dmaQueue) == 0 {
-			for _, t := range ts {
-				if t.state == stBarrier {
+		if !anyReady && dmaActive < 0 && s.head == len(s.dma) {
+			for i := range s.ts {
+				if s.ts[i].state == stBarrier {
 					return stats, fmt.Errorf("pim: deadlock at cycle %d: live tasklets wait on a barrier", cycle)
 				}
 			}
@@ -161,12 +90,9 @@ func ExactSimulate(run *DPURun) (DPUStats, error) {
 		}
 	}
 
-	// Deadlock check: any tasklet still waiting on a barrier means the
-	// kernel's barrier protocol was unbalanced.
-	for g, w := range waiting {
-		if len(w) > 0 {
-			return stats, fmt.Errorf("pim: %d tasklets deadlocked on barrier group %d", len(w), g)
-		}
+	stats.DMABytes, stats.DMATransfers = s.stats.DMABytes, s.stats.DMATransfers
+	if err := s.stuck(); err != nil {
+		return stats, err
 	}
 	stats.Cycles = cycle
 	stats.publish()

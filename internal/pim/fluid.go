@@ -10,98 +10,35 @@ import (
 // at an aggregate rate of min(k/11, 1) instructions per cycle (each tasklet
 // progressing at min(1/11, 1/k)), which is the exact behaviour of the
 // round-robin issue stage in steady state. DMA transfers are served one at
-// a time at 2 B/cycle plus setup. Events are segment completions, so the
-// cost is O(segments), letting the experiment harness simulate full-size
-// kernels that would take hours under ExactSimulate. The two models are
-// cross-validated in the package tests (within a few percent).
+// a time at 2 B/cycle plus setup. Events are segment completions and each
+// touches only the live tasklets, so the cost is O(events × live
+// tasklets), letting the experiment harness simulate full-size kernels
+// that would take hours under ExactSimulate. The two models are
+// cross-validated in the package tests (within a few percent). The update
+// order — tasklets in ascending order each step, barrier releases in
+// arrival order, DMA in FIFO order — is part of the model: it decides the
+// floating-point rounding of every statistic.
 func FluidSimulate(run *DPURun) (DPUStats, error) {
-	const (
-		stExec = iota
-		stDMAQueued
-		stDMAActive
-		stBarrier
-		stDone
-	)
-	n := len(run.Traces)
-	if n == 0 {
-		return DPUStats{}, fmt.Errorf("pim: empty run")
+	s := &run.sim
+	if err := s.start(run); err != nil {
+		return DPUStats{}, err
 	}
-	type tasklet struct {
-		segs      []Segment
-		idx       int
-		remaining float64 // instructions (Exec) or engine cycles (DMA)
-		state     int
-	}
-	ts := make([]*tasklet, n)
-	var stats DPUStats
-
-	groups := run.barrierGroups()
-	arrived := map[int64]int{}
-	waiting := map[int64][]int{}
-	var dmaQueue []int
 	dmaActive := -1
-
-	var advance func(i int)
-	advance = func(i int) {
-		t := ts[i]
-		for {
-			t.idx++
-			if t.idx >= len(t.segs) {
-				t.state = stDone
-				return
-			}
-			seg := t.segs[t.idx]
-			switch seg.Kind {
-			case SegExec:
-				t.state = stExec
-				t.remaining = float64(seg.Arg)
-				return
-			case SegDMARead, SegDMAWrite:
-				t.state = stDMAQueued
-				t.remaining = float64(DMACycles(seg.Arg))
-				stats.DMABytes += seg.Arg
-				stats.DMATransfers += (seg.Arg + DMAMaxBytes - 1) / DMAMaxBytes
-				dmaQueue = append(dmaQueue, i)
-				return
-			case SegBarrier:
-				g := seg.Arg
-				arrived[g]++
-				if arrived[g] == len(groups[g]) {
-					arrived[g] = 0
-					released := waiting[g]
-					waiting[g] = nil
-					for _, j := range released {
-						advance(j)
-					}
-					continue
-				}
-				t.state = stBarrier
-				waiting[g] = append(waiting[g], i)
-				return
-			}
-		}
-	}
-
-	for i, tr := range run.Traces {
-		ts[i] = &tasklet{segs: tr.Segs, idx: -1}
-		advance(i)
-	}
-
 	var now float64
 	var issueIntegral, dmaIntegral, barrierIntegral float64
 	const eps = 1e-9
 	for {
 		// Activate the DMA engine if idle.
-		if dmaActive < 0 && len(dmaQueue) > 0 {
-			dmaActive = dmaQueue[0]
-			dmaQueue = dmaQueue[1:]
-			ts[dmaActive].state = stDMAActive
+		if dmaActive < 0 && s.head < len(s.dma) {
+			dmaActive = s.dma[s.head]
+			s.head++
+			s.ts[dmaActive].state = stDMAActive
 		}
 
 		// Count executing and barrier-blocked tasklets, find the horizon.
 		k, nb := 0, 0
-		for _, t := range ts {
-			switch t.state {
+		for _, i := range s.live {
+			switch s.ts[i].state {
 			case stExec:
 				k++
 			case stBarrier:
@@ -116,15 +53,15 @@ func FluidSimulate(run *DPURun) (DPUStats, error) {
 			perTaskletRate = math.Min(1.0/PipelineReentry, 1.0/float64(k))
 		}
 		dt := math.Inf(1)
-		for _, t := range ts {
-			if t.state == stExec && perTaskletRate > 0 {
+		for _, i := range s.live {
+			if t := &s.ts[i]; t.state == stExec && perTaskletRate > 0 {
 				if d := t.remaining / perTaskletRate; d < dt {
 					dt = d
 				}
 			}
 		}
 		if dmaActive >= 0 {
-			if d := ts[dmaActive].remaining; d < dt {
+			if d := s.ts[dmaActive].remaining; d < dt {
 				dt = d
 			}
 		}
@@ -142,13 +79,16 @@ func FluidSimulate(run *DPURun) (DPUStats, error) {
 		if dmaActive >= 0 {
 			dmaIntegral += dt
 		}
+		// A barrier released mid-sweep puts later tasklets back in Exec
+		// before the sweep reaches them; they are charged this step too.
 		var finishedDMA = -1
-		for i, t := range ts {
+		for _, i := range s.live {
+			t := &s.ts[i]
 			switch t.state {
 			case stExec:
 				t.remaining -= perTaskletRate * dt
 				if t.remaining < eps {
-					advance(i)
+					s.advance(i)
 				}
 			case stDMAActive:
 				t.remaining -= dt
@@ -159,25 +99,163 @@ func FluidSimulate(run *DPURun) (DPUStats, error) {
 		}
 		if finishedDMA >= 0 {
 			dmaActive = -1
-			advance(finishedDMA)
+			s.advance(finishedDMA)
 		}
+		live := s.live[:0]
+		for _, i := range s.live {
+			if s.ts[i].state != stDone {
+				live = append(live, i)
+			}
+		}
+		s.live = live
 	}
 
-	for g, w := range waiting {
-		if len(w) > 0 {
-			return stats, fmt.Errorf("pim: %d tasklets deadlocked on barrier group %d", len(w), g)
-		}
-	}
-	for i, t := range ts {
-		if t.state != stDone {
-			return stats, fmt.Errorf("pim: tasklet %d stalled in state %d", i, t.state)
-		}
+	stats := s.stats
+	if err := s.stuck(); err != nil {
+		return stats, err
 	}
 	stats.Cycles = int64(math.Ceil(now))
 	stats.IssueCycles = int64(issueIntegral + 0.5)
-	stats.Instr, _, _ = run.Totals()
 	stats.DMACycles = int64(dmaIntegral + 0.5)
 	stats.BarrierCycles = int64(barrierIntegral + 0.5)
 	stats.publish()
 	return stats, nil
+}
+
+// Tasklet states of the simulators.
+const (
+	stExec = iota
+	stDMAQueued
+	stDMAActive // the fluid model's transfer in service
+	stBarrier
+	stDone
+)
+
+// simTasklet is one tasklet's position in its trace.
+type simTasklet struct {
+	segs      []Segment
+	idx       int
+	remaining float64 // instructions (Exec) or engine cycles (DMA)
+	state     int
+	next      int // the tasklet parked after this one on its barrier
+}
+
+// barrier is one barrier group's rendezvous: members, arrivals so far, and
+// the parked tasklets as a FIFO linked through simTasklet.next.
+type barrier struct{ size, arrived, head, tail int }
+
+// simState is the tasklet state machine both simulators drive, dense and
+// reused across runs: tasklets and barrier groups are slices indexed by
+// tasklet and group, the DMA queue is a FIFO read from head, and live
+// lists the tasklets not yet done in ascending order.
+type simState struct {
+	ts       []simTasklet
+	live     []int
+	barriers []barrier
+	dma      []int // dma[head:] is queued
+	head     int
+	stats    DPUStats // instructions and DMA traffic of the segments started
+}
+
+// start loads run's traces into the state, reusing its storage, and moves
+// every tasklet to its first blocking segment. Barrier groups are dense,
+// one per pool at most, so a group must lie in [0, MaxTasklets).
+func (s *simState) start(run *DPURun) error {
+	if len(run.Traces) == 0 {
+		return fmt.Errorf("pim: empty run")
+	}
+	s.ts, s.live, s.barriers, s.dma, s.head = s.ts[:0], s.live[:0], s.barriers[:0], s.dma[:0], 0
+	s.stats = DPUStats{}
+	for _, tr := range run.Traces {
+		var seen uint32
+		for _, seg := range tr.Segs {
+			if seg.Kind != SegBarrier {
+				continue
+			}
+			g := seg.Arg
+			if g < 0 || g >= MaxTasklets {
+				return fmt.Errorf("pim: barrier group %d outside 0..%d", g, MaxTasklets-1)
+			}
+			for int64(len(s.barriers)) <= g {
+				s.barriers = append(s.barriers, barrier{head: -1, tail: -1})
+			}
+			if seen&(1<<g) == 0 {
+				seen |= 1 << g
+				s.barriers[g].size++
+			}
+		}
+		s.ts = append(s.ts, simTasklet{segs: tr.Segs, idx: -1})
+	}
+	for i := range s.ts {
+		s.advance(i)
+	}
+	for i := range s.ts {
+		if s.ts[i].state != stDone {
+			s.live = append(s.live, i)
+		}
+	}
+	return nil
+}
+
+// advance moves tasklet i to its next blocking segment, releasing the
+// barrier its arrival completes.
+func (s *simState) advance(i int) {
+	t := &s.ts[i]
+	for {
+		t.idx++
+		if t.idx >= len(t.segs) {
+			t.state = stDone
+			return
+		}
+		seg := t.segs[t.idx]
+		switch seg.Kind {
+		case SegExec:
+			t.state, t.remaining = stExec, float64(seg.Arg)
+			s.stats.Instr += seg.Arg
+			return
+		case SegDMARead, SegDMAWrite:
+			t.state, t.remaining = stDMAQueued, float64(DMACycles(seg.Arg))
+			s.stats.DMABytes += seg.Arg
+			s.stats.DMATransfers += (seg.Arg + DMAMaxBytes - 1) / DMAMaxBytes
+			s.dma = append(s.dma, i)
+			return
+		case SegBarrier:
+			b := &s.barriers[seg.Arg]
+			if b.arrived++; b.arrived < b.size {
+				t.state, t.next = stBarrier, -1
+				if b.tail < 0 {
+					b.head = i
+				} else {
+					s.ts[b.tail].next = i
+				}
+				b.tail = i
+				return
+			}
+			// Detach the parked list first: a released tasklet may park
+			// on this group again before the release finishes.
+			j := b.head
+			b.arrived, b.head, b.tail = 0, -1, -1
+			for j >= 0 {
+				next := s.ts[j].next
+				s.advance(j)
+				j = next
+			}
+		}
+	}
+}
+
+// stuck reports a run that ended with tasklets parked on a barrier or
+// otherwise unfinished.
+func (s *simState) stuck() error {
+	for g, b := range s.barriers {
+		if b.arrived > 0 {
+			return fmt.Errorf("pim: %d tasklets deadlocked on barrier group %d", b.arrived, g)
+		}
+	}
+	for i := range s.ts {
+		if st := s.ts[i].state; st != stDone {
+			return fmt.Errorf("pim: tasklet %d stalled in state %d", i, st)
+		}
+	}
+	return nil
 }

@@ -5,9 +5,11 @@ import "fmt"
 // align8 rounds n up to the DPU's 8-byte DMA alignment.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// MRAM models one DPU's 64 MB DRAM bank: a bump allocator over real bytes
-// with hard capacity enforcement. The backing array grows on demand so a
-// 2560-DPU system does not reserve 160 GB of host memory up front.
+// MRAM models one DPU's 64 MB DRAM bank: a bump allocator with hard
+// capacity enforcement. Only Alloc'd regions (the staged sequences) are
+// real bytes; Reserve prices a region without materialising it. The
+// backing array grows on demand so a 2560-DPU system does not reserve
+// 160 GB of host memory up front.
 type MRAM struct {
 	capacity int
 	used     int
@@ -19,18 +21,13 @@ func NewMRAM(capacity int) *MRAM { return &MRAM{capacity: capacity} }
 
 // Alloc reserves n bytes (8-byte aligned) and returns their offset.
 func (m *MRAM) Alloc(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("pim: negative MRAM allocation %d", n)
+	if err := m.Reserve(n); err != nil {
+		return 0, err
 	}
 	off := m.used
-	need := off + align8(n)
-	if need > m.capacity {
-		return 0, fmt.Errorf("pim: MRAM overflow: %d used + %d requested > %d bank size",
-			m.used, n, m.capacity)
-	}
-	m.used = need
-	if need > len(m.buf) {
-		grown := make([]byte, need+need/2)
+	m.used += align8(n)
+	if m.used > len(m.buf) {
+		grown := make([]byte, m.used+m.used/2)
 		copy(grown, m.buf)
 		m.buf = grown
 	}
@@ -51,31 +48,34 @@ func (m *MRAM) Used() int { return m.used }
 // Capacity reports the bank size.
 func (m *MRAM) Capacity() int { return m.capacity }
 
-// Reset frees every allocation (the host reuses banks between batches).
-// The backing array is kept to avoid re-growing.
-func (m *MRAM) Reset() { m.used = 0 }
-
-// Mark returns the current allocation watermark.
-func (m *MRAM) Mark() int { return m.used }
-
-// Release rolls the allocator back to a previous Mark, freeing everything
-// allocated since (the kernel releases each alignment's BT scratch this
-// way once the traceback is done).
-func (m *MRAM) Release(mark int) {
-	if mark < 0 || mark > m.used {
-		panic(fmt.Sprintf("pim: Release(%d) outside [0,%d]", mark, m.used))
+// Reserve checks that n more bytes (8-byte aligned) fit the bank without
+// materialising them: the capacity model of a region the simulator never
+// reads back, such as the traceback stream of §3.3. It fails with the same
+// overflow error as Alloc and leaves Used unchanged.
+func (m *MRAM) Reserve(n int) error {
+	if n < 0 {
+		return fmt.Errorf("pim: negative MRAM allocation %d", n)
 	}
-	m.used = mark
+	if m.used+align8(n) > m.capacity {
+		return fmt.Errorf("pim: MRAM overflow: %d used + %d requested > %d bank size",
+			m.used, n, m.capacity)
+	}
+	return nil
 }
 
-// WRAM models the 64 KB scratchpad. Allocations come from a bump pointer
-// after the per-tasklet stacks; exceeding the scratchpad is an error the
-// kernel must handle at configuration time — this is the constraint that
-// forces the banded formulation and the pool geometry of §4.2.3.
+// Reset frees every allocation (the host reuses banks between batches).
+// The backing array is kept to avoid re-growing; stale bytes stay in it,
+// so writers own the windows they allocate (seq.PackInto zeroes its own).
+func (m *MRAM) Reset() { m.used = 0 }
+
+// WRAM models the 64 KB scratchpad as capacity arithmetic: a bump counter
+// after the per-tasklet stacks, with no bytes behind it. Exceeding the
+// scratchpad is an error the kernel must handle at configuration time —
+// this is the constraint that forces the banded formulation and the pool
+// geometry of §4.2.3.
 type WRAM struct {
 	capacity int
 	used     int
-	buf      []byte
 }
 
 // NewWRAM creates a scratchpad, reserving stacks bytes for tasklet stacks.
@@ -83,31 +83,20 @@ func NewWRAM(capacity, stacks int) (*WRAM, error) {
 	if stacks > capacity {
 		return nil, fmt.Errorf("pim: tasklet stacks (%d B) exceed WRAM (%d B)", stacks, capacity)
 	}
-	return &WRAM{capacity: capacity, used: stacks, buf: make([]byte, capacity)}, nil
+	return &WRAM{capacity: capacity, used: stacks}, nil
 }
 
-// Alloc reserves n bytes (8-byte aligned) and returns the live slice.
-func (w *WRAM) Alloc(n int) ([]byte, error) {
+// Alloc reserves n bytes (8-byte aligned).
+func (w *WRAM) Alloc(n int) error {
 	if n < 0 {
-		return nil, fmt.Errorf("pim: negative WRAM allocation %d", n)
+		return fmt.Errorf("pim: negative WRAM allocation %d", n)
 	}
-	off := w.used
-	need := off + align8(n)
-	if need > w.capacity {
-		return nil, fmt.Errorf("pim: WRAM overflow: %d used + %d requested > %d scratchpad",
+	if w.used+align8(n) > w.capacity {
+		return fmt.Errorf("pim: WRAM overflow: %d used + %d requested > %d scratchpad",
 			w.used, n, w.capacity)
 	}
-	w.used = need
-	return w.buf[off : off+n : off+n], nil
-}
-
-// AllocInt32 reserves a w-element int32 array (the anti-diagonal score
-// arrays of §4.2.1 live in WRAM as int32).
-func (w *WRAM) AllocInt32(n int) ([]int32, error) {
-	if _, err := w.Alloc(4 * n); err != nil {
-		return nil, err
-	}
-	return make([]int32, n), nil
+	w.used += align8(n)
+	return nil
 }
 
 // Used reports the allocated byte count, stacks included.
@@ -129,6 +118,15 @@ type DPU struct {
 // NewDPU builds a DPU with an MRAM bank per the configuration.
 func (c Config) NewDPU(id int) *DPU {
 	return &DPU{ID: id, MRAM: NewMRAM(c.MRAM)}
+}
+
+// Reset readies a DPU for reuse as DPU id on a healthy fabric: the bank is
+// emptied (its backing array kept) and the fault cleared. Callers that
+// pool DPUs stamp the launch's Fault after Reset.
+func (d *DPU) Reset(id int) {
+	d.ID = id
+	d.MRAM.Reset()
+	d.Fault = Fault{}
 }
 
 // Rank returns the rank this DPU belongs to.

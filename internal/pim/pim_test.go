@@ -120,19 +120,38 @@ func TestWRAMBudget(t *testing.T) {
 	if w.Used() != 24*1536 {
 		t.Errorf("stacks not charged: used=%d", w.Used())
 	}
-	if _, err := w.Alloc(w.Free() + 1); err == nil {
+	if err := w.Alloc(w.Free() + 1); err == nil {
 		t.Error("overflow accepted")
 	}
-	buf, err := w.Alloc(100)
-	if err != nil || len(buf) != 100 {
-		t.Fatalf("alloc: %v", err)
-	}
-	arr, err := w.AllocInt32(128)
-	if err != nil || len(arr) != 128 {
-		t.Fatalf("AllocInt32: %v", err)
+	if err := w.Alloc(100); err != nil || w.Used() != 24*1536+104 {
+		t.Fatalf("alloc: used %d: %v", w.Used(), err)
 	}
 	if _, err := NewWRAM(1024, 2048); err == nil {
 		t.Error("stacks larger than WRAM accepted")
+	}
+}
+
+// TestMRAMReserve pins the BT stream's capacity model: Reserve charges
+// nothing and materialises nothing, and refuses exactly what Alloc would,
+// with Alloc's error.
+func TestMRAMReserve(t *testing.T) {
+	m := NewMRAM(1024)
+	if _, err := m.Alloc(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reserve(1024 - 104); err != nil {
+		t.Errorf("reserve of the free bytes: %v", err)
+	}
+	if m.Used() != 104 {
+		t.Errorf("Reserve moved Used to %d", m.Used())
+	}
+	rerr := m.Reserve(1024 - 103)
+	_, aerr := m.Alloc(1024 - 103)
+	if rerr == nil || aerr == nil || rerr.Error() != aerr.Error() {
+		t.Errorf("overflow: Reserve %v, Alloc %v", rerr, aerr)
+	}
+	if err := m.Reserve(-1); err == nil {
+		t.Error("negative reservation accepted")
 	}
 }
 

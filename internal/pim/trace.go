@@ -67,20 +67,36 @@ func (t *TaskletTrace) Barrier(g int64) {
 }
 
 // DPURun is one DPU's complete workload: one trace per booted tasklet.
+// It also carries the simulators' working state, so a run that is Reset
+// and refilled simulates without allocating. A run must not be copied
+// once booted, nor simulated from two goroutines at once.
 type DPURun struct {
 	Traces []*TaskletTrace
+	traces [MaxTasklets]TaskletTrace // what Traces points into
+	sim    simState
 }
 
 // NewDPURun boots n tasklets.
 func NewDPURun(n int) (*DPURun, error) {
-	if n < 1 || n > MaxTasklets {
-		return nil, fmt.Errorf("pim: %d tasklets outside 1..%d", n, MaxTasklets)
-	}
-	r := &DPURun{Traces: make([]*TaskletTrace, n)}
-	for i := range r.Traces {
-		r.Traces[i] = &TaskletTrace{}
+	r := &DPURun{}
+	if err := r.Reset(n); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// Reset reboots the run with n empty tasklet traces, keeping every trace's
+// storage for reuse.
+func (r *DPURun) Reset(n int) error {
+	if n < 1 || n > MaxTasklets {
+		return fmt.Errorf("pim: %d tasklets outside 1..%d", n, MaxTasklets)
+	}
+	r.Traces = r.Traces[:0]
+	for i := range r.traces[:n] {
+		r.traces[i].Segs = r.traces[i].Segs[:0]
+		r.Traces = append(r.Traces, &r.traces[i])
+	}
+	return nil
 }
 
 // Totals sums the static work of the run.
@@ -97,23 +113,6 @@ func (r *DPURun) Totals() (instr, dmaBytes int64, dmaTransfers int64) {
 		}
 	}
 	return instr, dmaBytes, dmaTransfers
-}
-
-// barrierGroups derives group membership: tasklet i belongs to group g if
-// its trace contains a barrier on g. The kernel guarantees all members hit
-// each group the same number of times.
-func (r *DPURun) barrierGroups() map[int64][]int {
-	groups := map[int64][]int{}
-	for i, t := range r.Traces {
-		seen := map[int64]bool{}
-		for _, s := range t.Segs {
-			if s.Kind == SegBarrier && !seen[s.Arg] {
-				seen[s.Arg] = true
-				groups[s.Arg] = append(groups[s.Arg], i)
-			}
-		}
-	}
-	return groups
 }
 
 // DPUStats is the outcome of simulating one DPU's run.

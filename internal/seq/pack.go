@@ -46,8 +46,15 @@ func (p Packed) Base(i int) Base {
 }
 
 // Unpack expands the packed sequence back to one base per element.
-func (p Packed) Unpack() Seq {
-	s := make(Seq, p.N)
+func (p Packed) Unpack() Seq { return p.UnpackInto(nil) }
+
+// UnpackInto is Unpack into dst's storage, which it grows only when too
+// small; the result aliases dst.
+func (p Packed) UnpackInto(dst Seq) Seq {
+	if cap(dst) < p.N {
+		dst = make(Seq, p.N)
+	}
+	s := dst[:p.N]
 	for i := range s {
 		s[i] = p.Base(i)
 	}
