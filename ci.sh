@@ -10,9 +10,11 @@
 #                         the SWAR steps see only edge and trailing words)
 #   3. go build ./...
 #   4. go test -race ./...
-#   5. golden reports x5 (the report goldens again, five times under
-#                         -race: a report that depends on goroutine
-#                         schedule must fail here, not one run in four)
+#   5. golden reports x5 (the report goldens and the session
+#                         determinism test again, five times under -race:
+#                         a report that depends on goroutine schedule,
+#                         batch size or linger must fail here, not one
+#                         run in four)
 #   6. benchmark smoke   (every benchmark compiles and runs once)
 #   7. allocation gate   (core-engine allocs/op must not exceed the
 #                         committed baseline; see cmd/benchgate)
@@ -55,7 +57,7 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== golden reports, repeated under -race =="
-go test -race -count=5 -run TestReportGoldenDifferential ./internal/host
+go test -race -count=5 -run 'TestReportGoldenDifferential|TestSessionReportDeterministic' ./internal/host
 
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run='^$' -bench=. -benchtime=1x ./...

@@ -311,7 +311,7 @@ func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art
 		obs.Logf("verify: %d results checked, %d mismatches", rep.VerifyChecked, rep.VerifyFailures)
 	}
 	if cacheDir != "" {
-		obs.Logf("result cache: %d hits, %d misses, %d in-batch duplicates deduped",
+		obs.Logf("result cache: %d hits, %d misses, %d duplicates deduped",
 			rep.CacheHits, rep.CacheMisses, rep.DedupedPairs)
 	}
 	if timeline {

@@ -398,13 +398,15 @@ type Counters struct {
 	VerifyFailures    int     `json:"verify_failures"`
 	CPUFallbackSec    float64 `json:"cpu_fallback_sec"`
 	VerifySec         float64 `json:"verify_sec"`
-	// Result-cache outcome of the run: CacheHits counts pairs served from
-	// the persistent result cache without reaching the balancer,
-	// CacheMisses counts pairs that went on to compute (only counted when
-	// a cache is attached), and DedupedPairs counts pairs that shared a
-	// computation with an identical in-batch sibling. Cache hits and
-	// deduped pairs still count in Alignments — every submission yields
-	// exactly one delivered result.
+	// Result-cache outcome of the run, counted per delivery: CacheHits
+	// counts submissions answered from a cached value, DedupedPairs those
+	// attached to an earlier submission's computation in the same
+	// session, and CacheMisses is submissions less hits (only counted when
+	// a cache is attached). A replay still counts in Alignments and
+	// Provenance — every submission yields exactly one delivered result —
+	// or, when its owner was abandoned, in AbandonedPairs/AbandonedIDs.
+	// Every other tally (cells, clipped, escalations, …) is per
+	// computation and counts each distinct key once.
 	CacheHits    int `json:"cache_hits"`
 	CacheMisses  int `json:"cache_misses"`
 	DedupedPairs int `json:"deduped_pairs"`

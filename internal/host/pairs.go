@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"pimnw/internal/cache"
 	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
@@ -58,11 +57,7 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 	}
 	defer sp.End()
 
-	subs := make([]submission, len(pairs))
-	for i, p := range pairs {
-		subs[i].pair = p
-	}
-	rep, results, err := alignBatch(SessionConfig{Host: cfg}, subs, sp)
+	rep, results, err := alignBatch(cfg, pairs, sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,102 +66,43 @@ func AlignPairs(cfg Config, pairs []Pair) (*Report, []Result, error) {
 }
 
 // alignBatch is the one batch path under AlignPairs and every session
-// micro-batch: it turns a batch of caller submissions into exactly one
-// result per submission, in submission order, and a report. Metrics
-// publication is left to the caller, so a session publishes once over
-// its merged report.
+// micro-batch: it computes exactly one result per pair, in input order,
+// and a report. Metrics publication is left to the caller, so a session
+// publishes once over its merged report.
 //
-// It owns pair identity. Caller IDs may repeat, so each pair that
-// computes gets a dense ID — its index in the pair list handed down —
-// and below this function a pair's ID is that index. With cfg.Cache
-// attached two more classes of submission never reach the kernel:
-// admission-time hits, replayed as they are, and in-batch duplicates,
-// which share the dense ID of their first identical sibling. On the way
-// out every result, AbandonedIDs entry and Issue is mapped back to the
-// caller's ID. With cfg.Host.Backends set the pairs are sharded across
-// the fleet (fleet.go); otherwise they run on the single fabric cfg.PIM
+// It owns pair identity. Caller IDs may repeat, so each pair runs under
+// a dense ID — its index in the list handed down — and on the way out
+// every result, AbandonedIDs entry and Issue is mapped back to the
+// caller's ID. With cfg.Backends set the pairs are sharded across the
+// fleet (fleet.go); otherwise they run on the single fabric cfg.PIM
 // describes — an unnamed PiM server, so reports carry no backend names.
-func alignBatch(cfg SessionConfig, subs []submission, sp *obs.Span) (*Report, []Result, error) {
-	hc := cfg.Host
-	slot := make([]int, len(subs)) // submission -> dense ID, -1 = hit
-	var first []int                // dense ID -> first submission index
-	var pairs []Pair
-	var keyOf map[cache.Key]int
-	if cfg.Cache != nil {
-		keyOf = make(map[cache.Key]int, len(subs))
+// An empty batch never touches the fabric, and the report says so.
+func alignBatch(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
+	if len(pairs) == 0 {
+		return newReport(cfg.TraceID), nil, nil
 	}
-	hits := 0
-	for i, sub := range subs {
-		if sub.hit != nil {
-			slot[i] = -1
-			hits++
-			continue
-		}
-		if id, dup := keyOf[sub.key]; dup {
-			slot[i] = id
-			continue
-		}
-		id := len(pairs)
-		pairs = append(pairs, Pair{ID: id, A: sub.pair.A, B: sub.pair.B})
-		first = append(first, i)
-		slot[i] = id
-		if keyOf != nil {
-			keyOf[sub.key] = id
-		}
+	dense := make([]Pair, len(pairs))
+	for i, p := range pairs {
+		dense[i] = Pair{ID: i, A: p.A, B: p.B}
 	}
-	dups := len(subs) - hits - len(pairs)
-
-	// Every submission hit: nothing executes, the fabric is never
-	// touched, and the report says so.
-	rep, results := newReport(hc.TraceID), []Result(nil)
-	if len(pairs) > 0 {
-		var err error
-		if len(hc.Backends) > 0 {
-			rep, results, err = alignFleet(hc, pairs, sp)
-		} else {
-			rep, results, err = alignOnceOn(&PiMBackend{ranks: hc.PIM.Ranks, freqMHz: hc.PIM.FreqMHz}, hc, pairs, sp)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	var (
+		rep     *Report
+		results []Result
+		err     error
+	)
+	if len(cfg.Backends) > 0 {
+		rep, results, err = alignFleet(cfg, dense, sp)
+	} else {
+		rep, results, err = alignOnceOn(&PiMBackend{ranks: cfg.PIM.Ranks, freqMHz: cfg.PIM.FreqMHz}, cfg, dense, sp)
 	}
-	if cfg.Cache != nil && !cfg.CacheNoStore {
-		for id, r := range results {
-			if cacheInsertable(r.Status) {
-				if err := cfg.Cache.Insert(subs[first[id]].key, valueFromResult(r)); err != nil {
-					obs.Flight().Recordf("cache", hc.TraceID, "insert failed: %v", err)
-				}
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-
-	out := make([]Result, len(subs))
-	for i, sub := range subs {
-		var r Result
-		if id := slot[i]; id < 0 {
-			r = *sub.hit
-			rep.countProvenance(r.Provenance)
-		} else {
-			r = results[id]
-			if i != first[id] && r.Status != StatusAbandoned {
-				// A deduped sibling: same answer, counted once per delivery.
-				rep.countProvenance(r.Provenance)
-			}
-		}
-		r.ID = sub.pair.ID
-		out[i] = r
+	for i := range results {
+		results[i].ID = pairs[i].ID
 	}
-	rep.relabel(func(id int) int { return subs[first[id]].pair.ID })
-	rep.CacheHits += hits
-	if cfg.Cache != nil {
-		rep.CacheMisses += len(subs) - hits
-	}
-	rep.DedupedPairs += dups
-	// Every submission yields exactly one delivered result; hits and
-	// deduped siblings count in Alignments just like computed pairs, so
-	// Σ Provenance == Alignments holds with or without a cache.
-	rep.Alignments += hits + dups
-	return rep, out, nil
+	rep.relabel(func(id int) int { return pairs[id].ID })
+	return rep, results, nil
 }
 
 // alignOnceOn runs the complete pipeline — dispatch round, then the

@@ -58,9 +58,10 @@ type SessionConfig struct {
 	// admission: a hit streams the stored result in submission order
 	// without the pair ever reaching the balancer, and certified-optimal
 	// non-degraded results (StatusOK / StatusEscalated) are inserted
-	// after compute. Within one micro-batch, distinct submissions of the
-	// same cache key share a single computation. The cache may be shared
-	// across concurrent sessions.
+	// after compute. Dedup is session-wide: the first submission of a
+	// cache key consults the cache and, on a miss, is the only one that
+	// computes; every later submission of the key in the session replays
+	// that answer. The cache may be shared across concurrent sessions.
 	Cache *cache.Cache
 	// CacheNoStore serves hits but suppresses inserts — set by serving
 	// frontends when load shedding has degraded the request plan, so a
@@ -96,16 +97,18 @@ func (c SessionConfig) maxConcurrent() int {
 	return 2
 }
 
-// submission is one admitted pair, stamped for latency accounting. With
-// a cache attached, key is the pair's content-addressed identity and hit
-// carries the replayed result when the lookup succeeded at admission
-// (the submission still occupies its queue and batch slot, so ordering
-// and backpressure behave identically either way).
+// submission is one admitted pair, stamped for latency accounting. Only
+// owners compute. With a cache attached, key is the pair's
+// content-addressed identity and ans its entry in the session's answer
+// table; a submission that does not own its entry replays it at delivery
+// (it still occupies its queue and batch slot, so ordering and
+// backpressure behave identically either way).
 type submission struct {
 	pair Pair
 	at   time.Time
 	key  cache.Key
-	hit  *Result
+	ans  *Result
+	own  bool
 }
 
 // microBatch is one flushed accumulation, sequenced for ordered delivery.
@@ -178,11 +181,6 @@ type Session struct {
 	sendWG    sync.WaitGroup // flushes on their way into s.batches
 	workerWG  sync.WaitGroup
 
-	// missed holds the keys whose first cache lookup in this session
-	// missed (see lookup).
-	missMu sync.Mutex
-	missed map[cache.Key]struct{}
-
 	mu       sync.Mutex
 	closed   bool
 	inFlight int // admitted pairs not yet delivered (or dropped)
@@ -191,6 +189,11 @@ type Session struct {
 	err      error
 	rep      *Report
 	stages   StageBreakdown // measured fields only; simulated fields filled by Stages
+	// table is the answer table: one entry per cache key admitted in
+	// this session (nil without a cache). An entry is a cache hit's
+	// replayed Result, or the owner's slot, which reads abandoned until
+	// the owner is delivered.
+	table map[cache.Key]*Result
 }
 
 // NewSession validates the configuration and starts the session's
@@ -227,6 +230,9 @@ func NewSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		lingerArm: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
+	if cfg.Cache != nil {
+		s.table = map[cache.Key]*Result{}
+	}
 	for i := 0; i < cfg.maxConcurrent(); i++ {
 		s.workerWG.Add(1)
 		go func() {
@@ -252,41 +258,28 @@ func NewSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// lookup consults the cache for one submission, unless the key's first
-// lookup in this session missed: the entry can then only come from this
-// session's own earlier micro-batches, and whether their insert has landed
-// yet is scheduler timing. Hits therefore depend only on the cache's
-// contents at the key's first submission, and a repeat of a missed key is
-// computed again.
-func (s *Session) lookup(c *cache.Cache, k cache.Key, id int) *Result {
-	s.missMu.Lock()
-	defer s.missMu.Unlock()
-	if _, ok := s.missed[k]; ok {
-		return nil
-	}
-	if v, ok := c.Lookup(k); ok {
-		return resultFromCache(id, v)
-	}
-	if s.missed == nil {
-		s.missed = map[cache.Key]struct{}{}
-	}
-	s.missed[k] = struct{}{}
-	return nil
-}
-
 // Submit admits one pair. It returns ErrQueueFull when the bounded queue
 // of undelivered pairs is full (backpressure — retry later), and
 // ErrSessionClosed after Close or cancellation. Pair IDs are the
 // caller's: they are carried through to the streamed Result verbatim and
 // may repeat across submissions.
 func (s *Session) Submit(p Pair) error {
-	sub := submission{pair: p}
+	sub := submission{pair: p, own: s.cfg.Cache == nil}
+	var hit *Result
 	if c := s.cfg.Cache; c != nil {
 		// Key derivation and lookup run outside the session lock: the hot
 		// path of a warm cache is two digests and a map probe, and a miss
-		// costs the digests it would have needed at insert time anyway.
+		// costs the digests it would have needed at insert time anyway. A
+		// key already in the table never consults the cache again.
 		sub.key = cacheKeyFor(&s.cfg.Host, p)
-		sub.hit = s.lookup(c, sub.key, p.ID)
+		s.mu.Lock()
+		sub.ans = s.table[sub.key]
+		s.mu.Unlock()
+		if sub.ans == nil {
+			if v, ok := c.Lookup(sub.key); ok {
+				hit = resultFromCache(p.ID, v)
+			}
+		}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -300,6 +293,18 @@ func (s *Session) Submit(p Pair) error {
 		return ErrQueueFull
 	}
 	s.inFlight++
+	if s.table != nil && sub.ans == nil {
+		// The first admitted submission of a key creates its entry: a hit
+		// seeds it with the replayed answer, a miss makes this submission
+		// the owner. Only admission inserts, so a rejected Submit leaves
+		// nothing behind for its retry to attach to.
+		if sub.ans = s.table[sub.key]; sub.ans == nil {
+			if sub.ans, sub.own = hit, hit == nil; sub.own {
+				sub.ans = &Result{Rank: -1, DPU: -1, Status: StatusAbandoned}
+			}
+			s.table[sub.key] = sub.ans
+		}
+	}
 	sub.at = time.Now()
 	s.cur = append(s.cur, sub)
 	arm := len(s.cur) == 1

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -272,32 +273,57 @@ func TestSessionCancelMidStream(t *testing.T) {
 // TestSessionAbandonedStillStreams: with escalation off and a hostile
 // fabric, abandoned pairs must still produce a streamed Result carrying
 // StatusAbandoned — a serving client always gets one answer per
-// submission.
+// submission. With a cache attached, replays of an abandoned owner are
+// abandoned too, and the report counts every one of them under its
+// caller's ID and none of them as an alignment.
 func TestSessionAbandonedStillStreams(t *testing.T) {
 	cfg := testConfig(1, true)
 	cfg.Faults = pim.FaultConfig{RankDropRate: 1, Seed: 3}
 	cfg.MaxRetries = 1
-	pairs := makePairs(56, 10, 80, 0.05)
-	rep, results, err := AlignPairsStream(context.Background(), SessionConfig{
-		Host:          cfg,
-		MaxBatchPairs: 5,
-	}, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(pairs) {
-		t.Fatalf("%d results for %d submissions", len(results), len(pairs))
-	}
-	for i, r := range results {
-		if r.Status != StatusAbandoned {
-			t.Fatalf("result %d status %v, want abandoned on a dead fabric", i, r.Status)
+	for _, tc := range []struct {
+		name  string
+		pairs []Pair
+		cache bool
+	}{
+		{"plain", makePairs(56, 10, 80, 0.05), false},
+		{"cached replays", dupHeavyPairs(12, 3, 80), true},
+	} {
+		scfg := SessionConfig{Host: cfg, MaxBatchPairs: 5}
+		if tc.cache {
+			scfg.Cache = openHostCache(t)
 		}
-		if r.ID != pairs[i].ID {
-			t.Fatalf("result %d carries ID %d, want %d", i, r.ID, pairs[i].ID)
+		rep, results, err := AlignPairsStream(context.Background(), scfg, tc.pairs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rep.AbandonedPairs != len(pairs) {
-		t.Errorf("report counts %d abandoned, want %d", rep.AbandonedPairs, len(pairs))
+		if len(results) != len(tc.pairs) {
+			t.Fatalf("%s: %d results for %d submissions", tc.name, len(results), len(tc.pairs))
+		}
+		var ids []int
+		for i, r := range results {
+			if r.Status != StatusAbandoned {
+				t.Fatalf("%s: result %d status %v, want abandoned on a dead fabric", tc.name, i, r.Status)
+			}
+			if r.ID != tc.pairs[i].ID {
+				t.Fatalf("%s: result %d carries ID %d, want %d", tc.name, i, r.ID, tc.pairs[i].ID)
+			}
+			ids = append(ids, r.ID)
+		}
+		if rep.AbandonedPairs != len(results) {
+			t.Errorf("%s: report counts %d abandoned, want %d", tc.name, rep.AbandonedPairs, len(results))
+		}
+		got := append([]int(nil), rep.AbandonedIDs...)
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, ids) {
+			t.Errorf("%s: AbandonedIDs %v, want the caller IDs %v", tc.name, got, ids)
+		}
+		prov := 0
+		for _, n := range rep.Provenance {
+			prov += n
+		}
+		if rep.Alignments != 0 || prov != 0 {
+			t.Errorf("%s: %d alignments, Σ provenance %d; want 0 and 0", tc.name, rep.Alignments, prov)
+		}
 	}
 }
 

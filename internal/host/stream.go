@@ -4,13 +4,14 @@ import (
 	"context"
 	"time"
 
+	"pimnw/internal/cache"
 	"pimnw/internal/obs"
 )
 
-// runMicroBatch executes one micro-batch through the one batch path
-// (alignBatch: dispatch, recovery, escalation, annotation, cache), which
-// returns the results in submission order, so the collector can stream
-// them without any per-pair bookkeeping.
+// runMicroBatch executes the owners of one micro-batch through the one
+// batch path (alignBatch: dispatch, recovery, escalation, annotation)
+// and inserts their insertable results into the cache; the collector
+// fills in every replay at delivery.
 func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 	pickup := time.Now()
 	oc := batchOutcome{seq: mb.seq, subs: mb.subs}
@@ -38,8 +39,27 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 	if cfg.Host.TraceID != "" {
 		sp.SetAttr("trace_id", cfg.Host.TraceID)
 	}
-	oc.rep, oc.results, oc.err = alignBatch(cfg, mb.subs, sp)
+	pairs := make([]Pair, 0, len(mb.subs))
+	var keys []cache.Key // owners' keys, in result order; nil without a cache
+	for _, sub := range mb.subs {
+		if sub.own {
+			pairs = append(pairs, sub.pair)
+			if sub.ans != nil {
+				keys = append(keys, sub.key)
+			}
+		}
+	}
+	oc.rep, oc.results, oc.err = alignBatch(cfg.Host, pairs, sp)
 	sp.End()
+	if oc.err == nil && keys != nil && !cfg.CacheNoStore {
+		for i, r := range oc.results {
+			if cacheInsertable(r.Status) {
+				if err := cfg.Cache.Insert(keys[i], valueFromResult(r)); err != nil {
+					obs.Flight().Recordf("cache", cfg.Host.TraceID, "insert failed: %v", err)
+				}
+			}
+		}
+	}
 	return oc
 }
 
@@ -90,6 +110,7 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 		s.fail(oc.err)
 		return !cancelled
 	}
+	results := s.resolve(oc)
 	s.mu.Lock()
 	if s.rep == nil {
 		s.rep = oc.rep
@@ -101,9 +122,9 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 		return false
 	}
 	reg := obs.Default()
-	for i := range oc.results {
+	for i := range results {
 		select {
-		case s.results <- oc.results[i]:
+		case s.results <- results[i]:
 			reg.Histogram("session_pair_latency_seconds", latencyBuckets).
 				Observe(time.Since(oc.subs[i].at).Seconds())
 		case <-s.ctx.Done():
@@ -112,6 +133,46 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 		}
 	}
 	return true
+}
+
+// resolve completes one delivered batch in submission order. An owner
+// takes the next computed result and writes it into its table entry;
+// every other submission copies its entry under its own ID. Delivery is
+// in submission order, so an owner always resolves before any replay of
+// it, and an entry that still reads abandoned belongs to a failed batch.
+// Replays are tallied into oc.rep per delivery, and CacheMisses is the
+// batch's submissions less its hits.
+func (s *Session) resolve(oc batchOutcome) []Result {
+	if s.table == nil {
+		return oc.results
+	}
+	out := make([]Result, len(oc.subs))
+	rep, next, hits := oc.rep, 0, 0
+	for i, sub := range oc.subs {
+		if sub.own {
+			out[i], *sub.ans = oc.results[next], oc.results[next]
+			next++
+			continue
+		}
+		r := *sub.ans
+		r.ID = sub.pair.ID
+		if r.Status == StatusAbandoned {
+			rep.AbandonedPairs++
+			rep.AbandonedIDs = append(rep.AbandonedIDs, r.ID)
+		} else {
+			rep.Alignments++
+			rep.countProvenance(r.Provenance)
+		}
+		if r.Cached {
+			hits++
+		} else {
+			rep.DedupedPairs++
+		}
+		out[i] = r
+	}
+	rep.CacheHits += hits
+	rep.CacheMisses += len(oc.subs) - hits
+	return out
 }
 
 // AlignPairsStream runs a one-shot workload through a streaming Session

@@ -1,0 +1,103 @@
+package pimnw_test
+
+// ci/trajectory.ndjson is the committed performance trajectory: one row
+// per change that claimed or recorded end-to-end benchmark medians, with
+// the parent and change medians as that change's notes quoted them. This
+// test keeps the file well-formed against BENCHMARK.json. It runs no git,
+// so a shallow checkout passes.
+
+import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+type trajectoryRow struct {
+	PR      int                           `json:"pr"`
+	SHA     string                        `json:"sha"`
+	Kind    string                        `json:"kind"`
+	Claim   string                        `json:"claim"`
+	Medians map[string]map[string]float64 `json:"medians"`
+	Note    string                        `json:"note"`
+}
+
+var shaPattern = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
+
+func TestTrajectoryRows(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads, metrics := map[string]bool{}, map[string]bool{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		metrics[m.Name] = true
+	}
+
+	f, err := os.Open("ci/trajectory.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	lastPR, rows := 0, 0
+	for line := 1; sc.Scan(); line++ {
+		var r trajectoryRow
+		dec := json.NewDecoder(strings.NewReader(sc.Text()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("line %d: %v", line, err)
+		}
+		rows++
+		if r.PR <= lastPR {
+			t.Errorf("line %d: pr %d does not follow pr %d", line, r.PR, lastPR)
+		}
+		lastPR = r.PR
+		if !shaPattern.MatchString(r.SHA) {
+			t.Errorf("pr %d: sha %q is not 7-40 lowercase hex characters", r.PR, r.SHA)
+		}
+		for key, m := range r.Medians {
+			w, metric, ok := strings.Cut(key, "/")
+			if !ok || !workloads[w] || !metrics[metric] {
+				t.Errorf("pr %d: %q is not <workload>/<metric> of BENCHMARK.json", r.PR, key)
+			}
+			_, parent := m["parent"]
+			_, change := m["change"]
+			if !parent || !change || len(m) != 2 {
+				t.Errorf("pr %d: %s = %v, want exactly a parent and a change median", r.PR, key, m)
+			}
+		}
+		switch r.Kind {
+		case "gain":
+			if _, ok := r.Medians[r.Claim]; !ok {
+				t.Errorf("pr %d: claimed metric %q has no medians", r.PR, r.Claim)
+			}
+		case "none":
+			if r.Claim != "" {
+				t.Errorf("pr %d: claim %q on a row that claims no gain", r.PR, r.Claim)
+			}
+		default:
+			t.Errorf("pr %d: kind %q, want gain or none", r.PR, r.Kind)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 {
+		t.Fatal("ci/trajectory.ndjson has no rows")
+	}
+}
