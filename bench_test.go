@@ -141,6 +141,26 @@ func BenchmarkAdaptiveBandAlign10k(b *testing.B) {
 	}
 }
 
+// The serving shape: one s1000_bulk pair (1 kb, 5 % errors, band 128,
+// traceback) on a held, warmed scratch arena, as a kernel worker runs it.
+// Its 240 509 cells are under a tenth of the 10 kb pair's, and about 13 %
+// of its anti-diagonals are corners, where the span opens or closes and
+// flanks and edge words dominate; benchgate bounds its ns/op against
+// AdaptiveBandAlign10k's, so the per-cell cost of the short pair cannot
+// drift away from the long one's.
+func BenchmarkAdaptiveBandAlign1k(b *testing.B) {
+	a, q := benchPair(1000)
+	p := core.DefaultParams()
+	s := core.NewScratch()
+	s.AdaptiveBandAlign(a, q, p, 128) // warm the arena
+	b.SetBytes(int64(len(a) + len(q)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AdaptiveBandAlign(a, q, p, 128)
+	}
+}
+
 // The traceback twin of the pinned score engines: AdaptiveBandAlign10k
 // above measures the narrow-first dispatch, this one the full-width engine
 // it falls back to (and -lanes 64 pins). Their ratio is the measured

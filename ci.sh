@@ -4,10 +4,11 @@
 # Runs, in order:
 #   1. gofmt -l          (fails if any file is unformatted)
 #   2. go vet ./...      (plus GOARCH=arm64 go vet ./internal/core, so the
-#                         !amd64 twins of the assembly kernels keep
+#                         !amd64 twin of the assembly kernels keeps
 #                         compiling, and GOARCH=386 go test -short
-#                         ./internal/core, so they run end to end: on amd64
-#                         the SWAR steps see only edge and trailing words)
+#                         ./internal/core, its only end-to-end run: on
+#                         amd64 the portable SWAR step runs only as the
+#                         oracle of TestNarrowStepAsmMatchesPortable)
 #   3. go build ./...
 #   4. go test -race ./...
 #   5. golden reports x5 (the report goldens and the session

@@ -5,9 +5,10 @@
 // -tolerance against the committed baseline (ci/bench_baseline.json) — or,
 // for the deterministic core-engine benchmarks, when allocs/op exceeds the
 // baseline at all (the zero-allocation steady state of the scratch-arena
-// engine is a hard property, not a tolerance band). A baseline benchmark
-// that produces no measurement also fails: deleting a benchmark must not
-// silently delete its gate.
+// engine is a hard property, not a tolerance band), or when a ratio of two
+// benchmarks measured in the same run exceeds its bound (ratios). A
+// baseline benchmark that produces no measurement also fails: deleting a
+// benchmark must not silently delete its gate.
 //
 // Usage:
 //
@@ -15,9 +16,11 @@
 //	          [-count 3] [-benchtime 1s] [-out FILE] [-update]
 //	          [-allocs-only]
 //
-// Each benchmark runs -count times; the fastest ns/op and smallest
-// allocs/op are compared, which filters scheduler noise and sync.Pool
-// warm-up. -update rewrites the baseline from the current measurements
+// The benchmark set runs -count rounds, each benchmark once per round;
+// the fastest ns/op and smallest allocs/op over the rounds are compared,
+// which filters scheduler noise and sync.Pool warm-up. Rounds interleave
+// the benchmarks, so the two sides of a ratio are measured seconds apart in
+// every round and a slow spell of the box reaches both sides alike. -update rewrites the baseline from the current measurements
 // (run it on the reference machine after intentional performance changes).
 // -allocs-only runs just the alloc-gated benchmarks and checks only the
 // allocation columns — a cheap CI step that needs no timing stability.
@@ -45,6 +48,7 @@ var gated = []string{
 	"AdaptiveBandScoreWide10k",
 	"AdaptiveBandAlign10k",
 	"AdaptiveBandAlignWide10k",
+	"AdaptiveBandAlign1k",
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",
@@ -70,6 +74,7 @@ var allocGated = []string{
 	"AdaptiveBandScoreWide10k",
 	"AdaptiveBandAlign10k",
 	"AdaptiveBandAlignWide10k",
+	"AdaptiveBandAlign1k",
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",
@@ -77,6 +82,21 @@ var allocGated = []string{
 	"Placement",
 	"DPUKernelBatch",
 	"FluidSimulatorServing",
+}
+
+// ratios are the gates that survive a change of box: each bounds the
+// min-of-count ns/op of one benchmark by that of another measured in the
+// same interleaved rounds. The narrow traceback engine must stay far ahead of the wide one
+// it falls back to, cost little more than its score-only twin, and spend
+// per cell on the serving pair (1 kb) at most 1.32× what it spends on the
+// 10 kb pair (the cell ratio of the two is 0.0945).
+var ratios = []struct {
+	num, den string
+	max      float64
+}{
+	{"AdaptiveBandAlign10k", "AdaptiveBandAlignWide10k", 0.3},
+	{"AdaptiveBandAlign10k", "AdaptiveBandScoreNarrow10k", 1.5},
+	{"AdaptiveBandAlign1k", "AdaptiveBandAlign10k", 0.125},
 }
 
 // baselineFile is the committed reference measurement set.
@@ -95,7 +115,7 @@ func main() {
 	var (
 		baseline   = flag.String("baseline", "ci/bench_baseline.json", "committed baseline to gate against")
 		tolerance  = flag.Float64("tolerance", 0.20, "allowed fractional slowdown before failing (0.20 = +20%)")
-		count      = flag.Int("count", 3, "runs per benchmark; the fastest is kept")
+		count      = flag.Int("count", 3, "rounds over the benchmark set; each benchmark's fastest is kept")
 		benchtime  = flag.String("benchtime", "1s", "go test -benchtime per run")
 		out        = flag.String("out", "", "result file (default BENCH_<sha>.json)")
 		update     = flag.Bool("update", false, "rewrite the baseline from this run's measurements")
@@ -133,13 +153,17 @@ func run(baselinePath string, tolerance float64, count int, benchtime, outPath s
 		watch = allocGated
 	}
 	args := []string{"test", "-run=^$", "-bench=" + benchPattern(watch), "-benchmem",
-		"-benchtime=" + benchtime, "-count=" + strconv.Itoa(count), "."}
-	fmt.Fprintf(os.Stderr, "benchgate: go %s\n", strings.Join(args, " "))
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("benchmarks failed: %w", err)
+		"-benchtime=" + benchtime, "-count=1", "."}
+	var raw []byte
+	for round := 1; round <= count; round++ {
+		fmt.Fprintf(os.Stderr, "benchgate: round %d/%d: go %s\n", round, count, strings.Join(args, " "))
+		cmd := exec.Command("go", args...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("benchmarks failed: %w", err)
+		}
+		raw = append(raw, out...)
 	}
 	measured, allocs := parseBench(string(raw))
 	for _, name := range watch {
@@ -180,7 +204,9 @@ func run(baselinePath string, tolerance float64, count int, benchtime, outPath s
 	if !allocsOnly {
 		report, nsFailed := compare(base.Benchmarks, measured, tolerance)
 		fmt.Print(report)
-		failed = nsFailed
+		ratioReport, ratioFailed := compareRatios(measured)
+		fmt.Print(ratioReport)
+		failed = nsFailed || ratioFailed
 	}
 	allocReport, allocFailed := compareAllocs(base.AllocsPerOp, allocs)
 	fmt.Print(allocReport)
@@ -265,6 +291,31 @@ func compare(base, measured map[string]float64, tolerance float64) (string, bool
 		fmt.Fprintf(&sb, "MISS  %-26s baseline %14.0f ns/op, no measurement (benchmark deleted or renamed?)\n",
 			name, base[name])
 		failed = true
+	}
+	return sb.String(), failed
+}
+
+// compareRatios renders the ratio gates and reports whether any failed: a
+// ratio above its bound FAILs, and so does a ratio with a side that
+// produced no measurement (MISS).
+func compareRatios(measured map[string]float64) (string, bool) {
+	var sb strings.Builder
+	failed := false
+	for _, r := range ratios {
+		name := r.num + " / " + r.den
+		num, okN := measured[r.num]
+		den, okD := measured[r.den]
+		if !okN || !okD || den <= 0 {
+			fmt.Fprintf(&sb, "MISS  %-50s no measurement for one side\n", name)
+			failed = true
+			continue
+		}
+		verdict := "OK   "
+		if num/den > r.max {
+			verdict = "FAIL "
+			failed = true
+		}
+		fmt.Fprintf(&sb, "%s %-50s %8.3f (bound %.3f)\n", verdict, name, num/den, r.max)
 	}
 	return sb.String(), failed
 }

@@ -129,3 +129,47 @@ func TestCompareAllocs(t *testing.T) {
 		t.Errorf("report missing NEW verdict:\n%s", report)
 	}
 }
+
+func TestCompareRatios(t *testing.T) {
+	// Inside every bound: passes, and each ratio is printed.
+	measured := map[string]float64{
+		"AdaptiveBandAlignWide10k":   26_000_000,
+		"AdaptiveBandScoreNarrow10k": 2_300_000,
+		"AdaptiveBandAlign10k":       2_600_000, // 0.100 and 1.130
+		"AdaptiveBandAlign1k":        280_000,   // 0.108
+	}
+	report, failed := compareRatios(measured)
+	if failed {
+		t.Errorf("ratios within bounds failed the gate:\n%s", report)
+	}
+	for _, r := range ratios {
+		if !strings.Contains(report, "OK    "+r.num+" / "+r.den) {
+			t.Errorf("report missing OK verdict for %s / %s:\n%s", r.num, r.den, report)
+		}
+	}
+	if !strings.Contains(report, "0.108") {
+		t.Errorf("report does not print the measured ratio:\n%s", report)
+	}
+
+	// The serving pair above its bound against the 10 kb pair: fails.
+	breach := map[string]float64{}
+	for k, v := range measured {
+		breach[k] = v
+	}
+	breach["AdaptiveBandAlign1k"] = 360_000 // 0.138
+	report, failed = compareRatios(breach)
+	if !failed || !strings.Contains(report, "FAIL  AdaptiveBandAlign1k / AdaptiveBandAlign10k") {
+		t.Errorf("ratio breach passed the gate:\n%s", report)
+	}
+
+	// A missing side fails like a deleted benchmark.
+	missing := map[string]float64{}
+	for k, v := range measured {
+		missing[k] = v
+	}
+	delete(missing, "AdaptiveBandAlignWide10k")
+	report, failed = compareRatios(missing)
+	if !failed || !strings.Contains(report, "MISS  AdaptiveBandAlign10k / AdaptiveBandAlignWide10k") {
+		t.Errorf("ratio with a missing side passed the gate:\n%s", report)
+	}
+}

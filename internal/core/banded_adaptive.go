@@ -318,21 +318,21 @@ func (s *Scratch) adaptiveBand(a, b seq.Seq, p Params, w int, traceback bool) (R
 	res.Score = hCur[pFinal]
 	res.Clipped = maxPot > res.Score
 	if traceback {
-		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, 0)
+		res.Cigar = walkBandBT(m, n, bt, off, rowBytes)
 	}
 	return res, off
 }
 
 // walkBandBT replays an adaptive-band traceback arena: row t holds
-// anti-diagonal t in rowBytes bytes, window cell p at nibble p+skew. Kept
+// anti-diagonal t in rowBytes bytes, window cell p at nibble p. Kept
 // out of line so the callback closes over these arguments, not over the
 // engines' main-loop locals (that costs the score-only path ~5 %).
 //
 //go:noinline
-func walkBandBT(m, n int, bt []byte, off []int32, rowBytes, skew int) cigar.Cigar {
+func walkBandBT(m, n int, bt []byte, off []int32, rowBytes int) cigar.Cigar {
 	return walkBT(m, n, func(i, j int) uint8 {
 		t := i + j
-		return NibbleRow(bt[t*rowBytes : (t+1)*rowBytes]).Get(i - int(off[t]) + skew)
+		return NibbleRow(bt[t*rowBytes : (t+1)*rowBytes]).Get(i - int(off[t]))
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pimnw/internal/cigar"
 	"pimnw/internal/seq"
 )
 
@@ -14,17 +15,27 @@ import (
 //
 // Lane layout. Window cell p lives at lane p+narrowLane0 = p+4: a whole
 // dead word comes first (lanes 0–3, the last of them the top sentinel),
-// the bottom sentinel and a zero pad word last, so every word a span
+// the bottom sentinel and two zero pad words last, so every word a span
 // touches has in-bounds neighbours for its funnel-shifted loads, and a
 // full window of a band that is a multiple of 8 is whole SSE2 iterations.
-// The operands are expanded once per call to one base per 16-bit lane (a
-// forward, b reversed, so both advance with stride +1 along an
-// anti-diagonal), and the step forms the substitution word itself by
-// comparing the two base streams lane for lane — the SSE2 analogue of the
-// paper's cmpb4 (§4.2.4). A span that starts or ends mid-word runs its
-// partial edge words through the same portable word step under a lane
-// keep-mask, so the cell update exists exactly four times: SSE2 and SWAR,
-// each with and without traceback (narrow_step*.go).
+// The seven lane arrays sit back to back in one ring that the step rotates
+// by index (narrow_step.go). The operands are expanded once per call to
+// one base per 16-bit lane (a forward, b reversed, so both advance with
+// stride +1 along an anti-diagonal), and the step forms the substitution
+// word itself by comparing the two base streams lane for lane — the SSE2
+// analogue of the paper's cmpb4 (§4.2.4).
+//
+// One kernel call per anti-diagonal. The live span [pLo, pHi] goes to the
+// kernel whole: a span that starts or ends mid-word passes lane keep-masks
+// for its first and last word, the kernel blends those words' outputs,
+// traceback bits and sticky contributions under them, and an odd word
+// count ends in a half iteration whose second word is masked out. Lanes
+// outside the masks keep their memory and raise nothing. Around the call,
+// Go makes only the window decisions — chooseShift, the clip certificate,
+// the matrix-boundary cells and the rebase — and clears the dead flanks
+// with whole-word stores plus one masked word per side. The cell update
+// exists three times: the SSE2 kernel with and without traceback, and the
+// portable SWAR step that is both the kernel off amd64 and their oracle.
 //
 // Value encoding. Lane values are unsigned 15-bit magnitudes under a bias:
 //
@@ -53,20 +64,20 @@ import (
 // auto path in AdaptiveBandScore / AdaptiveBandAlign) escalates to the
 // wide kernel.
 //
-// Traceback. The same run can record the 4-bit/cell structure of bt.go:
-// the nibble of an interior cell is read off the lane compares the
-// recurrence already makes (extend ⇔ the extend candidate equals the lane
-// max, so ties extend; origin from two strict compares, diagonal before I
-// before D; match/mismatch from the same base compare that forms the
-// substitution word), eight cells packed to four bytes per SSE2 iteration.
-// The arena is private to the engine and indexed by lane — nibble L of row
-// t is lane L of anti-diagonal t, two bytes per packed word — and is never
-// zeroed: every nibble the walk consults is written. A consulted nibble
-// belongs to a cell whose walked state holds an exact value at or above
-// the guard floor, while a dead or clamped candidate is below it, so a
-// candidate that ties the lane max is itself exact and every compare
-// agrees with the full-width engine's; DESIGN.md "Narrow-lane arithmetic" has the
-// argument.
+// Traceback. The same run can record the structure of bt.go, read off
+// the lane compares the recurrence already makes: extend ⇔ the extend
+// candidate equals the lane max, so ties extend; the origin from two
+// strict compares, diagonal before I before D. The arena is private to the
+// engine and indexed by lane: row t is anti-diagonal t in two planes of
+// one byte per packed word (setBT), the extend bits and the I/D origin
+// bits, so SSE2 gathers eight lanes' bits with two PMOVMSKBs. A diagonal
+// origin is not stored as match or mismatch: the walk compares the two
+// bases, as the substitution word did. The arena is never zeroed: every
+// bit the walk consults is written. A consulted cell's walked state holds
+// an exact value at or above the guard floor, while a dead or clamped
+// candidate is below it, so a candidate that ties the lane max is itself
+// exact and every compare agrees with the full-width engine's; DESIGN.md
+// "Narrow-lane arithmetic" has the argument.
 
 const (
 	// narrowCenter is the storage bias: a freshly rebased window maximum
@@ -221,31 +232,34 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	off[0] = 0
 
 	// Lanes 0 … narrowLane0+w (the dead word, the w cells and the bottom
-	// sentinel) packed four per word, plus one permanent zero pad word.
-	words := (narrowLane0+w+4)/4 + 1
-	s.nh0 = growU64(s.nh0, words)
-	s.nh1 = growU64(s.nh1, words)
-	s.nh2 = growU64(s.nh2, words)
-	s.ni0 = growU64(s.ni0, words)
-	s.ni1 = growU64(s.ni1, words)
-	s.nd0 = growU64(s.nd0, words)
-	s.nd1 = growU64(s.nd1, words)
-	hPrev, hCur, hNext := s.nh0, s.nh1, s.nh2
-	iCur, iNext := s.ni0, s.ni1
-	dCur, dNext := s.nd0, s.nd1
-	for g := 0; g < words; g++ {
-		hPrev[g], hCur[g], hNext[g] = 0, 0, 0
-		iCur[g], iNext[g] = 0, 0
-		dCur[g], dNext[g] = 0, 0
-	}
-	setLane16(hCur, narrowLane0, narrowCenter) // cell (0,0): score 0 at bias, base 0
-	res.Cells = 1
-
+	// sentinel) packed four per word, plus two permanent zero pad words, so
+	// a span's half iteration and its neighbour loads stay inside the
+	// array. The seven arrays share one ring (narrowStep).
+	words := (narrowLane0+w+4)/4 + 2
+	s.nring = growU64(s.nring, 7*words)
+	clear(s.nring)
 	s.na = laneBases(s.na, a, false)
 	s.nb = laneBases(s.nb, b, true)
+	st := narrowStep{
+		ring:   s.nring,
+		words:  words,
+		winEnd: (narrowLane0 + w + 3) / 4,
+		a:      s.na,
+		b:      s.nb,
+		eV:     uint64(uint16(p.GapExt)) * lanesOne,
+		oeV:    uint64(uint16(p.GapOpen+p.GapExt)) * lanesOne,
+		nmV:    uint64(uint16(-p.Mismatch)) * lanesOne,
+		gbV:    uint64(uint16(narrowGuard(p))) * lanesOne,
+		smV:    uint64(uint16(p.Match-p.Mismatch)) * lanesOne,
+	}
+	st.hCur, st.hNext = words, 2*words // hPrev at 0
+	st.iCur, st.iNext, st.dCur, st.dNext = 3*words, 4*words, 5*words, 6*words
+	st.bind()
+	st.setLane(st.hCur, narrowLane0, narrowCenter) // cell (0,0): score 0 at bias, base 0
+	res.Cells = 1
 
-	// Lane-indexed traceback rows: two bytes per packed lane word. Not
-	// zeroed — see the header comment.
+	// Lane-indexed traceback rows: two planes of one byte per packed lane
+	// word (setBT). Not zeroed — see the header comment.
 	var bt []byte
 	rowBytes := 2 * (words - 1)
 	if traceback {
@@ -253,31 +267,24 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		bt = s.bt
 	}
 
-	st := narrowStep{
-		a:   s.na,
-		b:   s.nb,
-		eV:  uint64(uint16(p.GapExt)) * lanesOne,
-		oeV: uint64(uint16(p.GapOpen+p.GapExt)) * lanesOne,
-		nmV: uint64(uint16(-p.Mismatch)) * lanesOne,
-		gbV: uint64(uint16(narrowGuard(p))) * lanesOne,
-		smV: uint64(uint16(p.Match-p.Mismatch)) * lanesOne,
-	}
-
 	var base int32 // cumulative rebase: trueScore = stored − narrowCenter + base
 	dPrevShift := 0
 	maxPot := NegInf
 	overflow := false
 
-	// nval converts a stored lane to the wide engine's value domain.
-	nval := func(st uint16) int32 {
-		if st == 0 {
+	// hv reads window cell p of the current H anti-diagonal in the wide
+	// engine's value domain.
+	hv := func(p int) int32 {
+		v := st.getLane(st.hCur, p+narrowLane0)
+		if v == 0 {
 			return NegInf
 		}
-		return int32(st) - narrowCenter + base
+		return int32(v) - narrowCenter + base
 	}
 
 	for t := 0; t < m+n; t++ {
-		d := int(chooseShift(nval(getLane16(hCur, narrowLane0)), nval(getLane16(hCur, narrowLane0+w-1)), off[t], t, m, n, w))
+		top, bot := hv(0), hv(w-1)
+		d := int(chooseShift(top, bot, off[t], t, m, n, w))
 		loI := t + 1 - n
 		if loI < 0 {
 			loI = 0
@@ -298,8 +305,8 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			o := int(off[t])
 			if d == 1 {
 				if j := t - o; j >= 0 && j < n && o <= m {
-					if hv := nval(getLane16(hCur, narrowLane0)); hv > NegInf/2 {
-						if pot := hv + escapeBound(p, m-o, n-j); pot > maxPot {
+					if top > NegInf/2 {
+						if pot := top + escapeBound(p, m-o, n-j); pot > maxPot {
 							maxPot = pot
 						}
 					}
@@ -307,8 +314,8 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			} else {
 				i := o + w - 1
 				if j := t - i; i >= 0 && i < m && j >= 0 && j <= n {
-					if hv := nval(getLane16(hCur, narrowLane0+w-1)); hv > NegInf/2 {
-						if pot := hv + escapeBound(p, m-i, n-j); pot > maxPot {
+					if bot > NegInf/2 {
+						if pot := bot + escapeBound(p, m-i, n-j); pot > maxPot {
 							maxPot = pot
 						}
 					}
@@ -319,9 +326,8 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		o := int(off[t]) + d
 		off[t+1] = int32(o)
 
-		var btRow NibbleRow
 		if traceback {
-			btRow = bt[(t+1)*rowBytes : (t+2)*rowBytes]
+			st.bt = bt[(t+1)*rowBytes : (t+2)*rowBytes]
 		}
 
 		pLo := 0
@@ -339,18 +345,6 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			pHi = v
 		}
 
-		// Out-of-matrix flanks become dead lanes.
-		for q := 0; q < pLo; q++ {
-			setLane16(hNext, q+narrowLane0, 0)
-			setLane16(iNext, q+narrowLane0, 0)
-			setLane16(dNext, q+narrowLane0, 0)
-		}
-		for q := pHi + 1; q < w; q++ {
-			setLane16(hNext, q+narrowLane0, 0)
-			setLane16(iNext, q+narrowLane0, 0)
-			setLane16(dNext, q+narrowLane0, 0)
-		}
-
 		cLo := 0
 		if v := t + 1 - n - o; v > cLo {
 			cLo = v
@@ -366,19 +360,29 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 			res.Cells += int64(cHi - cLo + 1)
 		}
 
-		// Matrix-boundary cells, peeled exactly as in adaptiveBand; a
-		// boundary value outside the representable window is a sticky.
+		// The span, one kernel call; out-of-matrix flanks become dead lanes.
+		// Lane L is cell (i, j) = (o+L−narrowLane0, t+1−i): it compares
+		// a[i−1], at base lane L+o−1, with b[j−1], which sits at reversed
+		// index n−j, base lane L+n−t−1+o.
+		st.d, st.dd = d, d+dPrevShift
+		st.aOff, st.bOff = o-1, n-t-1+o
+		if st.step(pLo+narrowLane0, pHi+narrowLane0, traceback) != 0 {
+			overflow = true
+		}
+
+		// Matrix-boundary cells, peeled exactly as in adaptiveBand, just
+		// outside the span; a boundary value outside the representable
+		// window is a sticky.
 		if o == 0 && t+1 <= n {
 			rel := int64(-p.GapCost(t+1)) - int64(base) + narrowCenter
 			if rel <= 0 || rel > narrowTop {
 				overflow = true
 				rel = 1
 			}
-			setLane16(hNext, narrowLane0, uint16(rel))
-			setLane16(dNext, narrowLane0, uint16(rel))
-			setLane16(iNext, narrowLane0, 0)
+			st.setLane(st.hNext, narrowLane0, uint16(rel))
+			st.setLane(st.dNext, narrowLane0, uint16(rel))
 			if traceback {
-				btRow.Set(narrowLane0, MakeBTNibble(btFromD, false, t+1 > 1))
+				st.setBT(narrowLane0, byte(min(t, 1))<<4, 0x10) // from D, D-extend past the first row
 			}
 		}
 		if q := t + 1 - o; q >= 0 && q < w && t+1 <= m {
@@ -387,32 +391,14 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 				overflow = true
 				rel = 1
 			}
-			setLane16(hNext, q+narrowLane0, uint16(rel))
-			setLane16(iNext, q+narrowLane0, uint16(rel))
-			setLane16(dNext, q+narrowLane0, 0)
+			st.setLane(st.hNext, q+narrowLane0, uint16(rel))
+			st.setLane(st.iNext, q+narrowLane0, uint16(rel))
 			if traceback {
-				btRow.Set(q+narrowLane0, MakeBTNibble(btFromI, t+1 > 1, false))
+				st.setBT(q+narrowLane0, byte(min(t, 1)), 0x01) // from I, I-extend past the first column
 			}
 		}
 
-		if pLo <= pHi {
-			st.hNext, st.iNext, st.dNext = hNext, iNext, dNext
-			st.hCur, st.iCur, st.dCur, st.hPrev = hCur, iCur, dCur, hPrev
-			st.bt = btRow
-			st.d, st.dd = d, d+dPrevShift
-			// Lane L is cell (i, j) = (o+L−narrowLane0, t+1−i): it compares
-			// a[i−1], at base lane L+o−1, with b[j−1], which sits at
-			// reversed index n−j, base lane L+n−t−1+o.
-			st.aOff = o - 1
-			st.bOff = n - t - 1 + o
-			if st.span(pLo+narrowLane0, pHi+narrowLane0, traceback) != 0 {
-				overflow = true
-			}
-		}
-
-		hPrev, hCur, hNext = hCur, hNext, hPrev
-		iCur, iNext = iNext, iCur
-		dCur, dNext = dNext, dCur
+		st.rotate()
 		dPrevShift = d
 
 		if overflow {
@@ -426,17 +412,17 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		if (t+1)%narrowRebaseEvery == 0 {
 			maxSt := uint16(0)
 			for l := narrowLane0; l < narrowLane0+w; l++ {
-				if v := getLane16(hCur, l); v > maxSt {
+				if v := st.getLane(st.hCur, l); v > maxSt {
 					maxSt = v
 				}
 			}
 			if maxSt != 0 {
 				shift := int32(maxSt) - narrowCenter
 				if shift > narrowSlack || shift < -narrowSlack {
-					ok := narrowRebase(hPrev, shift)
-					ok = narrowRebase(hCur, shift) && ok
-					ok = narrowRebase(iCur, shift) && ok
-					ok = narrowRebase(dCur, shift) && ok
+					ok := narrowRebase(st.lanes(st.hPrev), shift)
+					ok = narrowRebase(st.lanes(st.hCur), shift) && ok
+					ok = narrowRebase(st.lanes(st.iCur), shift) && ok
+					ok = narrowRebase(st.lanes(st.dCur), shift) && ok
 					base += shift
 					if !ok {
 						res.Score = NegInf
@@ -453,7 +439,7 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		res.Score = NegInf
 		return res, true
 	}
-	v := getLane16(hCur, pFinal+narrowLane0)
+	v := st.getLane(st.hCur, pFinal+narrowLane0)
 	if v == 0 {
 		res.Score = NegInf
 		return res, true
@@ -462,46 +448,33 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	res.Score = int32(v) - narrowCenter + base
 	res.Clipped = maxPot > res.Score
 	if traceback {
-		res.Cigar = walkBandBT(m, n, bt, off, rowBytes, narrowLane0)
+		res.Cigar = walkNarrowBT(a, b, bt, off, rowBytes)
 	}
 	return res, true
 }
 
-// span steps lanes [lo, hi] of one anti-diagonal: whole words through the
-// vector step, a partial word at either edge through the portable step
-// under a lane keep-mask, so the flank, boundary and sentinel lanes beside
-// the span keep what the caller wrote there. Returns the sticky
-// accumulator of the kept lanes.
-func (st *narrowStep) span(lo, hi int, traceback bool) uint64 {
-	gLo, gHi := lo>>2, hi>>2
-	keepLo := ^uint64(0) << (16 * uint(lo&3))
-	keepHi := ^uint64(0) >> (16 * uint(3-hi&3))
-	if gLo == gHi {
-		return st.masked(gLo, keepLo&keepHi, traceback)
-	}
-	var ov uint64
-	if keepLo != ^uint64(0) {
-		ov |= st.masked(gLo, keepLo, traceback)
-		gLo++
-	}
-	if keepHi != ^uint64(0) {
-		ov |= st.masked(gHi, keepHi, traceback)
-		gHi--
-	}
-	if gLo <= gHi {
-		if traceback {
-			ov |= narrowStepWordsTB(st, gLo, gHi)
-		} else {
-			ov |= narrowStepWords(st, gLo, gHi)
+// walkNarrowBT replays the narrow engine's traceback arena: row t holds
+// anti-diagonal t in the two planes of setBT, window cell p at lane
+// p+narrowLane0; a diagonal origin is a match or a mismatch by the bases.
+// Out of line for the reason walkBandBT is.
+//
+//go:noinline
+func walkNarrowBT(a, b seq.Seq, bt []byte, off []int32, rowBytes int) cigar.Cigar {
+	half := rowBytes / 2
+	return walkBT(len(a), len(b), func(i, j int) uint8 {
+		t := i + j
+		l := i - int(off[t]) + narrowLane0
+		r, sh := t*rowBytes+l>>2, uint(l&3)
+		ext, org := bt[r]>>sh, bt[r+half]>>sh
+		nb := (ext&1)<<2 | (ext>>4&1)<<3
+		switch {
+		case org&0x10 != 0:
+			nb |= btFromD
+		case org&1 != 0:
+			nb |= btFromI
+		case a[i-1] != b[j-1]:
+			nb |= btDiagMismatch
 		}
-	}
-	return ov
-}
-
-// masked steps the single word g, writing only the lanes set in keep.
-func (st *narrowStep) masked(g int, keep uint64, traceback bool) uint64 {
-	if traceback {
-		return narrowStepWordsGoTB(st, g, g, keep)
-	}
-	return narrowStepWordsGo(st, g, g, keep)
+		return nb
+	})
 }

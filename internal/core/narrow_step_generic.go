@@ -2,14 +2,14 @@
 
 package core
 
-// narrowStepWords runs the narrow engine's whole-word step over [gA, gB];
-// on platforms without an assembly kernel it is the portable SWAR loop.
-func narrowStepWords(st *narrowStep, gA, gB int) uint64 {
-	return narrowStepWordsGo(st, gA, gB, ^uint64(0))
-}
+// narrowArgs is empty, and bind has nothing to bind, where there is no
+// assembly kernel.
+type narrowArgs struct{}
 
-// narrowStepWordsTB is narrowStepWords recording traceback nibbles into the
-// lane-indexed row st.bt.
-func narrowStepWordsTB(st *narrowStep, gA, gB int) uint64 {
-	return narrowStepWordsGoTB(st, gA, gB, ^uint64(0))
+func (st *narrowStep) bind() {}
+
+// kernel runs words [gLo, gHi] through the portable SWAR step, the first
+// word under keepLo and the last under keepHi.
+func (st *narrowStep) kernel(gLo, gHi int, keepLo, keepHi uint64, traceback bool) uint64 {
+	return narrowStepWordsGo(st, gLo, gHi, keepLo, keepHi, traceback)
 }

@@ -2,34 +2,42 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestNarrowStepAsmMatchesPortable pins the narrow engine's four cell
-// updates to one another. Unmasked, the SSE2 kernels (through their amd64
-// wrappers) must match the portable SWAR loops word for word — on amd64
-// the engine hands the Go loops only the edge words and an odd trailing
-// word, so nothing else compares them lane for lane (off amd64 both sides
-// are the portable loop). Masked, the portable loops under a random lane
-// keep-mask must match their own unmasked run: lanes outside the mask
-// keep their previous H/I/D and nibble contents bit for bit and raise no
-// sticky bit, kept lanes equal the unmasked step.
+// updates to one another under the span contract: words [gA, gB] of one
+// anti-diagonal, the first under a lane keep-mask keepLo and the last
+// under keepHi. The kernel the engine calls (the SSE2 assembly on amd64,
+// the portable loop elsewhere) must match the portable SWAR loop lane for
+// lane, traceback bits included, whenever the portable sticky verdict is
+// clear, and agree with it on the verdict (zero / non-zero) always. The
+// portable loop under the masks must equal its own unmasked run on the
+// kept lanes, its sticky flag included: the masked flag is exactly the OR
+// of each word's unmasked flag (that word run alone) restricted to the
+// word's kept lanes, so only kept lanes may raise it. Lanes outside the
+// masks keep their previous H/I/D and traceback bits bit for bit in every
+// run.
 //
-// Random lane words mix dead, near-guard, mid-range (a narrow value range,
-// so extend and origin ties are common) and near-top lanes, the base lanes
-// of b copy those of a in long runs (so match-heavy words occur) at random
-// stream offsets, under every d × dd neighbour offset. The unmasked sticky
-// verdict (zero / non-zero) must always agree; when it is clear the H/I/D
-// words and the nibble bytes must be identical (on a sticky the assembly's
-// in-flight lanes may legitimately differ — the engine discards the step).
+// Spans are 1–15 words long (odd counts end the kernel in a half
+// iteration) and the masks are any lane subsets, the empty and full ones
+// included. Random lane words mix dead, near-guard, mid-range (a narrow
+// value range, so extend and origin ties are common) and near-top lanes;
+// the base lanes of b copy those of a in long runs (so match-heavy words
+// occur) at random stream offsets, under every d × dd neighbour offset.
+// On shielded trials every masked-out lane of the span is made to carry —
+// its diagonal input at narrowTop on a matching base — while the kept
+// lanes stay clean, so a kernel that let a masked-out lane reach the
+// sticky flag fails the verdict check.
 func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	const words = 14 // lanes 0..55, plus the pad word
-	const baseWords = words + 4
-	type lanes = []uint64
-	newLanes := func(n int) lanes { return make(lanes, n) }
-	clear, sticky, masked := 0, 0, 0
+	const words = 20 // per lane array: spans from word 1–3, plus neighbour words
+	const baseWords = words + 6
+	const rowBytes = 2 * (words - 1)
+	clear_, sticky, shielded, odd := 0, 0, 0, 0
 	for trial := 0; trial < 6000; trial++ {
 		p := narrowFuzzParams[trial%len(narrowFuzzParams)]
 		oe16 := uint16(p.GapOpen + p.GapExt)
@@ -39,6 +47,7 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 		// A clean trial keeps every H lane comfortably live so the guard
 		// stays quiet; a rough one sprinkles the hazards over H as well.
 		rough := trial%3 == 0
+		shield := !rough && trial%2 == 1
 		base := uint16(2000 + rng.Intn(24000))
 		lane := func(hazards bool) uint16 {
 			if hazards {
@@ -57,16 +66,10 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 			}
 			return base + uint16(rng.Intn(12))
 		}
-		fill := func(a lanes, hazards bool) lanes {
-			for l := 0; l < 4*words; l++ {
-				setLane16(a, l, lane(hazards))
-			}
-			return a
-		}
 		st := narrowStep{
-			hCur: fill(newLanes(words+1), rough), hPrev: fill(newLanes(words+1), rough),
-			iCur: fill(newLanes(words+1), true), dCur: fill(newLanes(words+1), true),
-			a: newLanes(baseWords), b: newLanes(baseWords),
+			ring:  make([]uint64, 7*words),
+			words: words,
+			a:     make([]uint64, baseWords), b: make([]uint64, baseWords),
 			aOff: rng.Intn(8), bOff: rng.Intn(8),
 			eV:  uint64(uint16(p.GapExt)) * lanesOne,
 			oeV: uint64(oe16) * lanesOne,
@@ -74,6 +77,22 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 			gbV: uint64(gb16) * lanesOne,
 			smV: uint64(smd) * lanesOne,
 		}
+		st.hCur, st.hNext = words, 2*words
+		st.iCur, st.iNext, st.dCur, st.dNext = 3*words, 4*words, 5*words, 6*words
+		for _, arr := range []int{st.hPrev, st.hCur, st.iCur, st.dCur} {
+			hz := rough || arr == st.iCur || arr == st.dCur
+			for l := 0; l < 4*words; l++ {
+				setLane16(st.ring, 4*arr+l, lane(hz))
+			}
+		}
+		// The output arrays and the traceback row start as junk.
+		for _, arr := range []int{st.hNext, st.iNext, st.dNext} {
+			for g := 0; g < words; g++ {
+				st.ring[arr+g] = rng.Uint64()
+			}
+		}
+		junkBT := make([]byte, rowBytes)
+		rng.Read(junkBT)
 		// Base lanes: b agrees with a in runs of about eight lanes.
 		for l := 0; l < 4*baseWords; l++ {
 			setLane16(st.a, l, uint16(rng.Intn(4)))
@@ -89,113 +108,134 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 			}
 		}
 
-		// An even word count keeps the amd64 wrappers on the SSE2 kernels
-		// alone (no trailing portable word).
 		gA := 1 + rng.Intn(3)
-		pairs := 1 + rng.Intn((words-1-gA)/2)
-		gB := gA + 2*pairs - 1
-		// The masked word, its keep-mask, and the junk its outputs start
-		// from (any subset of lanes, the empty and full masks included).
-		gM := 1 + rng.Intn(words-1)
-		var keep uint64
-		for k := uint(0); k < 4; k++ {
-			if rng.Intn(2) == 0 {
-				keep |= 0xffff << (16 * k)
-			}
+		gB := gA + rng.Intn(15)
+		if (gB-gA)%2 == 0 {
+			odd++
 		}
-		junk := func() (lanes, lanes, lanes, []byte) {
-			r := rand.New(rand.NewSource(int64(trial)))
-			h, i, d, bt := newLanes(words+1), newLanes(words+1), newLanes(words+1), make([]byte, 2*words)
-			for g := range h {
-				h[g], i[g], d[g] = r.Uint64(), r.Uint64(), r.Uint64()
+		mask := func() uint64 {
+			var k uint64
+			for l := uint(0); l < 4; l++ {
+				if rng.Intn(2) == 0 {
+					k |= 0xffff << (16 * l)
+				}
 			}
-			r.Read(bt)
-			return h, i, d, bt
+			return k
 		}
-		kn := keep & 0x000f000f000f000f
-		kn |= kn >> 12
+		keepLo, keepHi := mask(), mask()
+		// kept is the keep-mask of word g; keptBT folds it onto traceback
+		// byte j, one bit per kept lane in each nibble of word j's byte in
+		// either half of the row.
+		kept := func(g int) uint64 {
+			if g < gA || g > gB {
+				return 0
+			}
+			return narrowKeep(g, gA, gB, keepLo, keepHi)
+		}
+		keptBT := func(j int) byte { return narrowBits(kept(j%(rowBytes/2))&nH) * 0x11 }
 
 		for d := 0; d <= 1; d++ {
 			for dd := 0; dd <= 2; dd++ {
-				for _, tb := range bothModes {
-					st.d, st.dd = d, dd
-					run := func(h, i, dn lanes, bt []byte, sse bool, g0, g1 int, keep uint64) uint64 {
-						s := st
-						s.hNext, s.iNext, s.dNext, s.bt = h, i, dn, bt
-						switch {
-						case tb && sse:
-							return narrowStepWordsTB(&s, g0, g1)
-						case tb:
-							return narrowStepWordsGoTB(&s, g0, g1, keep)
-						case sse:
-							return narrowStepWords(&s, g0, g1)
-						default:
-							return narrowStepWordsGo(&s, g0, g1, keep)
-						}
-					}
-
-					hG, iG, dG := newLanes(words+1), newLanes(words+1), newLanes(words+1)
-					hS, iS, dS := newLanes(words+1), newLanes(words+1), newLanes(words+1)
-					btG, btS := make([]byte, 2*words), make([]byte, 2*words)
-					ovG := run(hG, iG, dG, btG, false, gA, gB, ^uint64(0))
-					ovS := run(hS, iS, dS, btS, true, gA, gB, 0)
-					if (ovG != 0) != (ovS != 0) {
-						t.Fatalf("trial %d d=%d dd=%d tb=%v p=%+v: sticky verdicts differ: portable %#x, sse %#x",
-							trial, d, dd, tb, p, ovG, ovS)
-					}
-					if ovG != 0 {
-						sticky++
-					} else {
-						clear++
-						for g := 0; g <= words; g++ {
-							if hG[g] != hS[g] || iG[g] != iS[g] || dG[g] != dS[g] {
-								t.Fatalf("trial %d d=%d dd=%d tb=%v p=%+v word %d [%d,%d]:\n portable H %#016x I %#016x D %#016x\n sse      H %#016x I %#016x D %#016x",
-									trial, d, dd, tb, p, g, gA, gB, hG[g], iG[g], dG[g], hS[g], iS[g], dS[g])
+				in := st
+				in.d, in.dd = d, dd
+				in.ring, in.b = slices.Clone(st.ring), slices.Clone(st.b)
+				if shield {
+					for g := gA; g <= gB; g++ {
+						for l := 4 * g; l < 4*g+4; l++ {
+							if kept(g)>>(16*uint(l&3))&1 == 0 {
+								setLane16(in.ring, 4*in.hPrev+l-1+dd, narrowTop)
+								setLane16(in.b, l+in.bOff, getLane16(in.a, l+in.aOff))
 							}
 						}
-						if !bytes.Equal(btG, btS) {
-							t.Fatalf("trial %d d=%d dd=%d p=%+v words [%d,%d]: nibble rows differ:\n portable %x\n sse      %x",
-								trial, d, dd, p, gA, gB, btG, btS)
+					}
+				}
+				for _, tb := range bothModes {
+					run := func(kernel bool, lo, hi int, keepLo, keepHi uint64) ([]uint64, []byte, uint64) {
+						s := in
+						s.ring, s.bt = slices.Clone(in.ring), slices.Clone(junkBT)
+						s.bind()
+						if kernel {
+							return s.ring, s.bt, s.kernel(lo, hi, keepLo, keepHi, tb)
 						}
+						return s.ring, s.bt, narrowStepWordsGo(&s, lo, hi, keepLo, keepHi, tb)
+					}
+					ringF, btF, ovF := run(false, gA, gB, ^uint64(0), ^uint64(0))
+					ringP, btP, ovP := run(false, gA, gB, keepLo, keepHi)
+					ringK, btK, ovK := run(true, gA, gB, keepLo, keepHi)
+					// The exact sticky of the masked span: each word's
+					// unmasked sticky, run on that word alone, restricted
+					// to the word's kept lanes.
+					var ovWant, ovWords uint64
+					for g := gA; g <= gB; g++ {
+						_, _, ov := run(false, g, g, ^uint64(0), ^uint64(0))
+						ovWant |= ov & kept(g)
+						ovWords |= ov
+					}
+					label := func() string {
+						return fmt.Sprintf("trial %d d=%d dd=%d tb=%v words [%d,%d] keep %#x/%#x: sticky unmasked %#x, portable %#x (want %#x), kernel %#x",
+							trial, d, dd, tb, gA, gB, keepLo, keepHi, ovF, ovP, ovWant, ovK)
+					}
+					if ovWords != ovF {
+						t.Fatalf("%s: the words' stickies OR to %#x, not the span's", label(), ovWords)
+					}
+					if ovP != ovWant {
+						t.Fatalf("%s: masked sticky is not the unmasked one on the kept lanes", label())
+					}
+					if (ovP != 0) != (ovK != 0) {
+						t.Fatalf("%s: sticky verdicts differ", label())
+					}
+					switch {
+					case ovP != 0:
+						sticky++
+					case ovF != 0:
+						shielded++
+					default:
+						clear_++
 					}
 
-					// Masked word gM against the unmasked step of the same word.
-					hF, iF, dF, btF := junk()
-					hM, iM, dM, btM := junk()
-					h0, i0, d0, bt0 := junk()
-					ovF := run(hF, iF, dF, btF, false, gM, gM, ^uint64(0))
-					ovM := run(hM, iM, dM, btM, false, gM, gM, keep)
-					masked++
-					if ovM != ovF&keep {
-						t.Fatalf("trial %d d=%d dd=%d tb=%v keep=%#x: masked sticky %#x, unmasked %#x",
-							trial, d, dd, tb, keep, ovM, ovF)
-					}
-					for g := 0; g <= words; g++ {
-						var k uint64 // the lanes of word g the step may write
-						if g == gM {
-							k = keep
-						}
-						if hM[g] != h0[g]&^k|hF[g]&k || iM[g] != i0[g]&^k|iF[g]&k || dM[g] != d0[g]&^k|dF[g]&k {
-							t.Fatalf("trial %d d=%d dd=%d tb=%v keep=%#x word %d (masked %d):\n masked   H %#016x I %#016x D %#016x\n unmasked H %#016x I %#016x D %#016x\n before   H %#016x I %#016x D %#016x",
-								trial, d, dd, tb, keep, g, gM, hM[g], iM[g], dM[g], hF[g], iF[g], dF[g], h0[g], i0[g], d0[g])
+					for i, arr := range []int{in.hNext, in.iNext, in.dNext} {
+						for g := 0; g < words; g++ {
+							k, j := kept(g), arr+g
+							if want := in.ring[j]&^k | ringF[j]&k; ringP[j] != want {
+								t.Fatalf("%s: portable array %d word %d: %#016x, want %#016x (unmasked %#016x, before %#016x)",
+									label(), i, g, ringP[j], want, ringF[j], in.ring[j])
+							}
+							if ringK[j]&^k != in.ring[j]&^k {
+								t.Fatalf("%s: kernel wrote masked-out lanes of array %d word %d: %#016x, before %#016x",
+									label(), i, g, ringK[j], in.ring[j])
+							}
 						}
 					}
-					wantBT := bytes.Clone(bt0)
-					if tb {
-						for k, kb := range []byte{byte(kn), byte(kn >> 32)} {
-							j := 2*gM + k
-							wantBT[j] = bt0[j]&^kb | btF[j]&kb
+					for _, r := range [][]uint64{ringP, ringK} {
+						for _, arr := range []int{in.hPrev, in.hCur, in.iCur, in.dCur} {
+							if !slices.Equal(r[arr:arr+words], in.ring[arr:arr+words]) {
+								t.Fatalf("%s: an input array changed", label())
+							}
 						}
 					}
-					if !bytes.Equal(btM, wantBT) {
-						t.Fatalf("trial %d d=%d dd=%d tb=%v keep=%#x word %d: nibble row\n masked %x\n want   %x",
-							trial, d, dd, tb, keep, gM, btM, wantBT)
+					for j := range junkBT {
+						var k byte
+						if tb {
+							k = keptBT(j)
+						}
+						if want := junkBT[j]&^k | btF[j]&k; btP[j] != want {
+							t.Fatalf("%s: portable traceback byte %d: %#02x, want %#02x", label(), j, btP[j], want)
+						}
+						if btK[j]&^k != junkBT[j]&^k {
+							t.Fatalf("%s: kernel wrote masked-out traceback bits of byte %d: %#02x, before %#02x",
+								label(), j, btK[j], junkBT[j])
+						}
+					}
+					if ovP == 0 && (!slices.Equal(ringK, ringP) || !bytes.Equal(btK, btP)) {
+						t.Fatalf("%s: kernel and portable step differ:\n kernel   %x\n portable %x\n bt       %x\n portable %x",
+							label(), ringK, ringP, btK, btP)
 					}
 				}
 			}
 		}
 	}
-	if clear < 10000 || sticky < 10000 || masked < 60000 {
-		t.Fatalf("lopsided coverage: %d clear and %d sticky steps, %d masked words", clear, sticky, masked)
+	if clear_ < 20000 || sticky < 12000 || shielded < 16000 || odd < 2500 {
+		t.Fatalf("lopsided coverage: %d clear, %d sticky and %d shielded steps, %d odd spans",
+			clear_, sticky, shielded, odd)
 	}
 }

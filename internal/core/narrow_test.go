@@ -35,14 +35,17 @@ func requireNarrowEqual(t *testing.T, label string, narrow, wide Result) {
 
 // TestNarrowWideDifferentialSweep pins the narrow path to the wide engine:
 // over error rates, lengths, bands and length skews, a non-overflowed
-// narrow score must match the wide engine bit for bit.
+// narrow score must match the wide engine bit for bit. The odd bands end
+// the window mid-word or give the span an odd word count, and the lengths
+// around 128 open and close spans mid-word at every corner, so the
+// kernel's keep-masks and half iteration meet every flank shape.
 func TestNarrowWideDifferentialSweep(t *testing.T) {
 	p := DefaultParams()
 	s := NewScratch()
 	cases := 0
-	for _, nLen := range []int{0, 1, 3, 17, 64, 257, 1000} {
+	for _, nLen := range []int{0, 1, 3, 17, 64, 127, 128, 129, 255, 257, 1000} {
 		for _, rate := range []float64{0, 0.02, 0.10, 0.30} {
-			for _, w := range []int{2, 8, 32, 128} {
+			for _, w := range []int{2, 3, 5, 7, 8, 13, 32, 33, 127, 128} {
 				for rep := 0; rep < 3; rep++ {
 					seed := int64(nLen*1000 + int(rate*100)*17 + w + rep)
 					rng := rand.New(rand.NewSource(seed))
@@ -61,7 +64,7 @@ func TestNarrowWideDifferentialSweep(t *testing.T) {
 			}
 		}
 	}
-	if cases < 400 {
+	if cases < 1571 {
 		t.Fatalf("only %d non-overflowed sweep cases; narrow path is over-escalating", cases)
 	}
 }
@@ -109,6 +112,45 @@ func TestNarrowLongSimilar(t *testing.T) {
 		requireNarrowEqual(t, fmt.Sprintf("30k 5%% tb=%v", tb), narrow, wide)
 		if narrow.Score < narrowTop {
 			t.Fatalf("score %d does not exercise the rebase (want > %d)", narrow.Score, narrowTop)
+		}
+	}
+}
+
+// TestNarrowFlanksDead pins the dead-flank invariant the rebase maximum
+// relies on: after every step, each lane of the new anti-diagonal outside
+// its span and boundary cells is dead, whatever the ring held there three
+// anti-diagonals before. The last anti-diagonal's span is the single cell
+// (m, n), so after a run every other lane of the current H, I and D arrays
+// must be zero.
+func TestNarrowFlanksDead(t *testing.T) {
+	p := DefaultParams()
+	s := NewScratch()
+	for _, tc := range []struct{ m, n, w int }{
+		{300, 300, 8}, {300, 300, 13}, {257, 255, 33}, {129, 127, 127},
+		{40, 400, 16}, {400, 40, 16}, {1000, 1000, 128}, {0, 300, 8}, {300, 0, 8},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.m*7 + tc.n*13 + tc.w)))
+		a := seq.Random(rng, tc.m)
+		b := seq.UniformErrors(0.05).Apply(rng, a)
+		b = append(b, seq.Random(rng, max(0, tc.n-len(b)))...)[:tc.n]
+		for _, tb := range bothModes {
+			res, ok := s.adaptiveBandNarrow(a, b, p, tc.w, tb)
+			if !ok || !res.InBand {
+				t.Fatalf("m=%d n=%d w=%d tb=%v: want an in-band narrow result, got %+v", tc.m, tc.n, tc.w, tb, res)
+			}
+			// After m+n rotations of (hPrev, hCur, hNext) from offsets
+			// (0, 1, 2) and of (cur, next) from (3, 4) and (5, 6) words.
+			words := (narrowLane0+tc.w+4)/4 + 2
+			k := tc.m + tc.n
+			final := tc.m - int(s.off[k]) + narrowLane0
+			for name, arr := range map[string]int{"H": (1 + k) % 3, "I": 3 + k%2, "D": 5 + k%2} {
+				for l := 0; l < 4*words; l++ {
+					if v := getLane16(s.nring, 4*arr*words+l); v != 0 && l != final {
+						t.Fatalf("m=%d n=%d w=%d tb=%v: %s lane %d holds %d, want dead (final cell at lane %d)",
+							tc.m, tc.n, tc.w, tb, name, l, v, final)
+					}
+				}
+			}
 		}
 	}
 }

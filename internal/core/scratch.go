@@ -25,12 +25,13 @@ type Scratch struct {
 	h0, h1, h2, i0, i1, d0, d1 []int32
 
 	// Narrow-lane (16-bit) engine state: the same seven lanes, packed four
-	// cells per uint64 word behind a dead word and ahead of a zero pad
-	// word, so every word a span touches has in-bounds funnel-shifted
-	// neighbour loads; and the operands one base per 16-bit lane (a, and
-	// b reversed), which the step compares in-lane (laneBases).
-	nh0, nh1, nh2, ni0, ni1, nd0, nd1 []uint64
-	na, nb                            []uint64
+	// cells per uint64 word behind a dead word and ahead of two zero pad
+	// words, so every word a span touches has in-bounds funnel-shifted
+	// neighbour loads, held back to back in one ring that the step rotates
+	// by index (narrowStep); and the operands one base per 16-bit lane (a,
+	// and b reversed), which the step compares in-lane (laneBases).
+	nring  []uint64
+	na, nb []uint64
 
 	// Traceback arena, lazily sized on the first traceback call — the
 	// score-only paths never touch it. The wide engine lays it out as
