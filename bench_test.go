@@ -10,12 +10,14 @@ package pimnw_test
 // table; the kernel benchmarks report cell throughput.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"testing"
 
+	"pimnw/internal/admission/config"
 	"pimnw/internal/baseline"
 	"pimnw/internal/cache"
 	"pimnw/internal/core"
@@ -275,6 +277,27 @@ func BenchmarkDPUKernelBatch(b *testing.B) {
 		}
 		b.StartTimer()
 		if _, err := kernel.Run(d, kcfg, pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionOpenClose is the per-request set-up cost of the serving
+// path: an empty session at alignd's default session config (QueueLimit
+// 0, so 2 048 pairs of room), opened and closed.
+func BenchmarkSessionOpenClose(b *testing.B) {
+	hcfg, err := config.Default().Align.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := host.SessionConfig{Host: hcfg}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := host.NewSession(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

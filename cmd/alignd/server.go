@@ -375,13 +375,12 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admit the remaining pairs while results stream below. A full
-	// session queue here is flow control, not a reject: the client is
-	// already receiving results, so admission just waits for the stream
-	// to drain a slot.
+	// session queue is flow control: Submit waits for the stream to drain
+	// a slot.
 	submitErr := make(chan error, 1)
 	go func() {
 		defer s.Close()
-		submitErr <- sv.submitRest(r, s, dec)
+		submitErr <- submitRest(s, dec)
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -448,7 +447,7 @@ func (sv *server) observeRequest(tid string, start time.Time, s *host.Session) {
 	}
 }
 
-func (sv *server) submitRest(r *http.Request, s *host.Session, dec *pairDecoder) error {
+func submitRest(s *host.Session, dec *pairDecoder) error {
 	for {
 		wp, err := dec.next()
 		if err == io.EOF {
@@ -461,19 +460,8 @@ func (sv *server) submitRest(r *http.Request, s *host.Session, dec *pairDecoder)
 		if err != nil {
 			return err
 		}
-		for {
-			err := s.Submit(p)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, host.ErrQueueFull) {
-				return err
-			}
-			select {
-			case <-r.Context().Done():
-				return r.Context().Err()
-			case <-time.After(200 * time.Microsecond):
-			}
+		if err := s.Submit(p); err != nil {
+			return err
 		}
 	}
 }

@@ -61,13 +61,15 @@ var gated = []string{
 	"FluidSimulatorServing",
 	"CacheHit10k",
 	"WALAppend",
+	"SessionOpenClose",
 }
 
 // allocGated is the subset whose allocs/op must never exceed the baseline:
 // the deterministic single-goroutine benchmarks — the core engines, one
-// kernel launch and the fluid simulator on the serving shape. The host
-// benchmarks are excluded: goroutine scheduling and GC timing make their
-// counts noisy by a few objects either way.
+// kernel launch, the fluid simulator on the serving shape, and an empty
+// session's open+close (no goroutine, so its count is exact). The host
+// batch benchmarks are excluded: goroutine scheduling and GC timing make
+// their counts noisy by a few objects either way.
 var allocGated = []string{
 	"AdaptiveBandScore10k",
 	"AdaptiveBandScoreNarrow10k",
@@ -82,6 +84,7 @@ var allocGated = []string{
 	"Placement",
 	"DPUKernelBatch",
 	"FluidSimulatorServing",
+	"SessionOpenClose",
 }
 
 // ratios are the gates that survive a change of box: each bounds the

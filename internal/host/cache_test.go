@@ -255,10 +255,10 @@ func TestSessionCacheInBatchDedup(t *testing.T) {
 	}
 }
 
-// TestSessionRejectedSubmitLeavesNoEntry: a Submit bounced by the queue
-// limit must not seed the answer table, or its retry would attach to an
-// entry no owner ever resolves.
-func TestSessionRejectedSubmitLeavesNoEntry(t *testing.T) {
+// TestSessionWaitingSubmitOwnsItsEntry: a Submit that waits for room
+// creates its answer-table entry only when it is admitted, so the pair
+// is computed as its own owner, not attached to the pair ahead of it.
+func TestSessionWaitingSubmitOwnsItsEntry(t *testing.T) {
 	pairs := makePairs(65, 2, 100, 0.05)
 	cfg := SessionConfig{Host: testConfig(1, true), MaxBatchPairs: 1, QueueLimit: 1, Cache: openHostCache(t)}
 	s, err := NewSession(context.Background(), cfg)
@@ -268,21 +268,7 @@ func TestSessionRejectedSubmitLeavesNoEntry(t *testing.T) {
 	if err := s.Submit(pairs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(pairs[1]); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("second Submit = %v, want ErrQueueFull", err)
-	}
-	<-s.Results()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := s.Submit(pairs[1])
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) || time.Now().After(deadline) {
-			t.Fatalf("resubmit after drain = %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	submitWaitsForResult(t, s, pairs[1])
 	go s.Close()
 	r, ok := <-s.Results()
 	if !ok {

@@ -20,20 +20,19 @@ import (
 // under a dynamic batching policy (flush on size, or on a max-linger
 // deadline so a trickle of traffic is never parked indefinitely), and
 // each micro-batch runs the existing LPT→launch→recover→escalate
-// machinery concurrently with continued admission. Results stream back
-// in submission order, each carrying the same Status/Provenance a
-// one-shot run would produce; a session that receives its whole workload
-// as one micro-batch is bit-identical to AlignPairs, reports included.
+// machinery concurrently with continued admission.
+//
+// A session is a chain of micro-batch turns. Sealing a batch hands it
+// its predecessor's turn and a turn of its own; the batch takes one of
+// MaxConcurrentBatches compute tokens (in seal order), computes on its
+// own goroutine, gives the token back, waits for its predecessor's turn,
+// streams its results and ends its own turn. So results stream back in
+// submission order, each carrying the same Status/Provenance a one-shot
+// run would produce, and a session that receives its whole workload as
+// one micro-batch is bit-identical to AlignPairs, reports included.
 
-// Session errors.
-var (
-	// ErrQueueFull rejects a Submit when admitted-but-undelivered pairs
-	// already fill the queue — the backpressure signal serving frontends
-	// translate into 429 + Retry-After.
-	ErrQueueFull = errors.New("host: session admission queue full")
-	// ErrSessionClosed rejects a Submit after Close (or cancellation).
-	ErrSessionClosed = errors.New("host: session closed")
-)
+// ErrSessionClosed rejects a Submit after Close or cancellation.
+var ErrSessionClosed = errors.New("host: session closed")
 
 // SessionConfig configures a streaming dispatch session.
 type SessionConfig struct {
@@ -49,10 +48,11 @@ type SessionConfig struct {
 	// Zero means 2ms.
 	MaxLinger time.Duration
 	// QueueLimit bounds admitted-but-undelivered pairs; beyond it Submit
-	// returns ErrQueueFull. Zero means 8 micro-batches' worth.
+	// waits for a delivery to make room. Zero means 8 micro-batches' worth.
 	QueueLimit int
-	// MaxConcurrentBatches bounds micro-batches dispatched concurrently
-	// (admission continues while they run). Zero means 2.
+	// MaxConcurrentBatches bounds micro-batches computing at once
+	// (admission continues while they run; sealing one more waits for a
+	// compute to end). Zero means 2.
 	MaxConcurrentBatches int
 	// Cache, when non-nil, is the persistent result cache consulted at
 	// admission: a hit streams the stored result in submission order
@@ -111,11 +111,20 @@ type submission struct {
 	own  bool
 }
 
-// microBatch is one flushed accumulation, sequenced for ordered delivery.
+// microBatch is one sealed accumulation and, once computed, its outcome.
+// prev is its predecessor's turn (nil for the first batch) and turn its
+// own: it delivers after prev closes and closes turn when done.
 type microBatch struct {
-	seq       int
-	subs      []submission
-	flushedAt time.Time // when the batch was sealed; anchors queue-wait
+	seq        int
+	subs       []submission
+	sealedAt   time.Time // anchors queue-wait
+	lingerSec  float64   // Σ admission→seal wait of subs
+	prev, turn chan struct{}
+
+	queueWaitSec float64 // seal → compute start, weighted by len(subs)
+	rep          *Report
+	results      []Result // owners' results, in submission order
+	err          error
 }
 
 // StageBreakdown decomposes a session's request latency into serving
@@ -128,8 +137,8 @@ type microBatch struct {
 // VerifySec is measured host wall-clock spent re-scoring CIGARs.
 type StageBreakdown struct {
 	// QueueWaitSec sums, over micro-batches, the wall-clock gap between a
-	// batch being sealed and a dispatch worker picking it up, weighted by
-	// the batch's pair count.
+	// batch being sealed and its compute starting, weighted by the batch's
+	// pair count.
 	QueueWaitSec float64 `json:"queue_wait_sec"`
 	// LingerSec sums each pair's wall-clock wait from admission until its
 	// micro-batch was sealed (the dynamic-batching linger).
@@ -148,15 +157,6 @@ type StageBreakdown struct {
 	VerifySec float64 `json:"verify_sec"`
 }
 
-// batchOutcome is one executed micro-batch, ready for in-order delivery.
-type batchOutcome struct {
-	seq     int
-	subs    []submission
-	rep     *Report
-	results []Result // submission order; exactly one per submission
-	err     error
-}
-
 // Histogram bounds for the session's serving metrics.
 var (
 	latencyBuckets   = []float64{1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1, 3, 10}
@@ -164,31 +164,36 @@ var (
 )
 
 // Session accepts pairs incrementally and streams results back in
-// submission order. Submit never blocks on dispatch: a full queue is an
-// ErrQueueFull reject, a full micro-batch is handed to a dispatch worker
-// and admission continues. Close drains everything in flight.
+// submission order. Submit waits while QueueLimit pairs are admitted and
+// undelivered, and while sealing a full micro-batch waits for a compute
+// token; Close drains everything in flight. An open session with no
+// batch in flight runs no goroutine.
 type Session struct {
 	cfg SessionConfig
 	ctx context.Context
 
-	results   chan Result
-	batches   chan microBatch
-	outcomes  chan batchOutcome
-	lingerArm chan struct{}
-	done      chan struct{}
+	results chan Result
+	room    chan struct{} // one token per admitted, undelivered pair
+	compute chan struct{} // one token per computing micro-batch
+	done    chan struct{}
 
 	closeOnce sync.Once
-	sendWG    sync.WaitGroup // flushes on their way into s.batches
-	workerWG  sync.WaitGroup
+	unwatch   func() bool // stops the context watch
 
-	mu       sync.Mutex
-	closed   bool
-	inFlight int // admitted pairs not yet delivered (or dropped)
-	cur      []submission
-	nextSeq  int
-	err      error
-	rep      *Report
-	stages   StageBreakdown // measured fields only; simulated fields filled by Stages
+	// admit serializes admission and sealing. It stays locked from a seal
+	// until the sealed batch has its compute token, so tokens are taken in
+	// seal order; a batch with a token takes no session lock.
+	admit   sync.Mutex
+	closed  bool
+	cur     []submission
+	nextSeq int
+	last    chan struct{} // turn of the last sealed batch
+	linger  *time.Timer
+
+	mu     sync.Mutex
+	err    error
+	rep    *Report
+	stages StageBreakdown // measured fields only; simulated fields filled by Stages
 	// table is the answer table: one entry per cache key admitted in
 	// this session (nil without a cache). An entry is a cache hit's
 	// replayed Result, or the owner's slot, which reads abandoned until
@@ -196,9 +201,10 @@ type Session struct {
 	table map[cache.Key]*Result
 }
 
-// NewSession validates the configuration and starts the session's
-// dispatch workers. Cancelling ctx aborts the session: admission stops,
-// queued micro-batches are skipped, and the Results channel closes.
+// NewSession validates the configuration and opens the session.
+// Cancelling ctx aborts it: admission stops, the partial micro-batch is
+// dropped, sealed batches skip compute or streaming, and the Results
+// channel closes.
 func NewSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	if err := cfg.Host.Validate(); err != nil {
 		return nil, err
@@ -218,56 +224,31 @@ func NewSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		cfg.Host.TraceID = obs.TraceIDFrom(ctx)
 	}
 	s := &Session{
-		cfg: cfg,
-		ctx: ctx,
-		// A micro-batch holds >= 1 in-flight pair, so undelivered batches
-		// can never exceed the queue limit: with this capacity a dispatch
-		// send never blocks, which keeps Submit wait-free and makes the
-		// shutdown drain deadlock-free.
-		batches:   make(chan microBatch, cfg.queueLimit()),
-		outcomes:  make(chan batchOutcome, cfg.maxConcurrent()),
-		results:   make(chan Result),
-		lingerArm: make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		cfg:     cfg,
+		ctx:     ctx,
+		results: make(chan Result),
+		room:    make(chan struct{}, cfg.queueLimit()),
+		compute: make(chan struct{}, cfg.maxConcurrent()),
+		done:    make(chan struct{}),
 	}
 	if cfg.Cache != nil {
 		s.table = map[cache.Key]*Result{}
 	}
-	for i := 0; i < cfg.maxConcurrent(); i++ {
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			for mb := range s.batches {
-				s.outcomes <- s.runMicroBatch(mb)
-			}
-		}()
-	}
-	go func() {
-		s.workerWG.Wait()
-		close(s.outcomes)
-	}()
-	go s.collect()
-	go s.lingerLoop()
-	go func() {
-		select {
-		case <-s.ctx.Done():
-			s.shutdown(false)
-		case <-s.done:
-		}
-	}()
+	s.unwatch = context.AfterFunc(ctx, func() { s.shutdown(false) })
 	return s, nil
 }
 
-// Submit admits one pair. It returns ErrQueueFull when the bounded queue
-// of undelivered pairs is full (backpressure — retry later), and
-// ErrSessionClosed after Close or cancellation. Pair IDs are the
-// caller's: they are carried through to the streamed Result verbatim and
-// may repeat across submissions.
+// Submit admits one pair. It waits while the queue of undelivered pairs
+// is full or, when this pair fills a micro-batch, while every compute
+// token is taken. It returns ErrSessionClosed after Close or
+// cancellation, waiting or not. Pair IDs are the caller's: they are
+// carried through to the streamed Result verbatim and may repeat across
+// submissions.
 func (s *Session) Submit(p Pair) error {
 	sub := submission{pair: p, own: s.cfg.Cache == nil}
 	var hit *Result
 	if c := s.cfg.Cache; c != nil {
-		// Key derivation and lookup run outside the session lock: the hot
+		// Key derivation and lookup run outside the session locks: the hot
 		// path of a warm cache is two digests and a map probe, and a miss
 		// costs the digests it would have needed at insert time anyway. A
 		// key already in the table never consults the cache again.
@@ -281,115 +262,87 @@ func (s *Session) Submit(p Pair) error {
 			}
 		}
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	select {
+	case s.room <- struct{}{}:
+	case <-s.ctx.Done():
 		return ErrSessionClosed
 	}
-	if s.inFlight >= s.cfg.queueLimit() {
-		s.mu.Unlock()
-		obs.Default().Counter("session_admission_rejects_total").Add(1)
-		obs.Flight().Record("reject", s.cfg.Host.TraceID, "session admission queue full")
-		return ErrQueueFull
+	s.admit.Lock()
+	defer s.admit.Unlock()
+	if s.closed || s.ctx.Err() != nil {
+		<-s.room
+		return ErrSessionClosed
 	}
-	s.inFlight++
 	if s.table != nil && sub.ans == nil {
 		// The first admitted submission of a key creates its entry: a hit
 		// seeds it with the replayed answer, a miss makes this submission
-		// the owner. Only admission inserts, so a rejected Submit leaves
-		// nothing behind for its retry to attach to.
+		// the owner. Only admission inserts, so a refused Submit leaves
+		// nothing behind.
+		s.mu.Lock()
 		if sub.ans = s.table[sub.key]; sub.ans == nil {
 			if sub.ans, sub.own = hit, hit == nil; sub.own {
 				sub.ans = &Result{Rank: -1, DPU: -1, Status: StatusAbandoned}
 			}
 			s.table[sub.key] = sub.ans
 		}
+		s.mu.Unlock()
 	}
 	sub.at = time.Now()
 	s.cur = append(s.cur, sub)
-	arm := len(s.cur) == 1
-	var mb microBatch
-	full := len(s.cur) >= s.cfg.maxBatchPairs()
-	if full {
-		mb = s.takeLocked()
-		arm = false
-	}
-	depth := s.inFlight
-	s.mu.Unlock()
-
 	reg := obs.Default()
 	reg.Counter("session_pairs_total").Add(1)
-	reg.Gauge("session_queue_depth").Set(float64(depth))
-	if arm {
-		// Non-blocking: a pending arm already covers (or predates) this
-		// batch's linger deadline.
-		select {
-		case s.lingerArm <- struct{}{}:
-		default:
-		}
-	}
-	if full {
-		s.dispatch(mb, "size")
+	reg.Gauge("session_queue_depth").Add(1)
+	switch {
+	case len(s.cur) >= s.cfg.maxBatchPairs():
+		s.sealLocked("size")
+	case len(s.cur) > 1: // the batch's first pair armed its linger deadline
+	case s.linger == nil:
+		s.linger = time.AfterFunc(s.cfg.maxLinger(), s.lingerFlush)
+	default:
+		s.linger.Reset(s.cfg.maxLinger())
 	}
 	return nil
 }
 
-// takeLocked seals the accumulating pairs into the next micro-batch.
-// Callers hold s.mu and must pass the batch to dispatch after unlocking.
-func (s *Session) takeLocked() microBatch {
-	now := time.Now()
-	mb := microBatch{seq: s.nextSeq, subs: s.cur, flushedAt: now}
+// sealLocked seals the accumulating pairs into the next micro-batch,
+// takes a compute token for it and starts it. Callers have s.admit
+// locked.
+func (s *Session) sealLocked(reason string) {
+	mb := &microBatch{seq: s.nextSeq, subs: s.cur, sealedAt: time.Now(), prev: s.last, turn: make(chan struct{})}
 	for _, sub := range mb.subs {
-		s.stages.LingerSec += now.Sub(sub.at).Seconds()
+		mb.lingerSec += mb.sealedAt.Sub(sub.at).Seconds()
 	}
 	s.nextSeq++
 	s.cur = nil
-	s.sendWG.Add(1)
-	return mb
-}
-
-// dispatch hands one sealed micro-batch to the workers. The batches
-// channel is sized so this never blocks (see NewSession).
-func (s *Session) dispatch(mb microBatch, reason string) {
-	defer s.sendWG.Done()
+	s.last = mb.turn
 	reg := obs.Default()
 	reg.Counter("session_batches_total").Add(1)
 	reg.Counter("session_flush_" + reason + "_total").Add(1)
 	reg.Histogram("session_batch_pairs", occupancyBuckets).Observe(float64(len(mb.subs)))
-	s.batches <- mb
+	s.compute <- struct{}{}
+	go s.run(mb)
 }
 
-// Flush forces the partial micro-batch out without waiting for the size
-// or linger trigger.
-func (s *Session) Flush() {
-	s.mu.Lock()
-	if s.closed || len(s.cur) == 0 {
-		s.mu.Unlock()
-		return
+// run is one micro-batch's turn: compute, give the token back, wait for
+// the predecessor to finish delivering, deliver, end the turn.
+func (s *Session) run(mb *microBatch) {
+	s.runMicroBatch(mb)
+	<-s.compute
+	if mb.prev != nil {
+		<-mb.prev
 	}
-	mb := s.takeLocked()
-	s.mu.Unlock()
-	s.dispatch(mb, "linger")
+	s.deliver(mb)
+	close(mb.turn)
 }
 
-// lingerLoop bounds how long a partial micro-batch may wait for more
-// traffic: armed when a pair lands in an empty accumulator, it flushes
-// whatever has accumulated when the deadline passes.
-func (s *Session) lingerLoop() {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	defer t.Stop()
-	for {
-		select {
-		case <-s.lingerArm:
-			t.Reset(s.cfg.maxLinger())
-		case <-t.C:
-			s.Flush()
-		case <-s.done:
-			return
-		}
+// lingerFlush is the linger timer's callback: it seals the partial
+// micro-batch once its oldest pair has waited MaxLinger. A fire that
+// finds a younger batch leaves it to the timer its first pair re-armed.
+func (s *Session) lingerFlush() {
+	s.admit.Lock()
+	defer s.admit.Unlock()
+	if !s.closed && len(s.cur) > 0 && time.Since(s.cur[0].at) >= s.cfg.maxLinger() {
+		s.sealLocked("linger")
 	}
 }
 
@@ -399,7 +352,7 @@ func (s *Session) lingerLoop() {
 func (s *Session) Results() <-chan Result { return s.results }
 
 // Close stops admission, flushes the partial micro-batch, waits until
-// every in-flight batch has executed and streamed its results, then
+// every sealed batch has executed and streamed its results, then
 // publishes the merged report's metrics. It returns the session's first
 // error, if any. The caller must keep consuming Results while Close
 // waits, or run Close from another goroutine.
@@ -409,31 +362,48 @@ func (s *Session) Close() error {
 	return s.Err()
 }
 
-// shutdown transitions the session to draining exactly once. With flush
-// set the partial batch is dispatched (graceful close); without, its
-// pairs are dropped (cancellation).
+// shutdown closes admission exactly once, waits for the last sealed turn,
+// then publishes metrics and closes Results. With flush set the partial
+// batch is sealed (graceful close); without, its pairs are dropped
+// (cancellation).
 func (s *Session) shutdown(flush bool) {
 	s.closeOnce.Do(func() {
-		s.mu.Lock()
+		s.unwatch()
+		s.admit.Lock()
 		s.closed = true
-		var mb microBatch
-		send := false
+		if s.linger != nil {
+			s.linger.Stop()
+		}
 		if len(s.cur) > 0 {
 			if flush {
-				mb = s.takeLocked()
-				send = true
+				s.sealLocked("close")
 			} else {
-				s.inFlight -= len(s.cur)
+				s.release(len(s.cur))
 				s.cur = nil
 			}
 		}
-		s.mu.Unlock()
-		if send {
-			s.dispatch(mb, "close")
+		last := s.last
+		s.admit.Unlock()
+		if last != nil {
+			<-last
 		}
-		s.sendWG.Wait()
-		close(s.batches)
+		s.mu.Lock()
+		rep := s.rep
+		s.mu.Unlock()
+		if rep != nil {
+			rep.publishMetrics()
+		}
+		close(s.results)
+		close(s.done)
 	})
+}
+
+// release frees the queue slots of n delivered or dropped pairs.
+func (s *Session) release(n int) {
+	obs.Default().Gauge("session_queue_depth").Add(-float64(n))
+	for i := 0; i < n; i++ {
+		<-s.room
+	}
 }
 
 // Err returns the first pipeline error (a failed micro-batch or the
@@ -468,7 +438,7 @@ func (s *Session) Report() *Report {
 }
 
 // Stages returns the session's stage latency breakdown: the measured
-// queue-wait and linger accumulated during admission plus the simulated
+// queue-wait and linger of its delivered micro-batches plus the simulated
 // kernel / wait / escalation decomposition and measured verify time from
 // the merged report. Like Report, it blocks until the session has
 // drained.

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pimnw/internal/obs"
 	"pimnw/internal/pim"
 )
 
@@ -171,8 +175,8 @@ func TestSessionBitIdenticalUnderFaults(t *testing.T) {
 	})
 }
 
-// TestSessionBackpressure: the bounded admission queue must reject with
-// ErrQueueFull while full and admit again once results drain.
+// TestSessionBackpressure: with the bounded admission queue full, Submit
+// must wait — not fail — until a delivered result frees a slot.
 func TestSessionBackpressure(t *testing.T) {
 	pairs := makePairs(54, 8, 80, 0.05)
 	s, err := NewSession(context.Background(), SessionConfig{
@@ -191,27 +195,8 @@ func TestSessionBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing has been consumed from Results, so both pairs are still in
-	// flight and the third admission must bounce.
-	if err := s.Submit(pairs[2]); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit on a full queue = %v, want ErrQueueFull", err)
-	}
-	// Drain one result; the freed slot must readmit (the decrement races
-	// with this goroutine, so poll briefly).
-	<-s.Results()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := s.Submit(pairs[3])
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("Submit after drain = %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never freed a slot after a result was consumed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// flight and the third admission must wait for the first result.
+	submitWaitsForResult(t, s, pairs[2])
 	go s.Close()
 	n := 1
 	for range s.Results() {
@@ -225,6 +210,39 @@ func TestSessionBackpressure(t *testing.T) {
 	}
 	if err := s.Submit(pairs[4]); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrSessionClosed", err)
+	}
+}
+
+// submitWaitsForResult submits p into s, whose queue is full and whose
+// results nobody has read, and checks that the Submit returns nil only
+// after one result is consumed. It consumes that result.
+func submitWaitsForResult(t *testing.T, s *Session, p Pair) {
+	t.Helper()
+	var consumed atomic.Bool
+	admitted := make(chan error, 1)
+	go func() {
+		err := s.Submit(p)
+		if !consumed.Load() {
+			err = errors.New("returned before any result was consumed")
+		}
+		admitted <- err
+	}()
+	select {
+	case err := <-admitted:
+		t.Fatalf("Submit on a full queue: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	consumed.Store(true)
+	if _, ok := <-s.Results(); !ok {
+		t.Fatal("results closed with pairs in flight")
+	}
+	select {
+	case err := <-admitted:
+		if err != nil {
+			t.Fatalf("Submit after a result was consumed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit still waiting after a result was consumed")
 	}
 }
 
@@ -392,5 +410,206 @@ func TestSessionReportMergesAcrossBatches(t *testing.T) {
 	f := rep.HostOverheadFraction()
 	if f < 0 || f > 1 {
 		t.Errorf("merged HostOverheadFraction %.6f outside [0,1]", f)
+	}
+}
+
+// waitGoroutines polls until the process is back to at most base
+// goroutines, failing after 5 s.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after the session ended, %d before it opened", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSessionLifecycle: an open session with nothing in flight runs no
+// goroutine, and every way of ending one — a graceful Close, a cancel
+// mid-stream, a cancel while Submit waits for room — closes Results and
+// leaves no goroutine behind. The waiting Submit returns
+// ErrSessionClosed.
+func TestSessionLifecycle(t *testing.T) {
+	pairs := makePairs(59, 12, 80, 0.05)
+	cfg := SessionConfig{Host: testConfig(1, true), MaxBatchPairs: 2, MaxConcurrentBatches: 2}
+	drain := func(s *Session) int {
+		n := 0
+		for range s.Results() {
+			n++
+		}
+		return n
+	}
+
+	t.Run("close", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s, err := NewSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("an idle open session runs %d goroutines", n-base)
+		}
+		go func() {
+			for _, p := range pairs {
+				if err := s.Submit(p); err != nil {
+					t.Errorf("Submit: %v", err)
+				}
+			}
+			s.Close()
+		}()
+		if n := drain(s); n != len(pairs) {
+			t.Fatalf("%d results for %d pairs", n, len(pairs))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base)
+	})
+
+	t.Run("cancel mid-stream", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		s, err := NewSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			if err := s.Submit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-s.Results()
+		cancel()
+		if n := 1 + drain(s); n >= len(pairs) {
+			t.Errorf("all %d results delivered despite the cancel", n)
+		}
+		if err := s.Close(); !errors.Is(err, context.Canceled) {
+			t.Errorf("Close after cancel = %v, want context.Canceled", err)
+		}
+		waitGoroutines(t, base)
+	})
+
+	t.Run("cancel while Submit waits", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		wcfg := cfg
+		wcfg.MaxBatchPairs, wcfg.QueueLimit = 1, 2
+		s, err := NewSession(ctx, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs[:2] {
+			if err := s.Submit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waiting := make(chan error, 1)
+		go func() { waiting <- s.Submit(pairs[2]) }()
+		select {
+		case err := <-waiting:
+			t.Fatalf("Submit on a full queue returned %v without waiting", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		cancel()
+		select {
+		case err := <-waiting:
+			if !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("waiting Submit = %v after cancel, want ErrSessionClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiting Submit never returned after cancel")
+		}
+		drain(s)
+		s.Close()
+		waitGoroutines(t, base)
+	})
+}
+
+// roundRecorder is a PiM server that records which pairs each Round
+// computed, by the address of their first base (Round sees dense IDs).
+type roundRecorder struct {
+	*PiMBackend
+	mu     sync.Mutex
+	rounds [][]*byte
+}
+
+func (b *roundRecorder) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
+	b.mu.Lock()
+	var r []*byte
+	for _, p := range pairs {
+		r = append(r, (*byte)(&p.A[0]))
+	}
+	b.rounds = append(b.rounds, r)
+	b.mu.Unlock()
+	return b.PiMBackend.Round(cfg, pairs, sp)
+}
+
+// TestSessionSealOrder: micro-batches take their compute tokens in seal
+// order, so with one token and one pair per batch the backend computes
+// the pairs exactly in submission order.
+func TestSessionSealOrder(t *testing.T) {
+	pairs := makePairs(60, 32, 60, 0.05)
+	rec := &roundRecorder{PiMBackend: NewPiMBackend("pim0", 1, 0)}
+	cfg := SessionConfig{Host: testConfig(1, true), MaxBatchPairs: 1, MaxConcurrentBatches: 1}
+	cfg.Host.Backends = []Backend{rec}
+	_, results, err := AlignPairsStream(context.Background(), cfg, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(pairs) {
+		t.Fatalf("%d results for %d pairs", len(results), len(pairs))
+	}
+	if len(rec.rounds) != len(pairs) {
+		t.Fatalf("%d Round calls for %d one-pair micro-batches", len(rec.rounds), len(pairs))
+	}
+	for i, r := range rec.rounds {
+		if len(r) != 1 || r[0] != (*byte)(&pairs[i].A[0]) {
+			t.Fatalf("Round %d did not compute pair %d alone: compute order is not seal order", i, i)
+		}
+	}
+}
+
+// TestSessionQueueDepthDaemonWide: session_queue_depth counts admitted,
+// undelivered pairs across every open session, and reads 0 once they
+// drain.
+func TestSessionQueueDepthDaemonWide(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	depth := reg.Gauge("session_queue_depth")
+	pairs := makePairs(61, 7, 60, 0.05)
+	cfg := SessionConfig{Host: testConfig(1, true), MaxBatchPairs: 2}
+	var sessions []*Session
+	held := 0
+	for _, n := range []int{3, 4} {
+		s, err := NewSession(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs[:n] {
+			if err := s.Submit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sessions = append(sessions, s)
+		held += n
+	}
+	if got := depth.Value(); got != float64(held) {
+		t.Fatalf("session_queue_depth reads %v with %d pairs in flight in two sessions", got, held)
+	}
+	for _, s := range sessions {
+		go s.Close()
+		for range s.Results() {
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := depth.Value(); got != 0 {
+		t.Fatalf("session_queue_depth reads %v after both sessions drained, want 0", got)
 	}
 }

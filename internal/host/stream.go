@@ -8,23 +8,16 @@ import (
 	"pimnw/internal/obs"
 )
 
-// runMicroBatch executes the owners of one micro-batch through the one
+// runMicroBatch computes the owners of one micro-batch through the one
 // batch path (alignBatch: dispatch, recovery, escalation, annotation)
-// and inserts their insertable results into the cache; the collector
-// fills in every replay at delivery.
-func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
-	pickup := time.Now()
-	oc := batchOutcome{seq: mb.seq, subs: mb.subs}
-	if err := s.ctx.Err(); err != nil {
-		// Cancelled: skip the compute, the collector discards the batch.
-		oc.err = err
-		return oc
+// into mb and inserts their insertable results into the cache; deliver
+// fills in every replay. It runs while mb has a compute token, so it
+// takes no session lock.
+func (s *Session) runMicroBatch(mb *microBatch) {
+	if mb.err = s.ctx.Err(); mb.err != nil {
+		return // cancelled: skip the compute, deliver discards the batch
 	}
-	if !mb.flushedAt.IsZero() {
-		s.mu.Lock()
-		s.stages.QueueWaitSec += pickup.Sub(mb.flushedAt).Seconds() * float64(len(mb.subs))
-		s.mu.Unlock()
-	}
+	mb.queueWaitSec = time.Since(mb.sealedAt).Seconds() * float64(len(mb.subs))
 	cfg := s.cfg
 	// Decorrelate fault draws across micro-batches: batch coordinates
 	// restart at 0 inside every micro-batch, so reusing the seed would
@@ -49,10 +42,10 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 			}
 		}
 	}
-	oc.rep, oc.results, oc.err = alignBatch(cfg.Host, pairs, sp)
+	mb.rep, mb.results, mb.err = alignBatch(cfg.Host, pairs, sp)
 	sp.End()
-	if oc.err == nil && keys != nil && !cfg.CacheNoStore {
-		for i, r := range oc.results {
+	if mb.err == nil && keys != nil && !cfg.CacheNoStore {
+		for i, r := range mb.results {
 			if cacheInsertable(r.Status) {
 				if err := cfg.Cache.Insert(keys[i], valueFromResult(r)); err != nil {
 					obs.Flight().Recordf("cache", cfg.Host.TraceID, "insert failed: %v", err)
@@ -60,79 +53,45 @@ func (s *Session) runMicroBatch(mb microBatch) batchOutcome {
 			}
 		}
 	}
-	return oc
 }
 
-// collect is the session's delivery loop: it re-sequences finished
-// micro-batches (workers may complete out of order) and streams each
-// batch's results in submission order, merging reports as it goes. It
-// owns closing the Results channel and the done signal.
-func (s *Session) collect() {
-	defer close(s.done)
-	defer close(s.results)
-	next := 0
-	hold := map[int]batchOutcome{}
-	cancelled := false
-	for oc := range s.outcomes {
-		hold[oc.seq] = oc
-		for {
-			o, ok := hold[next]
-			if !ok {
-				break
-			}
-			delete(hold, next)
-			next++
-			if !s.deliver(o, cancelled) {
-				cancelled = true
-			}
-		}
-	}
+// deliver runs in mb's turn, after every earlier batch has delivered: it
+// folds mb's report and stage times into the session's and streams its
+// results, then frees their queue slots. Once the context is cancelled a
+// batch is merged and accounted but no longer streamed.
+func (s *Session) deliver(mb *microBatch) {
+	defer s.release(len(mb.subs))
 	s.mu.Lock()
-	rep := s.rep
+	s.stages.LingerSec += mb.lingerSec
+	s.stages.QueueWaitSec += mb.queueWaitSec
 	s.mu.Unlock()
-	if rep != nil {
-		rep.publishMetrics()
+	if mb.err != nil {
+		s.fail(mb.err)
+		return
 	}
-}
-
-// deliver streams one batch outcome and folds its report into the
-// session's. It returns false once the context is cancelled, after which
-// later outcomes are merged and accounted but no longer streamed.
-func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
-	defer func() {
-		s.mu.Lock()
-		s.inFlight -= len(oc.subs)
-		depth := s.inFlight
-		s.mu.Unlock()
-		obs.Default().Gauge("session_queue_depth").Set(float64(depth))
-	}()
-	if oc.err != nil {
-		s.fail(oc.err)
-		return !cancelled
-	}
-	results := s.resolve(oc)
+	results := s.resolve(mb)
 	s.mu.Lock()
 	if s.rep == nil {
-		s.rep = oc.rep
+		s.rep = mb.rep
 	} else {
-		s.rep.Then(oc.rep)
+		s.rep.Then(mb.rep)
 	}
 	s.mu.Unlock()
-	if cancelled {
-		return false
+	if err := s.ctx.Err(); err != nil {
+		s.fail(err)
+		return
 	}
 	reg := obs.Default()
 	for i := range results {
 		select {
 		case s.results <- results[i]:
 			reg.Histogram("session_pair_latency_seconds", latencyBuckets).
-				Observe(time.Since(oc.subs[i].at).Seconds())
+				Observe(time.Since(mb.subs[i].at).Seconds())
 		case <-s.ctx.Done():
 			s.fail(s.ctx.Err())
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // resolve completes one delivered batch in submission order. An owner
@@ -140,17 +99,17 @@ func (s *Session) deliver(oc batchOutcome, cancelled bool) bool {
 // every other submission copies its entry under its own ID. Delivery is
 // in submission order, so an owner always resolves before any replay of
 // it, and an entry that still reads abandoned belongs to a failed batch.
-// Replays are tallied into oc.rep per delivery, and CacheMisses is the
+// Replays are tallied into mb.rep per delivery, and CacheMisses is the
 // batch's submissions less its hits.
-func (s *Session) resolve(oc batchOutcome) []Result {
+func (s *Session) resolve(mb *microBatch) []Result {
 	if s.table == nil {
-		return oc.results
+		return mb.results
 	}
-	out := make([]Result, len(oc.subs))
-	rep, next, hits := oc.rep, 0, 0
-	for i, sub := range oc.subs {
+	out := make([]Result, len(mb.subs))
+	rep, next, hits := mb.rep, 0, 0
+	for i, sub := range mb.subs {
 		if sub.own {
-			out[i], *sub.ans = oc.results[next], oc.results[next]
+			out[i], *sub.ans = mb.results[next], mb.results[next]
 			next++
 			continue
 		}
@@ -171,14 +130,15 @@ func (s *Session) resolve(oc batchOutcome) []Result {
 		out[i] = r
 	}
 	rep.CacheHits += hits
-	rep.CacheMisses += len(oc.subs) - hits
+	rep.CacheMisses += len(mb.subs) - hits
 	return out
 }
 
 // AlignPairsStream runs a one-shot workload through a streaming Session
-// and collects the streamed results — the bridge the experiment harness
+// and gathers the streamed results — the bridge the experiment harness
 // uses to drive its batch experiments over the serving path. The queue
-// limit is raised to the workload size so a batch run never self-rejects;
+// limit is raised to the workload size so the linger clock never splits
+// a run that fits one micro-batch (Submit never waits for room);
 // with MaxBatchPairs >= len(pairs) the whole workload is one micro-batch
 // and the report is bit-identical to AlignPairs.
 func AlignPairsStream(ctx context.Context, cfg SessionConfig, pairs []Pair) (*Report, []Result, error) {

@@ -2,14 +2,16 @@ package pimnw_test
 
 // ci/trajectory.ndjson is the committed performance trajectory: one row
 // per change that claimed or recorded end-to-end benchmark medians, with
-// the parent and change medians as that change's notes quoted them. This
-// test keeps the file well-formed against BENCHMARK.json. It runs no git,
-// so a shallow checkout passes.
+// the parent and change medians as that change's notes quoted them.
+// TestTrajectoryRows keeps the file well-formed against BENCHMARK.json
+// and runs no git; TestTrajectoryLastRowIsAncestor checks the newest row's
+// commit against the git history and skips where there is none.
 
 import (
 	"bufio"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
@@ -99,5 +101,34 @@ func TestTrajectoryRows(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("ci/trajectory.ndjson has no rows")
+	}
+}
+
+// TestTrajectoryLastRowIsAncestor: the newest row's sha must be a commit
+// this checkout descends from. A row is written before its own commit
+// exists, so it carries its parent's sha until a later change replaces it.
+func TestTrajectoryLastRowIsAncestor(t *testing.T) {
+	git, err := exec.LookPath("git")
+	if err != nil {
+		t.Skip("git not installed")
+	}
+	out, err := exec.Command(git, "rev-parse", "--is-shallow-repository").Output()
+	if err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
+	if strings.TrimSpace(string(out)) == "true" {
+		t.Skip("shallow checkout: the history may not reach the row's commit")
+	}
+	raw, err := os.ReadFile("ci/trajectory.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var last trajectoryRow
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Command(git, "merge-base", "--is-ancestor", last.SHA, "HEAD").Run(); err != nil {
+		t.Fatalf("pr %d: sha %s is not an ancestor of HEAD (%v)", last.PR, last.SHA, err)
 	}
 }
