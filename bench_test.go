@@ -261,13 +261,12 @@ func BenchmarkDPUKernelBatch(b *testing.B) {
 		a := seq.Random(rng, 1000)
 		seqs[j] = [2]seq.Seq{a, seq.UniformErrors(0.05).Apply(rng, a)}
 	}
-	d := kcfg.PIM.NewDPU(0)
 	pairs := make([]kernel.Pair, len(seqs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d.Reset(0)
+		d := kcfg.PIM.NewDPU(0)
 		for j, s := range seqs {
 			sp, err := kernel.StagePair(d, j, s[0], s[1])
 			if err != nil {
@@ -560,16 +559,5 @@ func BenchmarkWALAppend(b *testing.B) {
 		if err := c.Insert(k, v); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func Benchmark2BitPacking(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	s := seq.Random(rng, 100_000)
-	dst := make([]byte, seq.PackedSize(len(s)))
-	b.SetBytes(int64(len(s)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq.PackInto(dst, s)
 	}
 }

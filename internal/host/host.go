@@ -1,12 +1,14 @@
-// Package host implements the paper's host program (§4.1): it encodes DNA
-// 2 bits per base while batching, balances alignment workloads across DPUs
-// with the sorted greedy (LPT) heuristic of §4.1.2 using the
-// Workload = (m+n)·w estimate, dispatches rank-sized batches through a FIFO
-// queue, launches the (simulated) DPUs, and collects scores and CIGARs. A
-// discrete-event timeline prices the run: host↔PiM transfers share the DDR
-// bus at the measured ~60 GB/s, ranks execute independently, and a rank's
-// results cannot be collected before every DPU of the rank has finished —
-// the barrier that makes intra-rank balance critical.
+// Package host implements the paper's host program (§4.1): it stages DNA
+// at 2 bits per base while batching (the model charges the bus and each
+// DPU's bank 2 bits per base; the kernel reads the caller's bases),
+// balances alignment workloads across DPUs with the sorted greedy (LPT)
+// heuristic of §4.1.2 using the Workload = (m+n)·w estimate, dispatches
+// rank-sized batches through a FIFO queue, launches the (simulated) DPUs,
+// and collects scores and CIGARs. A discrete-event timeline prices the
+// run: host↔PiM transfers share the DDR bus at the measured ~60 GB/s,
+// ranks execute independently, and a rank's results cannot be collected
+// before every DPU of the rank has finished — the barrier that makes
+// intra-rank balance critical.
 package host
 
 import (
@@ -20,14 +22,9 @@ import (
 	"pimnw/internal/seq"
 )
 
-// Pair is one host-side alignment request.
-type Pair struct {
-	ID   int
-	A, B seq.Seq
-}
-
-// Workload is the paper's equation (6) estimate for the pair under band w.
-func (p Pair) Workload(w int) int64 { return int64(len(p.A)+len(p.B)) * int64(w) }
+// Pair is one alignment request, the kernel's own pair type: the host
+// dispatches the caller's bases to the kernel without copying them.
+type Pair = kernel.Pair
 
 // PairIndex identifies one (i,j) pair of an all-against-all comparison,
 // i < j.

@@ -4,34 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"pimnw/internal/kernel"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
+	"pimnw/internal/seq"
 	"pimnw/internal/verify"
 )
 
 // maxBackoffShift caps the exponential backoff doubling so the modelled
 // wait never overflows (2^20 base intervals is already hours).
 const maxBackoffShift = 20
-
-// dpuPool recycles the modelled DPUs of runAttempt's launches, so a
-// launch reuses a bank's storage instead of growing a fresh one. A launch
-// holds its DPU exclusively until the kernel's outcome is collected;
-// nothing in the outcome aliases the bank.
-var dpuPool sync.Pool
-
-// getDPU takes a pooled DPU with c's bank size, Reset to index id, or
-// builds one.
-func getDPU(c pim.Config, id int) *pim.DPU {
-	if d, ok := dpuPool.Get().(*pim.DPU); ok && d.MRAM.Capacity() == c.MRAM {
-		d.Reset(id)
-		return d
-	}
-	return c.NewDPU(id)
-}
 
 // dpuAttempt is the outcome of one DPU launch within a batch attempt.
 type dpuAttempt struct {
@@ -199,8 +183,7 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 			return nil
 		}
 		di := (*alive)[ai]
-		d := getDPU(cfg.PIM, di)
-		defer dpuPool.Put(d)
+		d := cfg.PIM.NewDPU(di)
 		d.Fault = faults.Draw(batch, attempt, di)
 		esp := sp.Child("host.encode")
 		esp.SetAttrInt("dpu", int64(di))
@@ -212,7 +195,7 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 			if err != nil {
 				return fmt.Errorf("host: staging pair %d on DPU %d: %w", p.ID, di, err)
 			}
-			bytesIn += int64((len(p.A)+3)/4+(len(p.B)+3)/4) + pairDescriptorBytes
+			bytesIn += int64(seq.PackedSize(len(p.A))+seq.PackedSize(len(p.B))) + pairDescriptorBytes
 			kp = append(kp, staged)
 		}
 		esp.End()

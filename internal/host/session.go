@@ -294,7 +294,9 @@ func (s *Session) Submit(p Pair) error {
 	reg.Gauge("session_queue_depth").Add(1)
 	switch {
 	case len(s.cur) >= s.cfg.maxBatchPairs():
-		s.sealLocked("size")
+		if !s.sealLocked("size") {
+			return ErrSessionClosed
+		}
 	case len(s.cur) > 1: // the batch's first pair armed its linger deadline
 	case s.linger == nil:
 		s.linger = time.AfterFunc(s.cfg.maxLinger(), s.lingerFlush)
@@ -306,8 +308,10 @@ func (s *Session) Submit(p Pair) error {
 
 // sealLocked seals the accumulating pairs into the next micro-batch,
 // takes a compute token for it and starts it. Callers have s.admit
-// locked.
-func (s *Session) sealLocked(reason string) {
+// locked. It reports false when the context is cancelled before a token
+// frees: the batch then starts without one, skips its compute and is
+// dropped at delivery.
+func (s *Session) sealLocked(reason string) bool {
 	mb := &microBatch{seq: s.nextSeq, subs: s.cur, sealedAt: time.Now(), prev: s.last, turn: make(chan struct{})}
 	for _, sub := range mb.subs {
 		mb.lingerSec += mb.sealedAt.Sub(sub.at).Seconds()
@@ -319,15 +323,24 @@ func (s *Session) sealLocked(reason string) {
 	reg.Counter("session_batches_total").Add(1)
 	reg.Counter("session_flush_" + reason + "_total").Add(1)
 	reg.Histogram("session_batch_pairs", occupancyBuckets).Observe(float64(len(mb.subs)))
-	s.compute <- struct{}{}
-	go s.run(mb)
+	token := true
+	select {
+	case s.compute <- struct{}{}:
+	case <-s.ctx.Done():
+		token = false
+	}
+	go s.run(mb, token)
+	return token
 }
 
-// run is one micro-batch's turn: compute, give the token back, wait for
-// the predecessor to finish delivering, deliver, end the turn.
-func (s *Session) run(mb *microBatch) {
+// run is one micro-batch's turn: compute, give the token back (if it
+// holds one), wait for the predecessor to finish delivering, deliver, end
+// the turn.
+func (s *Session) run(mb *microBatch, token bool) {
 	s.runMicroBatch(mb)
-	<-s.compute
+	if token {
+		<-s.compute
+	}
 	if mb.prev != nil {
 		<-mb.prev
 	}

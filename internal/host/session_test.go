@@ -527,6 +527,60 @@ func TestSessionLifecycle(t *testing.T) {
 		s.Close()
 		waitGoroutines(t, base)
 	})
+
+	t.Run("cancel while a seal waits for a compute token", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		blk := &blockingBackend{PiMBackend: NewPiMBackend("pim0", 1, 0),
+			entered: make(chan struct{}, 1), release: make(chan struct{})}
+		wcfg := cfg
+		wcfg.MaxBatchPairs, wcfg.MaxConcurrentBatches = 1, 1
+		wcfg.Host.Backends = []Backend{blk}
+		s, err := NewSession(ctx, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Submit(pairs[0]); err != nil {
+			t.Fatal(err)
+		}
+		<-blk.entered // the first batch holds the only token
+		waiting := make(chan error, 1)
+		go func() { waiting <- s.Submit(pairs[1]) }()
+		select {
+		case err := <-waiting:
+			t.Fatalf("Submit sealing past a held token returned %v without waiting", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		cancel()
+		select {
+		case err := <-waiting:
+			if !errors.Is(err, ErrSessionClosed) {
+				t.Errorf("waiting Submit = %v after cancel, want ErrSessionClosed", err)
+			}
+		case <-time.After(time.Second):
+			t.Error("waiting Submit still blocked 1s after cancel, while a compute runs")
+		}
+		close(blk.release)
+		drain(s)
+		s.Close()
+		waitGoroutines(t, base)
+	})
+}
+
+// blockingBackend is a PiM server whose Round signals entered (without
+// waiting for a reader), then waits for release.
+type blockingBackend struct {
+	*PiMBackend
+	entered, release chan struct{}
+}
+
+func (b *blockingBackend) Round(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	<-b.release
+	return b.PiMBackend.Round(cfg, pairs, sp)
 }
 
 // roundRecorder is a PiM server that records which pairs each Round

@@ -4,9 +4,11 @@
 // paper: the pool-of-tasklets execution geometry (P pools of T tasklets,
 // §4.2.3), the WRAM working-set budget (four w-sized anti-diagonal arrays,
 // §4.2.1), the MRAM-resident traceback structure streamed row by row
-// (§4.2.2), 2-bit nucleotide extraction (§4.1.1), and the per-phase
-// instruction/DMA cost accounting under one of the two ISA cost tables
-// (pure C vs hand-written assembly, §4.2.4).
+// (§4.2.2), the staged sequences, and the per-phase instruction/DMA cost
+// accounting under one of the two ISA cost tables (pure C vs hand-written
+// assembly, §4.2.4). The model charges the bank 2 bits per base (§4.1.1);
+// the kernel computes on the host's own bases, and the DPU's 2-bit
+// extraction is part of the per-cell cost.
 //
 // The cell recurrence itself is shared with internal/core — the DPU
 // kernel and the host reference implementation compute bit-identical
@@ -174,18 +176,18 @@ func (c Config) layoutWRAM() error {
 	return nil
 }
 
-// Pair describes one alignment staged in a DPU's MRAM: 2-bit packed
-// sequences at the given offsets.
+// Pair is one alignment request: the host's own bases, which the kernel
+// reads in place and never writes. StagePair charges their 2-bit packed
+// form to a DPU's bank.
 type Pair struct {
-	ID         int // caller-chosen identifier, returned with the result
-	AOff, ALen int // packed offset (bytes) and length (bases) of the query
-	BOff, BLen int // same for the target
+	ID   int // caller-chosen identifier, returned with the result
+	A, B seq.Seq
 }
 
 // Workload is the paper's equation (6) load estimate for a pair:
 // (m+n)·w, the quantity the host's balancer uses.
 func (p Pair) Workload(band int) int64 {
-	return int64(p.ALen+p.BLen) * int64(band)
+	return int64(len(p.A)+len(p.B)) * int64(band)
 }
 
 // PairResult is one alignment outcome returned to the host.
@@ -270,35 +272,15 @@ func FitsMRAM(p pim.Config, alen, blen, band int, traceback bool) bool {
 	return need <= p.MRAM
 }
 
-// StagePair packs two sequences into the DPU's MRAM and returns the pair
-// descriptor, the host-side encode step of §4.1.1. It is used by the host
-// runtime and directly by tests.
+// StagePair charges a pair's two 2-bit packed sequences (§4.1.1) to the
+// DPU's MRAM bank and returns the pair, the host-side encode step. It fails
+// with the bank's overflow error when they do not fit.
 func StagePair(d *pim.DPU, id int, a, b seq.Seq) (Pair, error) {
-	pa, err := stageSeq(d, a)
-	if err != nil {
+	if err := d.MRAM.Alloc(seq.PackedSize(len(a))); err != nil {
 		return Pair{}, err
 	}
-	pb, err := stageSeq(d, b)
-	if err != nil {
+	if err := d.MRAM.Alloc(seq.PackedSize(len(b))); err != nil {
 		return Pair{}, err
 	}
-	return Pair{ID: id, AOff: pa, ALen: len(a), BOff: pb, BLen: len(b)}, nil
-}
-
-func stageSeq(d *pim.DPU, s seq.Seq) (int, error) {
-	n := seq.PackedSize(len(s))
-	off, err := d.MRAM.Alloc(n)
-	if err != nil {
-		return 0, err
-	}
-	seq.PackInto(d.MRAM.Bytes(off, n), s)
-	return off, nil
-}
-
-// loadSeq re-expands a staged sequence from MRAM into dst's storage (the
-// DPU-side 2-bit extraction; its instruction cost is part of the per-cell
-// budget).
-func loadSeq(dst seq.Seq, d *pim.DPU, off, bases int) seq.Seq {
-	p := seq.Packed{Bytes: d.MRAM.Bytes(off, seq.PackedSize(bases)), N: bases}
-	return p.UnpackInto(dst)
+	return Pair{ID: id, A: a, B: b}, nil
 }

@@ -18,12 +18,11 @@ var (
 )
 
 // launch is Run's working state: the tasklet traces with the simulators'
-// state, the decoded pair and the pool bookkeeping. It is recycled through
-// launches, so a warm launch allocates little beyond what it returns. One
-// launch holds it at a time, and nothing Run returns aliases it.
+// state and the pool bookkeeping. It is recycled through launches, so a
+// warm launch allocates little beyond what it returns. One launch holds it
+// at a time, and nothing Run returns aliases it.
 type launch struct {
 	run    pim.DPURun
-	a, b   seq.Seq
 	loads  []int64
 	btPeak []int
 }
@@ -92,8 +91,8 @@ func ChecksumResults(rs []PairResult) uint64 {
 	return h
 }
 
-// Run executes the kernel on one DPU: the pairs staged in the DPU's MRAM
-// are distributed over the P pools (LPT, the heuristic the host balances
+// Run executes the kernel on one DPU: the pairs staged on the DPU are
+// distributed over the P pools (LPT, the heuristic the host balances
 // ranks and DPUs with, at pool granularity), each pool's tasklets compute the
 // adaptive-banded DP anti-diagonal by anti-diagonal, the master tasklet
 // streams BT rows to MRAM and performs the sequential traceback, and the
@@ -150,10 +149,7 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 		workers := run.Traces[base : base+g.TaskletsPerPool]
 		group := int64(pool)
 		for _, idx := range poolPairs[pool] {
-			p := pairs[idx]
-			l.a = loadSeq(l.a, d, p.AOff, p.ALen)
-			l.b = loadSeq(l.b, d, p.BOff, p.BLen)
-			pr, btBytes, err := alignOne(d, cfg, scratch, p, l.a, l.b, rowBytes, master, workers, group)
+			pr, btBytes, err := alignOne(d, cfg, scratch, pairs[idx], rowBytes, master, workers, group)
 			if err != nil {
 				return out, err
 			}
@@ -204,12 +200,11 @@ func Run(d *pim.DPU, cfg Config, pairs []Pair) (DPUOutcome, error) {
 	return out, nil
 }
 
-// alignOne computes one pair, decoded as a and b, on a pool and appends
-// its execution trace.
-func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, a, b seq.Seq, rowBytes int,
+// alignOne computes one pair on a pool and appends its execution trace.
+func alignOne(d *pim.DPU, cfg Config, scratch *core.Scratch, pair Pair, rowBytes int,
 	master *pim.TaskletTrace, workers []*pim.TaskletTrace, group int64) (PairResult, int, error) {
 
-	pr := cfg.Align(scratch, pair.ID, a, b)
+	pr := cfg.Align(scratch, pair.ID, pair.A, pair.B)
 
 	// BT scratch in MRAM: (steps+1) nibble rows, streamed out and read
 	// back but never inspected by the simulator, so it is a capacity check
@@ -259,7 +254,7 @@ func emitTrace(cfg Config, pair Pair, res PairResult, rowBytes int,
 	if flushSteps < 1 {
 		flushSteps = 1
 	}
-	seqBytes := int64((pair.ALen+3)/4 + (pair.BLen+3)/4)
+	seqBytes := int64(seq.PackedSize(len(pair.A)) + seq.PackedSize(len(pair.B)))
 	steps := int64(res.Steps)
 	cells := res.Cells
 	seqLeft := seqBytes

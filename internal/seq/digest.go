@@ -1,9 +1,9 @@
 package seq
 
 // Digest is a 128-bit content digest of a DNA sequence, computed over the
-// 2-bit packed representation (the layout PackInto stages for the DPU
-// kernel). Two sequences with equal content — regardless of how they
-// were built — have equal digests, which is what makes the result cache
+// 2-bit packed representation (the layout PackedSize describes). Two
+// sequences with equal content — regardless of how they were built — have
+// equal digests, which is what makes the result cache
 // content-addressed: the digest pair stands in for the packed operands in
 // the cache key. The hash is a non-cryptographic splitmix64-style mix
 // (murmur-grade dispersion); at 128 bits, accidental collisions are
@@ -36,8 +36,8 @@ func mix64(x uint64) uint64 {
 }
 
 // DigestSeq hashes a sequence's content. It allocates nothing: the packed
-// words are assembled inline, 32 bases at a time, exactly as PackInto
-// would lay them out, so no packing buffer is needed.
+// words are assembled inline, 32 bases at a time in the 2-bit packed
+// layout, so no packing buffer is needed.
 func DigestSeq(s Seq) Digest {
 	h1 := uint64(digestSeedHi) ^ uint64(len(s))
 	h2 := uint64(digestSeedLo) + uint64(len(s))*digestMulB

@@ -7,13 +7,6 @@ import (
 	"pimnw/internal/seq"
 )
 
-func ExamplePack() {
-	s := seq.MustFromString("ACGTACGT")
-	p := seq.Pack(s)
-	fmt.Println(len(p.Bytes), p.Unpack().String())
-	// Output: 2 ACGTACGT
-}
-
 func ExampleFromString() {
 	// Ambiguous bases resolve deterministically under a seeded RNG
 	// (the paper's §4.1.1 policy).

@@ -17,8 +17,9 @@ func FuzzFromStringPackRoundTrip(f *testing.F) {
 		if len(s) != len(in) {
 			t.Fatalf("length changed: %d vs %d", len(s), len(in))
 		}
-		if !Pack(s).Unpack().Equal(s) {
-			t.Fatal("pack/unpack round trip failed")
+		back, err := FromString(s.String(), nil)
+		if err != nil || !back.Equal(s) {
+			t.Fatalf("FromString(String()) round trip failed: %v", err)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package seq provides DNA sequence primitives shared by the aligners, the
-// PiM kernel, and the dataset generators: a 2-bit nucleotide code, packed
-// sequence buffers (the host→DPU transfer format of §4.1.1 of the paper),
-// ambiguous-base ("N") resolution, and FASTA I/O.
+// PiM kernel, and the dataset generators: a 2-bit nucleotide code, the
+// size of the 2-bit packed host→DPU transfer format of §4.1.1 of the paper
+// (the model charges the bus and the bank 2 bits per base), content
+// digests, ambiguous-base ("N") resolution, and FASTA I/O.
 package seq
 
 import (
@@ -11,8 +12,8 @@ import (
 )
 
 // Base is a nucleotide encoded on 2 bits: A=0, C=1, G=2, T=3.
-// This is the code used both in host memory and inside the (simulated) DPU
-// MRAM, where each byte of a packed sequence holds 4 bases.
+// This is the code used in host memory and in the 2-bit packed transfer
+// format, where each byte holds 4 bases.
 type Base uint8
 
 // The four nucleotide codes.

@@ -191,71 +191,12 @@ func TestReverseComplementInvolution(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRoundTripProperty(t *testing.T) {
-	f := func(raw []byte) bool {
-		s := make(Seq, len(raw))
-		for i, r := range raw {
-			s[i] = Base(r & 3)
-		}
-		return Pack(s).Unpack().Equal(s)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPackedSize(t *testing.T) {
 	cases := []struct{ n, want int }{{0, 0}, {1, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}}
 	for _, tc := range cases {
 		if got := PackedSize(tc.n); got != tc.want {
 			t.Errorf("PackedSize(%d) = %d, want %d", tc.n, got, tc.want)
 		}
-	}
-}
-
-func TestPackBaseAccess(t *testing.T) {
-	s := MustFromString("ACGTTGCA")
-	p := Pack(s)
-	for i := range s {
-		if got := p.Base(i); got != s[i] {
-			t.Errorf("Base(%d) = %v, want %v", i, got, s[i])
-		}
-	}
-}
-
-func TestPackIntoMatchesPack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 1000} {
-		s := Random(rng, n)
-		want := Pack(s)
-		dst := make([]byte, PackedSize(n)+4)
-		for i := range dst {
-			dst[i] = 0xFF // PackInto must clear stale bits
-		}
-		wrote := PackInto(dst, s)
-		if wrote != PackedSize(n) {
-			t.Errorf("n=%d: wrote %d bytes, want %d", n, wrote, PackedSize(n))
-		}
-		for i := 0; i < wrote; i++ {
-			if dst[i] != want.Bytes[i] {
-				t.Errorf("n=%d: byte %d = %#x, want %#x", n, i, dst[i], want.Bytes[i])
-			}
-		}
-	}
-}
-
-func TestPackedValidate(t *testing.T) {
-	good := Pack(MustFromString("ACGTA"))
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid packed rejected: %v", err)
-	}
-	bad := Packed{Bytes: []byte{0}, N: 5}
-	if err := bad.Validate(); err == nil {
-		t.Error("short buffer accepted")
-	}
-	neg := Packed{N: -1}
-	if err := neg.Validate(); err == nil {
-		t.Error("negative length accepted")
 	}
 }
 
