@@ -7,7 +7,7 @@
 #                         !amd64 twin of the assembly kernels keeps
 #                         compiling, and GOARCH=386 go test -short
 #                         ./internal/core, its only end-to-end run: on
-#                         amd64 the portable SWAR step runs only as the
+#                         amd64 the portable window loop runs only as the
 #                         oracle of TestNarrowStepAsmMatchesPortable)
 #   3. go build ./...
 #   4. go test -race ./...

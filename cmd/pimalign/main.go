@@ -53,7 +53,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"pimnw/internal/baseline"
 	"pimnw/internal/cache"
@@ -257,10 +256,10 @@ func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art
 		pairs[i] = host.Pair{ID: i, A: queries[i].Seq, B: targets[i].Seq}
 	}
 	// The run goes through the streaming session (cache lookups happen
-	// at admission); MaxBatchPairs = len(pairs) and a linger no run
-	// outlasts keep the whole workload one micro-batch, which is
-	// bit-identical to host.AlignPairs, report included.
-	scfg := host.SessionConfig{Host: cfg, MaxBatchPairs: len(pairs), MaxLinger: time.Hour}
+	// at admission); MaxBatchPairs = len(pairs) keeps the whole workload
+	// one micro-batch (AlignPairsStream switches the linger clock off),
+	// which is bit-identical to host.AlignPairs, report included.
+	scfg := host.SessionConfig{Host: cfg, MaxBatchPairs: len(pairs)}
 	if cacheDir != "" {
 		c, err := cache.Open(cache.Options{Dir: cacheDir})
 		if err != nil {

@@ -139,7 +139,7 @@ func (s *Scratch) adaptiveBand(a, b seq.Seq, p Params, w int, traceback bool) (R
 	}
 	res := Result{Steps: m + n}
 	nDiag := m + n + 1
-	s.off = growI32(s.off, nDiag)
+	s.off, s.edge = growI32(s.off, nDiag), growI32(s.edge, certBlock)
 	off := s.off
 	off[0] = 0
 	if m == 0 && n == 0 {
@@ -171,57 +171,23 @@ func (s *Scratch) adaptiveBand(a, b seq.Seq, p Params, w int, traceback bool) (R
 
 	openCost := p.GapOpen + p.GapExt
 	dPrevShift := int32(0) // d′: shift taken from t-1 to t
-	maxPot := NegInf       // best escaping-path bound seen (clip certificate)
+	pot := NegInf          // the clip certificate's bound on escaping paths
 
 	for t := 0; t < m+n; t++ {
-		// Decide the shift from the extremities of the current window.
+		// Decide the shift from the extremities of the current window, and
+		// record the edge cell it abandons for the clip certificate.
 		d := chooseShift(hCur[0], hCur[w-1], off[t], t, m, n, w)
-		// Clamp so the window keeps intersecting the valid cell range of
-		// anti-diagonal t+1: i ∈ [loI, hiI].
-		loI := t + 1 - n
-		if loI < 0 {
-			loI = 0
+		e := hCur[w-1]
+		if d == 1 {
+			e = hCur[0]
 		}
-		hiI := t + 1
-		if hiI > m {
-			hiI = m
-		}
-		if int(off[t])+int(d)+w-1 < loI {
-			d = 1
-		}
-		if int(off[t])+int(d) > hiI {
-			d = 0
-		}
-		// Clip certificate: any path that leaves the window does so through
-		// the edge cell the shift abandons (a window cell's in-window
-		// neighbours stay in-window except at the moving edge). Bound every
-		// such path by that cell's score plus the best it could still
-		// collect outside; if no abandoned-edge potential ever beats the
-		// final score, the banded result is provably optimal.
-		{
-			o := int(off[t])
-			if d == 1 {
-				// The top cell (o, t-o) drops out of the window: a path can
-				// leave through it while column t-o+1 ≤ n exists.
-				if j := t - o; j >= 0 && j < n && o <= m && hCur[0] > NegInf/2 {
-					if pot := hCur[0] + escapeBound(p, m-o, n-j); pot > maxPot {
-						maxPot = pot
-					}
-				}
-			} else {
-				// The bottom cell (o+w-1, t-o-w+1) drops out: a path can
-				// leave through it while row o+w ≤ m exists.
-				i := o + w - 1
-				if j := t - i; i >= 0 && i < m && j >= 0 && j <= n && hCur[w-1] > NegInf/2 {
-					if pot := hCur[w-1] + escapeBound(p, m-i, n-j); pot > maxPot {
-						maxPot = pot
-					}
-				}
-			}
-		}
-
+		s.edge[t%certBlock] = e
 		newOff := off[t] + d
 		off[t+1] = newOff
+		if k := t + 1; k%certBlock == 0 || k == m+n {
+			t0 := (k - 1) / certBlock * certBlock
+			pot = max(pot, escapePotential(p, m, n, w, t0, off, s.edge[:k-t0]))
+		}
 
 		var btRow NibbleRow
 		if traceback {
@@ -316,7 +282,7 @@ func (s *Scratch) adaptiveBand(a, b seq.Seq, p Params, w int, traceback bool) (R
 	}
 	res.InBand = true
 	res.Score = hCur[pFinal]
-	res.Clipped = maxPot > res.Score
+	res.Clipped = pot > res.Score
 	if traceback {
 		res.Cigar = walkBandBT(m, n, bt, off, rowBytes)
 	}
@@ -343,7 +309,9 @@ func walkBandBT(m, n int, bt []byte, off []int32, rowBytes int) cigar.Cigar {
 // corner diagonal so that length-skewed pairs still terminate in band
 // (breaking ties to the right instead leaves them to the window clamps,
 // which cross the skew too late; EXPERIMENTS.md records the ablation).
-// topH and botH are the lane values at window cells 0 and w-1.
+// topH and botH are the lane values at window cells 0 and w-1. The
+// decision is then clamped so that the window keeps intersecting the
+// valid cell range i ∈ [loI, hiI] of anti-diagonal t+1.
 func chooseShift(topH, botH int32, off int32, t, m, n, w int) int32 {
 	top, bot := NegInf, NegInf
 	iTop := int(off)
@@ -354,17 +322,58 @@ func chooseShift(topH, botH int32, off int32, t, m, n, w int) int32 {
 	if jBot := t - iBot; iBot >= 0 && iBot <= m && jBot >= 0 && jBot <= n {
 		bot = botH
 	}
+	var d int32
 	switch {
 	case bot > top:
-		return 1
+		d = 1
 	case top > bot:
-		return 0
+		d = 0
 	default:
 		iC := int(off) + w/2
 		jC := t - iC
 		if iC-jC < m-n {
-			return 1
+			d = 1
 		}
-		return 0
 	}
+	if int(off+d)+w-1 < max(t+1-n, 0) {
+		d = 1
+	}
+	if int(off+d) > min(t+1, m) {
+		d = 0
+	}
+	return d
+}
+
+// certBlock is the number of anti-diagonals whose abandoned edge cells an
+// adaptive engine records before it folds them into its clip certificate.
+const certBlock = 512
+
+// escapePotential is the clip certificate of the adaptive engines. A path
+// that leaves the window does so through the edge cell a shift abandons (a
+// window cell's in-window neighbours stay in-window except at the moving
+// edge): the top cell (off[t], t−off[t]) when the window moves down, while
+// a column to its right exists; the bottom cell (off[t]+w−1, …) when it
+// moves right, while a row below it exists. edge[k] is that cell's H score
+// on anti-diagonal t0+k (NegInf when dead); bounding each live one by its
+// score plus the best it could still collect outside (escapeBound) gives
+// the return value, and a banded result above the maximum over every
+// block of anti-diagonals is provably optimal. The engines record and
+// pass one block of certBlock anti-diagonals at a time, so the array
+// stays that short whatever the pair's length.
+func escapePotential(p Params, m, n, w, t0 int, off, edge []int32) int32 {
+	pot := NegInf
+	off = off[t0 : t0+len(edge)+1]
+	for k, e := range edge {
+		d := int(off[k+1] - off[k])
+		i := int(off[k]) + (w-1)&(d-1) // the bottom cell when moving right
+		// Remaining lengths; i ≤ m−1+d and j = t−i ∈ [0, n−d] in their terms.
+		ri, rj := m-i, n-(t0+k)+i
+		if e > NegInf/2 && i >= 0 && ri >= 1-d && rj >= d && rj <= n {
+			// escapeBound is symmetric in the remaining lengths; passing
+			// the longer first keeps its branches one-sided whichever edge
+			// moved.
+			pot = max(pot, e+escapeBound(p, max(ri, rj), min(ri, rj)))
+		}
+	}
+	return pot
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"pimnw/internal/cigar"
 	"pimnw/internal/seq"
 )
@@ -25,17 +27,21 @@ import (
 // word itself by comparing the two base streams lane for lane — the SSE2
 // analogue of the paper's cmpb4 (§4.2.4).
 //
-// One kernel call per anti-diagonal. The live span [pLo, pHi] goes to the
-// kernel whole: a span that starts or ends mid-word passes lane keep-masks
-// for its first and last word, the kernel blends those words' outputs,
-// traceback bits and sticky contributions under them, and an odd word
-// count ends in a half iteration whose second word is masked out. Lanes
-// outside the masks keep their memory and raise nothing. Around the call,
-// Go makes only the window decisions — chooseShift, the clip certificate,
-// the matrix-boundary cells and the rebase — and clears the dead flanks
-// with whole-word stores plus one masked word per side. The cell update
-// exists three times: the SSE2 kernel with and without traceback, and the
-// portable SWAR step that is both the kernel off amd64 and their oracle.
+// One routine call per run. The window loop — chooseShift with its two
+// clamps, the offset record, the cell count, the dead flanks, the span
+// [pLo, pHi] under lane keep-masks for its first and last word, the two
+// matrix-boundary cells and the ring rotation — runs in one call of
+// narrowStep.run for a whole run of anti-diagonals: up to the next
+// rebase, to the first sticky flag, or to the end of the pair. On amd64
+// that is the SSE2 routine narrowRunSSE, the same routine with and
+// without traceback, with its constants in registers and its bounds
+// asserted once per run; elsewhere, and as its oracle, the portable
+// window loop narrowRunGo with the SWAR word step narrowStepWordsGo.
+// Between runs Go makes only the rebase. The clip certificate is out of
+// the loop: each anti-diagonal's abandoned edge lane goes into an array of
+// one run's length, which Go turns into true scores with the run's
+// constant base, and escapePotential — the wide engine's certificate too —
+// reads it and the offsets once per run.
 //
 // Value encoding. Lane values are unsigned 15-bit magnitudes under a bias:
 //
@@ -69,8 +75,10 @@ import (
 // candidate equals the lane max, so ties extend; the origin from two
 // strict compares, diagonal before I before D. The arena is private to the
 // engine and indexed by lane: row t is anti-diagonal t in two planes of
-// one byte per packed word (setBT), the extend bits and the I/D origin
-// bits, so SSE2 gathers eight lanes' bits with two PMOVMSKBs. A diagonal
+// one byte per packed word (setBT), the extend bits and the complements
+// of the I/D origin bits — each the equality of a PMAXSW's input and
+// output, so no compare needs a copy of its operands — and SSE2 gathers
+// eight lanes' bits with two PMOVMSKBs. A diagonal
 // origin is not stored as match or mismatch: the walk compares the two
 // bases, as the substitution word did. The arena is never zeroed: every
 // bit the walk consults is written. A consulted cell's walked state holds
@@ -87,8 +95,10 @@ const (
 	// narrowTop is the largest representable live lane value.
 	narrowTop = 0x7fff
 	// narrowRebaseEvery is the rebase cadence in anti-diagonals; between
-	// rebases the window maximum drifts at most ±maxStep per step.
-	narrowRebaseEvery = 512
+	// rebases the window maximum drifts at most ±maxStep per step. A run
+	// ends at each rebase, so its edge cells fill at most one certificate
+	// block.
+	narrowRebaseEvery = certBlock
 	// narrowSlack is how far the window maximum may sit from narrowCenter
 	// before a rebase pass actually shifts the lanes.
 	narrowSlack = 2048
@@ -97,9 +107,11 @@ const (
 	// across lanes.
 	narrowParamMax = 4096
 	// narrowLane0 is the lane of window cell 0, the first lane after the
-	// dead word that ends in the top sentinel — and, behind the same dead
-	// word, the lane of base 0 in the one-base-per-lane operands.
+	// dead word that ends in the top sentinel.
 	narrowLane0 = 4
+	// narrowBase0 is the lane of base 0 in the one-base-per-lane operands,
+	// behind two dead words.
+	narrowBase0 = 8
 
 	nH       = 0x8000800080008000 // bit 15 of every lane
 	nLow     = 0x7fff7fff7fff7fff // low 15 bits of every lane
@@ -207,7 +219,10 @@ func narrowRebase(arr []uint64, shift int32) bool {
 // clip certificate, flank and boundary handling, cell metric — so that a
 // non-overflowed run is bit-identical, CIGAR included; only the interior
 // cell loop, the value encoding and the traceback arena's layout differ.
-// Returns ok=false (Result.Overflowed) on any saturation sticky bit.
+// The window loop runs in runs of anti-diagonals up to each rebase
+// (narrowStep.run); between runs Go turns the run's abandoned edge lanes
+// into true scores and re-centres the lanes. Returns ok=false
+// (Result.Overflowed) on any saturation sticky bit.
 func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bool) (Result, bool) {
 	m, n := len(a), len(b)
 	if w < 2 {
@@ -226,215 +241,38 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 		return res, true
 	}
 
-	nDiag := m + n + 1
-	s.off = growI32(s.off, nDiag)
-	off := s.off
-	off[0] = 0
-
-	// Lanes 0 … narrowLane0+w (the dead word, the w cells and the bottom
-	// sentinel) packed four per word, plus two permanent zero pad words, so
-	// a span's half iteration and its neighbour loads stay inside the
-	// array. The seven arrays share one ring (narrowStep).
-	words := (narrowLane0+w+4)/4 + 2
-	s.nring = growU64(s.nring, 7*words)
-	clear(s.nring)
-	s.na = laneBases(s.na, a, false)
-	s.nb = laneBases(s.nb, b, true)
-	st := narrowStep{
-		ring:   s.nring,
-		words:  words,
-		winEnd: (narrowLane0 + w + 3) / 4,
-		a:      s.na,
-		b:      s.nb,
-		eV:     uint64(uint16(p.GapExt)) * lanesOne,
-		oeV:    uint64(uint16(p.GapOpen+p.GapExt)) * lanesOne,
-		nmV:    uint64(uint16(-p.Mismatch)) * lanesOne,
-		gbV:    uint64(uint16(narrowGuard(p))) * lanesOne,
-		smV:    uint64(uint16(p.Match-p.Mismatch)) * lanesOne,
-	}
-	st.hCur, st.hNext = words, 2*words // hPrev at 0
-	st.iCur, st.iNext, st.dCur, st.dNext = 3*words, 4*words, 5*words, 6*words
-	st.bind()
-	st.setLane(st.hCur, narrowLane0, narrowCenter) // cell (0,0): score 0 at bias, base 0
-	res.Cells = 1
-
-	// Lane-indexed traceback rows: two planes of one byte per packed lane
-	// word (setBT). Not zeroed — see the header comment.
-	var bt []byte
-	rowBytes := 2 * (words - 1)
-	if traceback {
-		s.bt = growU8(s.bt, nDiag*rowBytes)
-		bt = s.bt
-	}
+	st := s.newNarrowStep(a, b, p, w, traceback)
 
 	var base int32 // cumulative rebase: trueScore = stored − narrowCenter + base
-	dPrevShift := 0
-	maxPot := NegInf
-	overflow := false
-
-	// hv reads window cell p of the current H anti-diagonal in the wide
-	// engine's value domain.
-	hv := func(p int) int32 {
-		v := st.getLane(st.hCur, p+narrowLane0)
-		if v == 0 {
-			return NegInf
-		}
-		return int32(v) - narrowCenter + base
-	}
-
-	for t := 0; t < m+n; t++ {
-		top, bot := hv(0), hv(w-1)
-		d := int(chooseShift(top, bot, off[t], t, m, n, w))
-		loI := t + 1 - n
-		if loI < 0 {
-			loI = 0
-		}
-		hiI := t + 1
-		if hiI > m {
-			hiI = m
-		}
-		if int(off[t])+d+w-1 < loI {
-			d = 1
-		}
-		if int(off[t])+d > hiI {
-			d = 0
-		}
-		// Clip certificate, identical to adaptiveBand with dead lanes
-		// mapped back to NegInf.
-		{
-			o := int(off[t])
-			if d == 1 {
-				if j := t - o; j >= 0 && j < n && o <= m {
-					if top > NegInf/2 {
-						if pot := top + escapeBound(p, m-o, n-j); pot > maxPot {
-							maxPot = pot
-						}
-					}
-				}
+	pot := NegInf  // the clip certificate's bound on escaping paths
+	for st.t < m+n {
+		t0 := st.t // a multiple of narrowRebaseEvery: edge[k] is t0+k
+		st.tEnd = min(m+n, t0+narrowRebaseEvery)
+		overflow := st.run()
+		edge := st.edge[:st.t-t0]
+		for k, v := range edge {
+			if v == 0 {
+				edge[k] = NegInf
 			} else {
-				i := o + w - 1
-				if j := t - i; i >= 0 && i < m && j >= 0 && j <= n {
-					if bot > NegInf/2 {
-						if pot := bot + escapeBound(p, m-i, n-j); pot > maxPot {
-							maxPot = pot
-						}
-					}
-				}
+				edge[k] = v - narrowCenter + base
 			}
 		}
-
-		o := int(off[t]) + d
-		off[t+1] = int32(o)
-
-		if traceback {
-			st.bt = bt[(t+1)*rowBytes : (t+2)*rowBytes]
+		pot = max(pot, escapePotential(p, m, n, w, t0, st.off, edge))
+		if !overflow && st.t%narrowRebaseEvery == 0 {
+			shift, ok := st.rebase()
+			base += shift
+			overflow = !ok
 		}
-
-		pLo := 0
-		if v := 1 - o; v > pLo {
-			pLo = v
-		}
-		if v := t + 1 - n - o; v > pLo {
-			pLo = v
-		}
-		pHi := w - 1
-		if v := m - o; v < pHi {
-			pHi = v
-		}
-		if v := t - o; v < pHi {
-			pHi = v
-		}
-
-		cLo := 0
-		if v := t + 1 - n - o; v > cLo {
-			cLo = v
-		}
-		cHi := w - 1
-		if v := m - o; v < cHi {
-			cHi = v
-		}
-		if v := t + 1 - o; v < cHi {
-			cHi = v
-		}
-		if cHi >= cLo {
-			res.Cells += int64(cHi - cLo + 1)
-		}
-
-		// The span, one kernel call; out-of-matrix flanks become dead lanes.
-		// Lane L is cell (i, j) = (o+L−narrowLane0, t+1−i): it compares
-		// a[i−1], at base lane L+o−1, with b[j−1], which sits at reversed
-		// index n−j, base lane L+n−t−1+o.
-		st.d, st.dd = d, d+dPrevShift
-		st.aOff, st.bOff = o-1, n-t-1+o
-		if st.step(pLo+narrowLane0, pHi+narrowLane0, traceback) != 0 {
-			overflow = true
-		}
-
-		// Matrix-boundary cells, peeled exactly as in adaptiveBand, just
-		// outside the span; a boundary value outside the representable
-		// window is a sticky.
-		if o == 0 && t+1 <= n {
-			rel := int64(-p.GapCost(t+1)) - int64(base) + narrowCenter
-			if rel <= 0 || rel > narrowTop {
-				overflow = true
-				rel = 1
-			}
-			st.setLane(st.hNext, narrowLane0, uint16(rel))
-			st.setLane(st.dNext, narrowLane0, uint16(rel))
-			if traceback {
-				st.setBT(narrowLane0, byte(min(t, 1))<<4, 0x10) // from D, D-extend past the first row
-			}
-		}
-		if q := t + 1 - o; q >= 0 && q < w && t+1 <= m {
-			rel := int64(-p.GapCost(t+1)) - int64(base) + narrowCenter
-			if rel <= 0 || rel > narrowTop {
-				overflow = true
-				rel = 1
-			}
-			st.setLane(st.hNext, q+narrowLane0, uint16(rel))
-			st.setLane(st.iNext, q+narrowLane0, uint16(rel))
-			if traceback {
-				st.setBT(q+narrowLane0, byte(min(t, 1)), 0x01) // from I, I-extend past the first column
-			}
-		}
-
-		st.rotate()
-		dPrevShift = d
-
 		if overflow {
 			res.Score = NegInf
 			res.Overflowed = true
+			res.Cells = st.cells
 			return res, false
-		}
-
-		// Re-centre the window maximum so only the spread across one
-		// window must fit the lane, not the absolute score.
-		if (t+1)%narrowRebaseEvery == 0 {
-			maxSt := uint16(0)
-			for l := narrowLane0; l < narrowLane0+w; l++ {
-				if v := st.getLane(st.hCur, l); v > maxSt {
-					maxSt = v
-				}
-			}
-			if maxSt != 0 {
-				shift := int32(maxSt) - narrowCenter
-				if shift > narrowSlack || shift < -narrowSlack {
-					ok := narrowRebase(st.lanes(st.hPrev), shift)
-					ok = narrowRebase(st.lanes(st.hCur), shift) && ok
-					ok = narrowRebase(st.lanes(st.iCur), shift) && ok
-					ok = narrowRebase(st.lanes(st.dCur), shift) && ok
-					base += shift
-					if !ok {
-						res.Score = NegInf
-						res.Overflowed = true
-						return res, false
-					}
-				}
-			}
 		}
 	}
 
-	pFinal := m - int(off[m+n])
+	res.Cells = st.cells
+	pFinal := m - int(st.off[m+n])
 	if pFinal < 0 || pFinal >= w {
 		res.Score = NegInf
 		return res, true
@@ -446,35 +284,115 @@ func (s *Scratch) adaptiveBandNarrow(a, b seq.Seq, p Params, w int, traceback bo
 	}
 	res.InBand = true
 	res.Score = int32(v) - narrowCenter + base
-	res.Clipped = maxPot > res.Score
+	res.Clipped = pot > res.Score
 	if traceback {
-		res.Cigar = walkNarrowBT(a, b, bt, off, rowBytes)
+		res.Cigar = walkNarrowBT(a, b, st.bt, st.off, st.rowBytes)
 	}
 	return res, true
 }
 
+// newNarrowStep sets up the narrow engine's state for one pair on s's
+// buffers, at anti-diagonal 0: the cell (0, 0) scores 0 at the bias and
+// base 0.
+func (s *Scratch) newNarrowStep(a, b seq.Seq, p Params, w int, traceback bool) narrowStep {
+	m, n := len(a), len(b)
+	nDiag := m + n + 1
+	// Lanes 0 … narrowLane0+w (the dead word, the w cells and the bottom
+	// sentinel) packed four per word, plus two permanent zero pad words, so
+	// a span's half iteration and its neighbour loads stay inside the
+	// array. The seven arrays share one ring.
+	words := (narrowLane0+w+4)/4 + 2
+	s.nring = growU64(s.nring, 7*words)
+	clear(s.nring)
+	s.na, s.nb = laneBases(s.na, a, false), laneBases(s.nb, b, true)
+	s.off, s.edge = growI32(s.off, nDiag), growI32(s.edge, certBlock)
+	s.off[0] = 0
+	st := narrowStep{
+		ring: s.nring, a: s.na, b: s.nb, off: s.off, edge: s.edge,
+		words: words, winEnd: (narrowLane0 + w + 3) / 4, m: m, n: n, w: w,
+		hCur: words, hNext: 2 * words, // hPrev at 0
+		iCur: 3 * words, iNext: 4 * words, dCur: 5 * words, dNext: 6 * words,
+		cells: 1, p: p, bnd: narrowCenter,
+		eV:  uint64(uint16(p.GapExt)) * lanesOne,
+		oeV: uint64(uint16(p.GapOpen+p.GapExt)) * lanesOne,
+		nmV: uint64(uint16(-p.Mismatch)) * lanesOne,
+		gbV: uint64(uint16(narrowGuard(p))) * lanesOne,
+		smV: uint64(uint16(p.Match-p.Mismatch)) * lanesOne,
+	}
+	st.setLane(st.hCur, narrowLane0, narrowCenter)
+	// Lane-indexed traceback rows: two planes of one byte per packed lane
+	// word (setBT). Not zeroed — see the header comment.
+	if traceback {
+		st.rowBytes = 2 * (words - 1)
+		s.bt = growU8(s.bt, nDiag*st.rowBytes)
+		st.bt = s.bt
+	}
+	return st
+}
+
+// rebase re-centres the current anti-diagonal's window maximum on
+// narrowCenter once it has drifted past narrowSlack, so only the score
+// spread across one window must fit the lane, not the absolute score: it
+// shifts every live lane of the arrays a later step reads and returns the
+// shift (0 when none), and false if a live lane left the representable
+// range.
+func (st *narrowStep) rebase() (int32, bool) {
+	maxSt := uint16(0)
+	for l := narrowLane0; l < narrowLane0+st.w; l++ {
+		maxSt = max(maxSt, st.getLane(st.hCur, l))
+	}
+	shift := int32(maxSt) - narrowCenter
+	if maxSt == 0 || (shift <= narrowSlack && shift >= -narrowSlack) {
+		return 0, true
+	}
+	ok := narrowRebase(st.lanes(st.hPrev), shift)
+	ok = narrowRebase(st.lanes(st.hCur), shift) && ok
+	ok = narrowRebase(st.lanes(st.iCur), shift) && ok
+	ok = narrowRebase(st.lanes(st.dCur), shift) && ok
+	st.bnd -= int64(shift)
+	return shift, ok
+}
+
 // walkNarrowBT replays the narrow engine's traceback arena: row t holds
 // anti-diagonal t in the two planes of setBT, window cell p at lane
-// p+narrowLane0; a diagonal origin is a match or a mismatch by the bases.
-// Out of line for the reason walkBandBT is.
-//
-//go:noinline
+// p+narrowLane0; an origin that is neither I nor D is a match or a
+// mismatch by the bases. It is walkBT's state machine, guard included,
+// with the arena read inline: a step costs no call, which makes the walk
+// about 0.7× walkBT's with a closure and keeps the traceback engine's
+// cost near the score-only one's. It panics on a corrupt arena.
 func walkNarrowBT(a, b seq.Seq, bt []byte, off []int32, rowBytes int) cigar.Cigar {
+	var c cigar.Cigar
 	half := rowBytes / 2
-	return walkBT(len(a), len(b), func(i, j int) uint8 {
+	inI, inD := false, false
+	guard := 2*(len(a)+len(b)) + 4
+	for i, j := len(a), len(b); i > 0 || j > 0; {
+		if guard--; guard < 0 {
+			panic(fmt.Sprintf("core: traceback did not terminate (i=%d j=%d)", i, j))
+		}
 		t := i + j
 		l := i - int(off[t]) + narrowLane0
-		r, sh := t*rowBytes+l>>2, uint(l&3)
-		ext, org := bt[r]>>sh, bt[r+half]>>sh
-		nb := (ext&1)<<2 | (ext>>4&1)<<3
+		pair := (l>>2 - 1) | 1
+		r, sh := t*rowBytes+pair, uint(l-4*pair)
 		switch {
-		case org&0x10 != 0:
-			nb |= btFromD
-		case org&1 != 0:
-			nb |= btFromI
+		case inI:
+			c = c.Append(cigar.Ins, 1)
+			inI = bt[r]>>sh&1 != 0 // I-extend
+			i--
+		case inD:
+			c = c.Append(cigar.Del, 1)
+			inD = bt[r+1]>>sh&1 != 0 // D-extend
+			j--
+		case bt[r+half+1]>>sh&1 == 0: // from D
+			inD = true
+		case bt[r+half]>>sh&1 == 0: // from I
+			inI = true
 		case a[i-1] != b[j-1]:
-			nb |= btDiagMismatch
+			c = c.Append(cigar.Mismatch, 1)
+			i, j = i-1, j-1
+		default:
+			c = c.Append(cigar.Match, 1)
+			i, j = i-1, j-1
 		}
-		return nb
-	})
+	}
+	return c.Reverse()
 }

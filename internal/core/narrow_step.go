@@ -1,29 +1,38 @@
 package core
 
-// narrowStep is the narrow engine's anti-diagonal step (banded_narrow.go):
-// the seven packed lane arrays in one ring it rotates by index, the
-// operands one base per 16-bit lane, the lane-indexed traceback row, the
-// stream offsets and the broadcast constants, and the kernel's argument
-// block, which persists across anti-diagonals.
+// narrowStep is the narrow engine's state for one pair (banded_narrow.go):
+// the seven packed lane arrays in one ring rotated by index, the operands
+// one base per 16-bit lane, the window offsets and abandoned edge lanes,
+// the traceback arena, the position of the current run, and the broadcast
+// constants. A run (run, narrow_step_amd64.go and narrow_step_generic.go)
+// computes anti-diagonals t+1 … tEnd in one call: the SSE2 routine
+// narrowRunSSE on amd64, narrowRunGo elsewhere and as its oracle.
+// The field order is frozen: narrow_step_amd64.s addresses it by offset.
 type narrowStep struct {
-	// ring holds the seven lane arrays back to back, words each: H over
-	// three anti-diagonals, I and D over two. The fields below are the word
-	// offsets of each array in ring; rotate permutes them after every
-	// anti-diagonal, so nothing is copied or restamped.
-	ring                                         []uint64
-	words                                        int // per lane array
-	winEnd                                       int // the word after the window's last lane
+	ring []uint64 // the seven lane arrays back to back, words each
+	a, b []uint64 // bases one per lane: a, and b reversed
+	// off[t] is the window offset of anti-diagonal t; edge[t mod
+	// certBlock] the raw lane of the edge cell the shift out of t abandons
+	// (the clip certificate's input, escapePotential): a run never crosses
+	// a rebase, a multiple of certBlock, so it needs one block.
+	off, edge []int32
+	bt        []byte // traceback arena, row t at t·rowBytes; nil when score-only
+	rowBytes  int
+	words     int // per lane array
+	winEnd    int // the word after the window's last lane
+	m, n, w   int
+	t, tEnd   int // the run computes anti-diagonals t+1 … tEnd
+	// Word offsets of each lane array in ring: H over three anti-diagonals,
+	// I and D over two. Every step rotates them, so nothing is copied.
 	hPrev, hCur, hNext, iCur, iNext, dCur, dNext int
-	a, b                                         []uint64 // bases one per lane: a, and b reversed
-	bt                                           []byte   // traceback row (traceback steps only)
-	// Output lane L reads its up neighbours at lane L−1+d, its left ones at
-	// L+d, its diagonal at L−1+dd, and compares base lane L+aOff of a with
-	// base lane L+bOff of b.
-	d, dd, aOff, bOff int
+
+	dPrev int   // the shift into anti-diagonal t
+	cells int64 // cells computed so far
+	p     Params
+	bnd   int64 // narrowCenter − base: a boundary cell stores bnd − GapCost(k)
 	// GapExt, GapOpen+GapExt, −Mismatch, the guard floor and
 	// Match−Mismatch, broadcast to every lane.
 	eV, oeV, nmV, gbV, smV uint64
-	k                      narrowArgs // the kernel's argument block (narrow_step_amd64.go)
 }
 
 // lanes returns the lane array at word offset off of the ring.
@@ -33,15 +42,22 @@ func (st *narrowStep) lanes(off int) []uint64 { return st.ring[off : off+st.word
 func (st *narrowStep) getLane(arr, l int) uint16    { return getLane16(st.ring, 4*arr+l) }
 func (st *narrowStep) setLane(arr, l int, v uint16) { setLane16(st.ring, 4*arr+l, v) }
 
-// setBT records the traceback bits of lane l in the row st.bt. The row
-// holds two planes of one byte per lane word, lane k of the word at bits k
-// and 4+k: the first half I-extend and D-extend, the second H from I and H
-// from D (strict: a diagonal origin is neither, and the walk tells match
-// from mismatch by the bases). ext and org carry those bits for lane 0.
-func (st *narrowStep) setBT(l int, ext, org byte) {
-	half, g, sh := len(st.bt)/2, l>>2, uint(l&3)
-	st.bt[g] = st.bt[g]&^(0x11<<sh) | ext<<sh
-	st.bt[half+g] = st.bt[half+g]&^(0x11<<sh) | org<<sh
+// setBT records the traceback bits of lane l in row. The row holds two
+// planes, the first half I-extend and D-extend, the second the
+// complements of H from I and H from D (strict: a diagonal origin sets
+// both, and the walk tells match from mismatch by the bases). Each plane
+// gives the lanes of word pair (b, b+1), b odd — one iteration of the
+// SSE2 span — bytes b and b+1, lane 4b+k at bit k: the I bits in byte b,
+// the D bits in byte b+1. ext and org carry a lane's I bit at bit 0 and
+// its D bit at bit 4.
+func setBT(row []byte, l int, ext, org byte) {
+	b := (l>>2 - 1) | 1
+	bit := uint(l - 4*b)
+	for i, v := range [4]byte{ext, ext >> 4, org, org >> 4} {
+		plane, d := i>>1, i&1 // the D bits sit one byte after the I bits
+		r := &row[plane*len(row)/2+b+d]
+		*r = *r&^(1<<bit) | (v&1)<<bit
+	}
 }
 
 // rotate makes the anti-diagonal just computed the current one.
@@ -51,66 +67,128 @@ func (st *narrowStep) rotate() {
 	st.dCur, st.dNext = st.dNext, st.dCur
 }
 
-// step computes lanes [lo, hi] of the next anti-diagonal in one kernel
-// call (none when lo > hi) and clears every other lane of its window, the
-// dead flanks: whole words with plain stores, the partial words at the
-// span edges under the complement of the kernel's keep-masks. The kernel
-// leaves the lanes outside its masks untouched, so the caller may write
-// the boundary cells beside the span before or after. Returns the sticky
-// accumulator of the computed lanes.
-func (st *narrowStep) step(lo, hi int, traceback bool) uint64 {
-	hN, iN, dN := st.lanes(st.hNext), st.lanes(st.iNext), st.lanes(st.dNext)
-	if lo > hi {
-		for g := narrowLane0 >> 2; g < st.winEnd; g++ {
-			hN[g], iN[g], dN[g] = 0, 0, 0
+// laneScore maps a stored lane to chooseShift's domain: a dead lane is
+// NegInf, a live one keeps its stored value (the bias and base shift both
+// edges alike, so their order is the true scores' order).
+func laneScore(v uint16) int32 {
+	if v == 0 {
+		return NegInf
+	}
+	return int32(v)
+}
+
+// narrowRunGo is the narrow engine's window loop, one anti-diagonal per
+// iteration from st.t to st.tEnd: the !amd64 engine, and the oracle that
+// narrowRunSSE matches state for state. Each iteration steers the window
+// (chooseShift), records the new offset and the lane the shift abandons,
+// counts the cells, clears the dead flanks with whole-word stores, runs
+// the live span [pLo, pHi] through narrowStepWordsGo under lane
+// keep-masks for its first and last word, writes the matrix-boundary
+// cells beside the span from GapCost, and rotates the ring. It returns
+// true, leaving st mid-step, on the first anti-diagonal whose sticky flag
+// sets: a span output, or a boundary value outside the lane range.
+func narrowRunGo(st *narrowStep) bool {
+	m, n, w := st.m, st.n, st.w
+	for ; st.t < st.tEnd; st.t++ {
+		t, o := st.t, int(st.off[st.t])
+		top, bot := st.getLane(st.hCur, narrowLane0), st.getLane(st.hCur, narrowLane0+w-1)
+		d := int(chooseShift(laneScore(top), laneScore(bot), int32(o), t, m, n, w))
+		e := &st.edge[t%certBlock]
+		*e = int32(bot)
+		if d == 1 {
+			*e = int32(top)
 		}
-		return 0
+		o += d
+		st.off[t+1] = int32(o)
+
+		pLo, pHi := max(0, 1-o, t+1-n-o), min(w-1, m-o, t-o)
+		if cLo, cHi := max(0, t+1-n-o), min(w-1, m-o, t+1-o); cHi >= cLo {
+			st.cells += int64(cHi - cLo + 1)
+		}
+		var row []byte
+		if st.bt != nil {
+			row = st.bt[(t+1)*st.rowBytes : (t+2)*st.rowBytes]
+		}
+
+		// The span, one word step; every other window word is a dead flank.
+		lo, hi := pLo+narrowLane0, pHi+narrowLane0
+		gLo, gHi := st.winEnd, st.winEnd-1
+		if lo <= hi {
+			gLo, gHi = lo>>2, hi>>2
+		}
+		for _, arr := range []int{st.hNext, st.iNext, st.dNext} {
+			clear(st.ring[arr+narrowLane0>>2 : arr+gLo])
+			clear(st.ring[arr+gHi+1 : arr+st.winEnd])
+		}
+		// Lane L is cell (i, j) = (o+L−narrowLane0, t+1−i): it compares
+		// a[i−1], at base lane L+o−1+δ, with b[j−1], which sits at reversed
+		// index n−j, base lane L+n−t−1+o+δ, where δ = narrowBase0−narrowLane0.
+		const δ = narrowBase0 - narrowLane0
+		if lo <= hi && narrowStepWordsGo(st, row, gLo, gHi, d, d+st.dPrev, o-1+δ, n-t-1+o+δ,
+			^uint64(0)<<(16*uint(lo&3)), ^uint64(0)>>(16*uint(3-hi&3))) != 0 {
+			return true
+		}
+
+		// Matrix-boundary cells, peeled exactly as in adaptiveBand, just
+		// outside the span.
+		rel := int64(-st.p.GapCost(t+1)) + st.bnd
+		fits := rel > 0 && rel <= narrowTop
+		if o == 0 && t+1 <= n {
+			if !fits {
+				return true
+			}
+			st.setLane(st.hNext, narrowLane0, uint16(rel))
+			st.setLane(st.dNext, narrowLane0, uint16(rel))
+			if row != nil {
+				setBT(row, narrowLane0, byte(min(t, 1))<<4, 0x01) // from D, D-extend past the first row
+			}
+		}
+		if q := t + 1 - o; q >= 0 && q < w && t+1 <= m {
+			if !fits {
+				return true
+			}
+			st.setLane(st.hNext, q+narrowLane0, uint16(rel))
+			st.setLane(st.iNext, q+narrowLane0, uint16(rel))
+			if row != nil {
+				setBT(row, q+narrowLane0, byte(min(t, 1)), 0x10) // from I, I-extend past the first column
+			}
+		}
+		st.rotate()
+		st.dPrev = d
 	}
-	gLo, gHi := lo>>2, hi>>2
-	keepLo := ^uint64(0) << (16 * uint(lo&3))
-	keepHi := ^uint64(0) >> (16 * uint(3-hi&3))
-	for g := narrowLane0 >> 2; g < gLo; g++ {
-		hN[g], iN[g], dN[g] = 0, 0, 0
-	}
-	hN[gLo], iN[gLo], dN[gLo] = hN[gLo]&keepLo, iN[gLo]&keepLo, dN[gLo]&keepLo
-	hN[gHi], iN[gHi], dN[gHi] = hN[gHi]&keepHi, iN[gHi]&keepHi, dN[gHi]&keepHi
-	for g := gHi + 1; g < st.winEnd; g++ {
-		hN[g], iN[g], dN[g] = 0, 0, 0
-	}
-	return st.kernel(gLo, gHi, keepLo, keepHi, traceback)
+	return false
 }
 
 // narrowStepWordsGo is the portable SWAR form of the narrow engine's word
 // step: for each packed word g in [gA, gB] it computes the four H/I/D cells
-// of one anti-diagonal from funnel-shifted neighbour and base loads, with
-// per-lane saturating arithmetic as described in banded_narrow.go, and
-// writes only the kept lanes (0xffff per lane): those of keepLo in word gA,
-// of keepHi in word gB, and every lane of the words between. The return
-// value is the sticky accumulator of the kept lanes — nonzero means a
-// saturating-add carry or a below-guard H output was seen and the step must
-// be treated as overflowed. With traceback it also records four bits per
-// kept lane, read off the borrow bits the maxima already produce — m3/m6
-// are the extend compares (extend candidate ≥ open candidate: ties
-// extend), the complements of m8/m9 the two strict origin compares
-// (diagonal before I before D) — word g in byte g of each half of the row
-// st.bt (the layout of setBT). It is the !amd64 kernel, and the oracle of
-// narrow_step_amd64.s, which implements the same contract eight lanes at a
-// time; the two are kept in lockstep by the differential sweeps,
-// FuzzNarrowWideEquivalence and, lane for lane, by
-// TestNarrowStepAsmMatchesPortable.
-func narrowStepWordsGo(st *narrowStep, gA, gB int, keepLo, keepHi uint64, traceback bool) uint64 {
+// of one anti-diagonal from funnel-shifted neighbour and base loads — up
+// neighbours at lane L−1+d, left ones at L+d, the diagonal at L−1+dd, base
+// lane L+aOff of a against L+bOff of b — with per-lane saturating
+// arithmetic as described in banded_narrow.go. It writes the kept lanes
+// (0xffff per lane: those of keepLo in word gA, of keepHi in word gB, and
+// every lane of the words between) and zeroes the other lanes of those
+// words. The return value is the sticky accumulator of the kept lanes —
+// nonzero means a saturating-add carry or a below-guard H output was seen
+// and the step must be treated as overflowed. With a traceback row it also
+// records four bits per kept lane, read off the borrow bits the maxima
+// already produce — m3/m6 are the extend compares (extend candidate ≥ open
+// candidate: ties extend), m8/m9 the complements of the two strict origin
+// compares (diagonal before I before D) — in the word-pair bytes of setBT,
+// writing whole the bytes of every pair the span touches: bits of lanes
+// outside the masks, and of a pair's word outside [gA, gB], are zero.
+func narrowStepWordsGo(st *narrowStep, bt []byte, gA, gB, d, dd, aOff, bOff int, keepLo, keepHi uint64) uint64 {
 	hNext, iNext, dNext := st.lanes(st.hNext), st.lanes(st.iNext), st.lanes(st.dNext)
 	hCur, iCur, dCur, hPrev := st.lanes(st.hCur), st.lanes(st.iCur), st.lanes(st.dCur), st.lanes(st.hPrev)
-	ba, bb, bt := st.a, st.b, st.bt
+	ba, bb := st.a, st.b
 	half := len(bt) / 2
 	eV, oeV, nmV, gbV, smV := st.eV, st.oeV, st.nmV, st.gbV, st.smV
 	// Funnel-shift bases for the five input streams; the shift amounts are
 	// loop-invariant (the lane offset mod 4 never changes within one
 	// anti-diagonal).
-	upS := gA*4 + st.d - 1
+	upS := gA*4 + d - 1
 	ltS := upS + 1
-	dgS := gA*4 + st.dd - 1
-	aS, bS := gA*4+st.aOff, gA*4+st.bOff
+	dgS := gA*4 + dd - 1
+	aS, bS := gA*4+aOff, gA*4+bOff
 	qU, shU := upS>>2, uint(upS&3)*16
 	qL, shL := ltS>>2, uint(ltS&3)*16
 	qD, shD := dgS>>2, uint(dgS&3)*16
@@ -178,17 +256,21 @@ func narrowStepWordsGo(st *narrowStep, gA, gB int, keepLo, keepHi uint64, traceb
 		tg := (best | nH) - gbV
 		ovAcc |= (md | ^tg&nH) & keep
 
-		hNext[g] ^= (hNext[g] ^ best) & keep
-		iNext[g] ^= (iNext[g] ^ iv) & keep
-		dNext[g] ^= (dNext[g] ^ dv) & keep
-
-		if traceback {
-			// One flag per lane at bit 15, gathered four lanes to a nibble.
-			kb := narrowBits(keep&nH) * 0x11
-			ext := narrowBits(m3) | narrowBits(m6)<<4
-			org := narrowBits(^m8&nH) | narrowBits(^m9&nH)<<4
-			bt[g] ^= (bt[g] ^ ext) & kb
-			bt[half+g] ^= (bt[half+g] ^ org) & kb
+		hNext[g], iNext[g], dNext[g] = best&keep, iv&keep, dv&keep
+		if bt != nil {
+			// One flag per lane at bit 15, gathered four lanes to a nibble:
+			// word g's nibble of its pair's I and D bytes.
+			kb := narrowBits(keep & nH)
+			b := (g - 1) | 1
+			sh := uint(g-b) * 4
+			for i, v := range [4]byte{narrowBits(m3), narrowBits(m6), narrowBits(m8), narrowBits(m9)} {
+				plane, d := i>>1, i&1
+				r := &bt[plane*half+b+d]
+				if g == b || g == gA {
+					*r = 0 // the pair's first word in the span starts its bytes
+				}
+				*r |= (v & kb) << sh
+			}
 		}
 	}
 	return ovAcc

@@ -6,236 +6,246 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pimnw/internal/seq"
 )
 
-// TestNarrowStepAsmMatchesPortable pins the narrow engine's four cell
-// updates to one another under the span contract: words [gA, gB] of one
-// anti-diagonal, the first under a lane keep-mask keepLo and the last
-// under keepHi. The kernel the engine calls (the SSE2 assembly on amd64,
-// the portable loop elsewhere) must match the portable SWAR loop lane for
-// lane, traceback bits included, whenever the portable sticky verdict is
-// clear, and agree with it on the verdict (zero / non-zero) always. The
-// portable loop under the masks must equal its own unmasked run on the
-// kept lanes, its sticky flag included: the masked flag is exactly the OR
-// of each word's unmasked flag (that word run alone) restricted to the
-// word's kept lanes, so only kept lanes may raise it. Lanes outside the
-// masks keep their previous H/I/D and traceback bits bit for bit in every
-// run.
+// narrowRunCase is one pair of the run differential.
+type narrowRunCase struct {
+	a, b seq.Seq
+	p    Params
+	w    int
+}
+
+// narrowRunCases draws the pairs of TestNarrowStepAsmMatchesPortable:
+// every band ≡ 0–3 (mod 4) from 2 to 33 plus 64, 127 and 128; pairs
+// shorter than the band, length-skewed ones both ways, and ones long
+// enough to cross one or two 512-anti-diagonal rebases; error rates from
+// none to a fifth; and every narrowFuzzParams model, whose stress shapes
+// end runs on the sticky flag.
+func narrowRunCases(rng *rand.Rand, short bool) []narrowRunCase {
+	bands := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 31, 32, 33, 64, 127, 128}
+	var cases []narrowRunCase
+	for k := 0; k < 240; k++ {
+		if short && k%4 != 0 {
+			continue
+		}
+		w := bands[k%len(bands)]
+		var m, n int
+		switch k % 5 {
+		case 0: // shorter than the band
+			m, n = rng.Intn(w+2), rng.Intn(w+2)
+		case 1: // skewed: b much longer
+			m, n = rng.Intn(60), 100+rng.Intn(500)
+		case 2: // skewed: a much longer
+			m, n = 100+rng.Intn(500), rng.Intn(60)
+		case 3: // crosses one or two rebases
+			m = 300 + rng.Intn(900)
+			n = m - 20 + rng.Intn(41)
+		default:
+			m = 20 + rng.Intn(300)
+			n = m - 10 + rng.Intn(21)
+		}
+		a := seq.Random(rng, m)
+		b := seq.UniformErrors([]float64{0, 0.01, 0.05, 0.2}[k%4]).Apply(rng, a)
+		b = append(b, seq.Random(rng, max(0, n-len(b)))...)[:max(0, n)]
+		cases = append(cases, narrowRunCase{a, b, narrowFuzzParams[k/5%len(narrowFuzzParams)], w})
+	}
+	return cases
+}
+
+// narrowRunDiff runs the engine's run (narrowStep.run) and the portable
+// window loop narrowRunGo side by side over one pair, in runs of random
+// length that never cross a rebase, applying the engine's rebase to both
+// sides between runs. After every run it compares the whole state: the
+// verdict and cell count, and, while no sticky has set, the position, ring
+// offsets and previous shift, the lane ring, and off, edge and the
+// traceback rows of every anti-diagonal the run computed. mutate, when not
+// nil, perturbs the run side's state before each run. shield runs one
+// anti-diagonal at a time, each shielded (shieldStep). It returns the
+// first difference ("" if none) and what it exercised.
+func narrowRunDiff(c narrowRunCase, traceback, shield bool, rng *rand.Rand, mutate func(*narrowStep)) (diff string, steps, rebases, shielded int, sticky bool) {
+	m, n := len(c.a), len(c.b)
+	// Fresh scratches: zeroed traceback arenas, so rows compare whole.
+	run, ref := NewScratch().newNarrowStep(c.a, c.b, c.p, c.w, traceback), NewScratch().newNarrowStep(c.a, c.b, c.p, c.w, traceback)
+	for run.t < m+n {
+		t0 := run.t
+		next := (t0/narrowRebaseEvery + 1) * narrowRebaseEvery
+		run.tEnd = min(m+n, next, t0+[]int{1, 1, 2, 3, 7, 64, 600}[rng.Intn(7)])
+		if shield {
+			run.tEnd = t0 + 1
+			if shieldStep(&run, &ref) {
+				shielded++
+			}
+		}
+		ref.tEnd = run.tEnd
+		if mutate != nil {
+			mutate(&run)
+		}
+		var stRun bool
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					diff = fmt.Sprintf("run panicked: %v", r)
+				}
+			}()
+			stRun = run.run()
+		}()
+		if diff != "" {
+			return diff, steps, rebases, shielded, sticky
+		}
+		stRef := narrowRunGo(&ref)
+		label := fmt.Sprintf("run [%d, %d)", t0, run.tEnd)
+		if stRun != stRef || run.cells != ref.cells {
+			return fmt.Sprintf("%s: sticky %v cells %d, portable sticky %v cells %d", label, stRun, run.cells, stRef, ref.cells), steps, rebases, shielded, sticky
+		}
+		if stRun {
+			return "", steps, rebases, shielded, true
+		}
+		steps += run.t - t0
+		switch {
+		case run.t != ref.t || run.dPrev != ref.dPrev || run.bnd != ref.bnd ||
+			[7]int{run.hPrev, run.hCur, run.hNext, run.iCur, run.iNext, run.dCur, run.dNext} !=
+				[7]int{ref.hPrev, ref.hCur, ref.hNext, ref.iCur, ref.iNext, ref.dCur, ref.dNext}:
+			return fmt.Sprintf("%s: position t=%d dPrev=%d ring %d…, portable t=%d dPrev=%d ring %d…",
+				label, run.t, run.dPrev, run.hCur, ref.t, ref.dPrev, ref.hCur), steps, rebases, shielded, sticky
+		case !slices.Equal(run.off[t0:run.t+1], ref.off[t0:ref.t+1]):
+			return fmt.Sprintf("%s: off %v, portable %v", label, run.off[t0:run.t+1], ref.off[t0:ref.t+1]), steps, rebases, shielded, sticky
+		case !slices.Equal(run.edge[t0%narrowRebaseEvery:][:run.t-t0], ref.edge[t0%narrowRebaseEvery:][:ref.t-t0]):
+			return fmt.Sprintf("%s: edge %v, portable %v", label, run.edge, ref.edge), steps, rebases, shielded, sticky
+		case !slices.Equal(run.ring, ref.ring):
+			return fmt.Sprintf("%s: lane ring\n %x\n portable\n %x", label, run.ring, ref.ring), steps, rebases, shielded, sticky
+		}
+		if traceback {
+			lo, hi := (t0+1)*run.rowBytes, (run.t+1)*run.rowBytes
+			if !bytes.Equal(run.bt[lo:hi], ref.bt[lo:hi]) {
+				return fmt.Sprintf("%s: traceback rows\n %x\n portable\n %x", label, run.bt[lo:hi], ref.bt[lo:hi]), steps, rebases, shielded, sticky
+			}
+		}
+		if run.t%narrowRebaseEvery == 0 && run.t < m+n {
+			_, okRun := run.rebase()
+			_, okRef := ref.rebase()
+			if okRun != okRef {
+				return fmt.Sprintf("%s: rebase ok %v, portable %v", label, okRun, okRef), steps, rebases, shielded, sticky
+			}
+			if !okRun {
+				return "", steps, rebases, shielded, true
+			}
+			rebases++
+		}
+	}
+	return "", steps, rebases, shielded, sticky
+}
+
+// shieldStep poisons, in both states alike, the lanes of anti-diagonal
+// t−1 that only the masked-out lanes of step t's first and last span
+// words read, as their diagonal neighbour — window lanes, which the next
+// step rewrites, not the sentinel words: at narrowTop, a masked-out
+// lane whose bases agree (beyond the matrix both are zero padding, or
+// padding and an A) carries, while no kept lane reads a poisoned lane. So
+// a routine that let a masked-out lane reach the sticky flag ends the run
+// where the portable loop does not. It reports whether it poisoned a lane.
+func shieldStep(run, ref *narrowStep) bool {
+	probe := *ref
+	probe.ring, probe.off, probe.edge = slices.Clone(ref.ring), slices.Clone(ref.off), slices.Clone(ref.edge)
+	probe.bt, probe.tEnd = slices.Clone(ref.bt), ref.t+1
+	if narrowRunGo(&probe) {
+		return false
+	}
+	t, m, n, w := ref.t, ref.m, ref.n, ref.w
+	o := int(probe.off[t+1])
+	dd := o - int(ref.off[t]) + ref.dPrev
+	lo, hi := max(0, 1-o, t+1-n-o)+narrowLane0, min(w-1, m-o, t-o)+narrowLane0
+	if lo > hi {
+		return false
+	}
+	poisoned := false
+	for l := 4 * (lo >> 2); l < 4*(hi>>2)+4; l++ {
+		if p := l - 1 + dd; (l < lo || l > hi) && p >= narrowLane0 && p < 4*ref.winEnd {
+			run.setLane(run.hPrev, p, narrowTop)
+			ref.setLane(ref.hPrev, p, narrowTop)
+			poisoned = true
+		}
+	}
+	return poisoned
+}
+
+// TestNarrowStepAsmMatchesPortable pins the narrow engine's run — the SSE2
+// routine narrowRunSSE on amd64 — to the portable window loop
+// narrowRunGo, state for state, on whole pairs (narrowRunDiff): both
+// traceback modes, bands ≡ 0–3 (mod 4), skewed pairs, pairs shorter than
+// the band, runs of 1 to 600 anti-diagonals that cross rebases, runs
+// that end on the sticky flag, and shielded runs (shieldStep) in which
+// the masked-out lanes of partial span words carry. Off amd64 both sides are the portable loop
+// and the test pins run splitting: a run of k anti-diagonals equals k
+// runs of one.
 //
-// Spans are 1–15 words long (odd counts end the kernel in a half
-// iteration) and the masks are any lane subsets, the empty and full ones
-// included. Random lane words mix dead, near-guard, mid-range (a narrow
-// value range, so extend and origin ties are common) and near-top lanes;
-// the base lanes of b copy those of a in long runs (so match-heavy words
-// occur) at random stream offsets, under every d × dd neighbour offset.
-// On shielded trials every masked-out lane of the span is made to carry —
-// its diagonal input at narrowTop on a matching base — while the kept
-// lanes stay clean, so a kernel that let a masked-out lane reach the
-// sticky flag fails the verdict check.
+// The mutations then perturb one field of the run side's state before
+// every run — each broadcast constant, each scoring parameter the
+// boundary cells read, the bias, the previous shift, the pair's extent,
+// the cell count, each pair of rotating ring offsets — and each must make
+// the comparison fail on some pair: the differential reads every field of
+// the argument block the routine does.
 func TestNarrowStepAsmMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	const words = 20 // per lane array: spans from word 1–3, plus neighbour words
-	const baseWords = words + 6
-	const rowBytes = 2 * (words - 1)
-	clear_, sticky, shielded, odd := 0, 0, 0, 0
-	for trial := 0; trial < 6000; trial++ {
-		p := narrowFuzzParams[trial%len(narrowFuzzParams)]
-		oe16 := uint16(p.GapOpen + p.GapExt)
-		gb16 := uint16(narrowGuard(p))
-		smd := uint16(p.Match - p.Mismatch)
-
-		// A clean trial keeps every H lane comfortably live so the guard
-		// stays quiet; a rough one sprinkles the hazards over H as well.
-		rough := trial%3 == 0
-		shield := !rough && trial%2 == 1
-		base := uint16(2000 + rng.Intn(24000))
-		lane := func(hazards bool) uint16 {
-			if hazards {
-				switch rng.Intn(8) {
-				case 0:
-					return 0 // dead
-				case 1:
-					return gb16 - 3 + uint16(rng.Intn(7)) // around the guard floor
-				case 2:
-					return uint16(1 + rng.Intn(int(oe16)+2)) // clamps in the subtract
-				case 3:
-					if rough {
-						return narrowTop - uint16(rng.Intn(int(smd)+2)) // carries in the add
-					}
-				}
+	rng := rand.New(rand.NewSource(43))
+	cases := narrowRunCases(rng, testing.Short())
+	steps, rebases, shielded, stickies, skewed := 0, 0, 0, 0, 0
+	for i, c := range cases {
+		for _, tb := range bothModes {
+			shield := i%3 == 2
+			diff, s, r, sh, st := narrowRunDiff(c, tb, shield, rng, nil)
+			if diff != "" {
+				t.Fatalf("pair %d (m=%d n=%d w=%d p=%+v tb=%v shield=%v): %s", i, len(c.a), len(c.b), c.w, c.p, tb, shield, diff)
 			}
-			return base + uint16(rng.Intn(12))
-		}
-		st := narrowStep{
-			ring:  make([]uint64, 7*words),
-			words: words,
-			a:     make([]uint64, baseWords), b: make([]uint64, baseWords),
-			aOff: rng.Intn(8), bOff: rng.Intn(8),
-			eV:  uint64(uint16(p.GapExt)) * lanesOne,
-			oeV: uint64(oe16) * lanesOne,
-			nmV: uint64(uint16(-p.Mismatch)) * lanesOne,
-			gbV: uint64(gb16) * lanesOne,
-			smV: uint64(smd) * lanesOne,
-		}
-		st.hCur, st.hNext = words, 2*words
-		st.iCur, st.iNext, st.dCur, st.dNext = 3*words, 4*words, 5*words, 6*words
-		for _, arr := range []int{st.hPrev, st.hCur, st.iCur, st.dCur} {
-			hz := rough || arr == st.iCur || arr == st.dCur
-			for l := 0; l < 4*words; l++ {
-				setLane16(st.ring, 4*arr+l, lane(hz))
+			steps, rebases, shielded = steps+s, rebases+r, shielded+sh
+			if st {
+				stickies++
 			}
-		}
-		// The output arrays and the traceback row start as junk.
-		for _, arr := range []int{st.hNext, st.iNext, st.dNext} {
-			for g := 0; g < words; g++ {
-				st.ring[arr+g] = rng.Uint64()
-			}
-		}
-		junkBT := make([]byte, rowBytes)
-		rng.Read(junkBT)
-		// Base lanes: b agrees with a in runs of about eight lanes.
-		for l := 0; l < 4*baseWords; l++ {
-			setLane16(st.a, l, uint16(rng.Intn(4)))
-			setLane16(st.b, l, uint16(rng.Intn(4)))
-		}
-		agree := rng.Intn(2) == 0
-		for l := 0; l < 4*words; l++ {
-			if rng.Intn(8) == 0 {
-				agree = !agree
-			}
-			if agree {
-				setLane16(st.b, l+st.bOff, getLane16(st.a, l+st.aOff))
-			}
-		}
-
-		gA := 1 + rng.Intn(3)
-		gB := gA + rng.Intn(15)
-		if (gB-gA)%2 == 0 {
-			odd++
-		}
-		mask := func() uint64 {
-			var k uint64
-			for l := uint(0); l < 4; l++ {
-				if rng.Intn(2) == 0 {
-					k |= 0xffff << (16 * l)
-				}
-			}
-			return k
-		}
-		keepLo, keepHi := mask(), mask()
-		// kept is the keep-mask of word g; keptBT folds it onto traceback
-		// byte j, one bit per kept lane in each nibble of word j's byte in
-		// either half of the row.
-		kept := func(g int) uint64 {
-			if g < gA || g > gB {
-				return 0
-			}
-			return narrowKeep(g, gA, gB, keepLo, keepHi)
-		}
-		keptBT := func(j int) byte { return narrowBits(kept(j%(rowBytes/2))&nH) * 0x11 }
-
-		for d := 0; d <= 1; d++ {
-			for dd := 0; dd <= 2; dd++ {
-				in := st
-				in.d, in.dd = d, dd
-				in.ring, in.b = slices.Clone(st.ring), slices.Clone(st.b)
-				if shield {
-					for g := gA; g <= gB; g++ {
-						for l := 4 * g; l < 4*g+4; l++ {
-							if kept(g)>>(16*uint(l&3))&1 == 0 {
-								setLane16(in.ring, 4*in.hPrev+l-1+dd, narrowTop)
-								setLane16(in.b, l+in.bOff, getLane16(in.a, l+in.aOff))
-							}
-						}
-					}
-				}
-				for _, tb := range bothModes {
-					run := func(kernel bool, lo, hi int, keepLo, keepHi uint64) ([]uint64, []byte, uint64) {
-						s := in
-						s.ring, s.bt = slices.Clone(in.ring), slices.Clone(junkBT)
-						s.bind()
-						if kernel {
-							return s.ring, s.bt, s.kernel(lo, hi, keepLo, keepHi, tb)
-						}
-						return s.ring, s.bt, narrowStepWordsGo(&s, lo, hi, keepLo, keepHi, tb)
-					}
-					ringF, btF, ovF := run(false, gA, gB, ^uint64(0), ^uint64(0))
-					ringP, btP, ovP := run(false, gA, gB, keepLo, keepHi)
-					ringK, btK, ovK := run(true, gA, gB, keepLo, keepHi)
-					// The exact sticky of the masked span: each word's
-					// unmasked sticky, run on that word alone, restricted
-					// to the word's kept lanes.
-					var ovWant, ovWords uint64
-					for g := gA; g <= gB; g++ {
-						_, _, ov := run(false, g, g, ^uint64(0), ^uint64(0))
-						ovWant |= ov & kept(g)
-						ovWords |= ov
-					}
-					label := func() string {
-						return fmt.Sprintf("trial %d d=%d dd=%d tb=%v words [%d,%d] keep %#x/%#x: sticky unmasked %#x, portable %#x (want %#x), kernel %#x",
-							trial, d, dd, tb, gA, gB, keepLo, keepHi, ovF, ovP, ovWant, ovK)
-					}
-					if ovWords != ovF {
-						t.Fatalf("%s: the words' stickies OR to %#x, not the span's", label(), ovWords)
-					}
-					if ovP != ovWant {
-						t.Fatalf("%s: masked sticky is not the unmasked one on the kept lanes", label())
-					}
-					if (ovP != 0) != (ovK != 0) {
-						t.Fatalf("%s: sticky verdicts differ", label())
-					}
-					switch {
-					case ovP != 0:
-						sticky++
-					case ovF != 0:
-						shielded++
-					default:
-						clear_++
-					}
-
-					for i, arr := range []int{in.hNext, in.iNext, in.dNext} {
-						for g := 0; g < words; g++ {
-							k, j := kept(g), arr+g
-							if want := in.ring[j]&^k | ringF[j]&k; ringP[j] != want {
-								t.Fatalf("%s: portable array %d word %d: %#016x, want %#016x (unmasked %#016x, before %#016x)",
-									label(), i, g, ringP[j], want, ringF[j], in.ring[j])
-							}
-							if ringK[j]&^k != in.ring[j]&^k {
-								t.Fatalf("%s: kernel wrote masked-out lanes of array %d word %d: %#016x, before %#016x",
-									label(), i, g, ringK[j], in.ring[j])
-							}
-						}
-					}
-					for _, r := range [][]uint64{ringP, ringK} {
-						for _, arr := range []int{in.hPrev, in.hCur, in.iCur, in.dCur} {
-							if !slices.Equal(r[arr:arr+words], in.ring[arr:arr+words]) {
-								t.Fatalf("%s: an input array changed", label())
-							}
-						}
-					}
-					for j := range junkBT {
-						var k byte
-						if tb {
-							k = keptBT(j)
-						}
-						if want := junkBT[j]&^k | btF[j]&k; btP[j] != want {
-							t.Fatalf("%s: portable traceback byte %d: %#02x, want %#02x", label(), j, btP[j], want)
-						}
-						if btK[j]&^k != junkBT[j]&^k {
-							t.Fatalf("%s: kernel wrote masked-out traceback bits of byte %d: %#02x, before %#02x",
-								label(), j, btK[j], junkBT[j])
-						}
-					}
-					if ovP == 0 && (!slices.Equal(ringK, ringP) || !bytes.Equal(btK, btP)) {
-						t.Fatalf("%s: kernel and portable step differ:\n kernel   %x\n portable %x\n bt       %x\n portable %x",
-							label(), ringK, ringP, btK, btP)
-					}
-				}
+			if len(c.a) > 2*len(c.b)+c.w || len(c.b) > 2*len(c.a)+c.w {
+				skewed++
 			}
 		}
 	}
-	if clear_ < 20000 || sticky < 12000 || shielded < 16000 || odd < 2500 {
-		t.Fatalf("lopsided coverage: %d clear, %d sticky and %d shielded steps, %d odd spans",
-			clear_, sticky, shielded, odd)
+	t.Logf("%d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs",
+		steps, rebases, shielded, stickies, skewed)
+	if !testing.Short() && (steps < 150_000 || rebases < 40 || shielded < 40_000 || stickies < 30 || skewed < 150) {
+		t.Fatalf("lopsided coverage: %d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs",
+			steps, rebases, shielded, stickies, skewed)
+	}
+
+	lanes := func(v uint64) uint64 { return v + lanesOne }
+	mutations := []struct {
+		name   string
+		mutate func(*narrowStep)
+	}{
+		{"eV", func(st *narrowStep) { st.eV = lanes(st.eV) }},
+		{"oeV", func(st *narrowStep) { st.oeV = lanes(st.oeV) }},
+		{"nmV", func(st *narrowStep) { st.nmV = lanes(st.nmV) }},
+		{"gbV", func(st *narrowStep) { st.gbV = lanes(st.gbV) + 64*lanesOne }},
+		{"smV", func(st *narrowStep) { st.smV = lanes(st.smV) }},
+		{"p.GapOpen", func(st *narrowStep) { st.p.GapOpen++ }},
+		{"p.GapExt", func(st *narrowStep) { st.p.GapExt++ }},
+		{"bnd", func(st *narrowStep) { st.bnd++ }},
+		{"dPrev", func(st *narrowStep) { st.dPrev ^= 1 }},
+		{"m", func(st *narrowStep) { st.m = max(0, st.m-1) }},
+		{"n", func(st *narrowStep) { st.n = max(0, st.n-1) }},
+		{"cells", func(st *narrowStep) { st.cells++ }},
+		{"hPrev/hCur", func(st *narrowStep) { st.hPrev, st.hCur = st.hCur, st.hPrev }},
+		{"iCur/iNext", func(st *narrowStep) { st.iCur, st.iNext = st.iNext, st.iCur }},
+		{"dCur/dNext", func(st *narrowStep) { st.dCur, st.dNext = st.dNext, st.dCur }},
+	}
+	for _, mu := range mutations {
+		caught := false
+		for i := 0; i < len(cases) && !caught; i++ {
+			for _, tb := range bothModes {
+				if diff, _, _, _, _ := narrowRunDiff(cases[i], tb, false, rng, mu.mutate); diff != "" {
+					caught = true
+					break
+				}
+			}
+		}
+		if !caught {
+			t.Errorf("mutating %s went unnoticed on every pair", mu.name)
+		}
 	}
 }

@@ -18,10 +18,12 @@ import (
 // A Scratch is not safe for concurrent use; give each worker its own, via
 // NewScratch or the package's GetScratch/PutScratch pool.
 type Scratch struct {
-	// Adaptive-band state: the window offset of every anti-diagonal and
-	// the full-width engine's seven w-sized lanes (H over three
-	// anti-diagonals, I and D over two), cell p at index p.
-	off                        []int32
+	// Adaptive-band state: the window offset of every anti-diagonal, the
+	// H score of the edge cell each shift abandons (the clip certificate's
+	// input, escapePotential), and the full-width engine's seven w-sized
+	// lanes (H over three anti-diagonals, I and D over two), cell p at
+	// index p.
+	off, edge                  []int32
 	h0, h1, h2, i0, i1, d0, d1 []int32
 
 	// Narrow-lane (16-bit) engine state: the same seven lanes, packed four
@@ -99,19 +101,24 @@ func (s *Scratch) btBuf(n int) []byte {
 }
 
 // laneBases expands s into buf (grown as needed) one base per 16-bit lane,
-// base k at lane k+narrowLane0 — of s reversed when reverse is set, so
-// that along an anti-diagonal both operands advance with stride +1. A
-// dead word on either side keeps the out-of-span lanes of a partial edge
-// word in bounds.
+// base k at lane k+narrowBase0 — of s reversed when reverse is set, so
+// that along an anti-diagonal both operands advance with stride +1. Two
+// dead words before the bases and one after keep the out-of-span lanes of
+// a span's partial edge words in bounds.
 func laneBases(buf []uint64, s seq.Seq, reverse bool) []uint64 {
-	buf = growU64(buf, len(s)/4+4)
+	buf = growU64(buf, len(s)/4+5)
 	clear(buf)
-	for i, b := range s {
+	var w uint64 // the word being filled, stored once
+	for i := range s {
+		b := s[i]
 		if reverse {
-			i = len(s) - 1 - i
+			b = s[len(s)-1-i]
 		}
-		k := i + narrowLane0
-		buf[k>>2] |= uint64(b&3) << (uint(k&3) * 16)
+		k := i + narrowBase0
+		w |= uint64(b&3) << (uint(k&3) * 16)
+		if k&3 == 3 || i == len(s)-1 {
+			buf[k>>2], w = w, 0
+		}
 	}
 	return buf
 }

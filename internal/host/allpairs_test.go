@@ -3,7 +3,6 @@ package host
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"pimnw/internal/core"
 	"pimnw/internal/pim"
@@ -41,7 +40,7 @@ func TestAllPairsInheritsPipeline(t *testing.T) {
 	if fleet.Backends, err = ParseFleet("pim:1,cpu:2"); err != nil {
 		t.Fatal(err)
 	}
-	cached := SessionConfig{Host: esc, Cache: openHostCache(t), MaxBatchPairs: len(pairs), MaxLinger: time.Hour}
+	cached := SessionConfig{Host: esc, Cache: openHostCache(t), MaxBatchPairs: len(pairs)}
 
 	type run func() (*Report, []Result)
 	oneShot := func(cfg Config) run {

@@ -40,6 +40,41 @@ func streamAll(t *testing.T, cfg SessionConfig, pairs []Pair) (*Report, []Result
 	return rep, results
 }
 
+// sessionAll is streamAll without AlignPairsStream's linger override: it
+// submits through NewSession/Submit/Close itself and sleeps pause after
+// every eighth pair, so a MaxLinger shorter than pause seals partial
+// micro-batches on the wall clock.
+func sessionAll(t *testing.T, cfg SessionConfig, pairs []Pair, pause time.Duration) (*Report, []Result) {
+	t.Helper()
+	s, err := NewSession(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for i, p := range pairs {
+			if err := s.Submit(p); err != nil {
+				t.Error(err)
+				break
+			}
+			if pause > 0 && i%8 == 7 {
+				time.Sleep(pause)
+			}
+		}
+		s.Close()
+	}()
+	results := make([]Result, 0, len(pairs))
+	for r := range s.Results() {
+		results = append(results, r)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(pairs) {
+		t.Fatalf("%d results for %d pairs", len(results), len(pairs))
+	}
+	return s.Report(), results
+}
+
 // dupHeavyPairs builds an n-pair workload drawn from a small pool of
 // unique pairs — the all-against-all / consensus-polishing access pattern
 // the cache targets.
@@ -343,7 +378,8 @@ func TestSessionReplayOfFailedOwner(t *testing.T) {
 // computes and reports is a function of its submissions. Batch size,
 // concurrency, linger and GOMAXPROCS move only placement; the answers
 // and every tally must repeat exactly. A cold cache per run, no faults
-// (fault draws are keyed by micro-batch).
+// (fault draws are keyed by micro-batch). The submitter stalls past the
+// short lingers, so the wall clock does cut micro-batches.
 func TestSessionReportDeterministic(t *testing.T) {
 	pairs := dupHeavyPairs(96, 12, 200)
 	batches := []int{96, 1, 7, 16, 5}
@@ -360,6 +396,9 @@ func TestSessionReportDeterministic(t *testing.T) {
 	}
 	var want []Result
 	var wantTally tally
+	reg := obs.NewRegistry() // counts the linger's seals
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
 	for i := 0; i < len(batches)*len(concs); i++ {
 		cfg := SessionConfig{
 			Host:                 escalationConfig(true), // band 16: the ladder has work
@@ -370,7 +409,11 @@ func TestSessionReportDeterministic(t *testing.T) {
 			Cache:                openHostCache(t),
 		}
 		runtime.GOMAXPROCS(procs[i/len(concs)%len(procs)])
-		rep, results := streamAll(t, cfg, pairs)
+		var pause time.Duration // a stalling submitter, so short lingers do cut
+		if cfg.maxLinger() < time.Second {
+			pause = 2 * cfg.maxLinger()
+		}
+		rep, results := sessionAll(t, cfg, pairs, pause)
 		for j := range results {
 			results[j].Rank, results[j].DPU, results[j].Backend = 0, 0, ""
 		}
@@ -397,6 +440,9 @@ func TestSessionReportDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, wantTally) {
 			t.Errorf("%s: report differs\n got %+v\nwant %+v", run, got, wantTally)
 		}
+	}
+	if reg.Counter("session_flush_linger_total").Value() == 0 {
+		t.Error("the linger clock sealed no micro-batch: the linger axis went untested")
 	}
 }
 

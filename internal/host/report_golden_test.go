@@ -24,11 +24,11 @@ func goldenReports(t *testing.T) map[string]*Report {
 	t.Helper()
 	out := map[string]*Report{}
 	// A modelled report is a function of micro-batch composition (fault
-	// draws are keyed by batch), so every fixture pins MaxLinger: only size
-	// and Close may cut a batch, never the wall clock.
+	// draws are keyed by batch); streamAll goes through AlignPairsStream,
+	// which switches the linger clock off, so only size and Close cut a
+	// batch, never the wall clock.
 	run := func(name string, cfg SessionConfig, pairs []Pair) {
 		t.Helper()
-		cfg.MaxLinger = time.Hour
 		rep, _ := streamAll(t, cfg, pairs)
 		out[name] = rep
 	}
@@ -57,7 +57,7 @@ func goldenReports(t *testing.T) map[string]*Report {
 
 	out["fleet_loss"] = goldenFleetLoss(t)
 
-	warm := SessionConfig{Host: testConfig(2, true), MaxBatchPairs: 16, QueueLimit: len(pairs), MaxLinger: time.Hour}
+	warm := SessionConfig{Host: testConfig(2, true), MaxBatchPairs: 16, QueueLimit: len(pairs)}
 	warm.Host.Escalate = true
 	warm.Host.TraceID = "golden-warm"
 	warm.Cache = openHostCache(t)

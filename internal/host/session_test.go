@@ -134,9 +134,13 @@ func TestSessionBitIdenticalUnderFaults(t *testing.T) {
 	want := sessionKeys(oneResults)
 
 	t.Run("single micro-batch", func(t *testing.T) {
+		// A 1ns linger would seal a partial batch between any two
+		// submissions; AlignPairsStream holds the whole workload and
+		// switches the linger clock off, so it stays one micro-batch.
 		rep, results, err := AlignPairsStream(context.Background(), SessionConfig{
 			Host:          faulty,
 			MaxBatchPairs: len(pairs),
+			MaxLinger:     time.Nanosecond,
 		}, pairs)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"pimnw/internal/cache"
@@ -136,12 +137,16 @@ func (s *Session) resolve(mb *microBatch) []Result {
 
 // AlignPairsStream runs a one-shot workload through a streaming Session
 // and gathers the streamed results — the bridge the experiment harness
-// uses to drive its batch experiments over the serving path. The queue
-// limit is raised to the workload size so the linger clock never splits
-// a run that fits one micro-batch (Submit never waits for room);
-// with MaxBatchPairs >= len(pairs) the whole workload is one micro-batch
+// uses to drive its batch experiments over the serving path. It holds the
+// whole workload, so nothing is gained by flushing a partial batch early:
+// the linger clock is switched off (only size and Close seal a
+// micro-batch) and the queue limit raised to the workload size (Submit
+// never waits for room), so the linger clock never splits a run that
+// fits one micro-batch, however long the submitting goroutine stalls.
+// With MaxBatchPairs >= len(pairs) the whole workload is one micro-batch
 // and the report is bit-identical to AlignPairs.
 func AlignPairsStream(ctx context.Context, cfg SessionConfig, pairs []Pair) (*Report, []Result, error) {
+	cfg.MaxLinger = math.MaxInt64
 	if cfg.QueueLimit < len(pairs) {
 		cfg.QueueLimit = len(pairs)
 	}

@@ -3,7 +3,6 @@ package xp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pimnw/internal/datasets"
 	"pimnw/internal/host"
@@ -13,9 +12,9 @@ import (
 // (host.AlignPairsStream) rather than calling host.AlignPairs directly:
 // the harness exercises the serving path, and because the whole workload
 // fits one micro-batch the report is bit-identical to the one-shot run —
-// the equivalence xp_stream_test.go pins. The linger deadline is set
-// beyond the run, as pimalign does, so a stalled submitter cannot cut the
-// workload into a second micro-batch and move its placement. With
+// the equivalence xp_stream_test.go pins; AlignPairsStream switches the
+// linger clock off, so a stalled submitter cannot cut the workload into a
+// second micro-batch and move its placement. With
 // Options.CacheDir set the session carries the runner's shared result
 // cache, so re-runs of a suite replay certified answers instead of
 // recomputing them. A fleet arrives in cfg.Backends (hostConfig).
@@ -27,7 +26,6 @@ func (r *Runner) alignBatch(cfg host.Config, pairs []host.Pair) (*host.Report, [
 	return host.AlignPairsStream(context.Background(), host.SessionConfig{
 		Host:          cfg,
 		MaxBatchPairs: len(pairs),
-		MaxLinger:     time.Hour,
 		Cache:         c,
 	}, pairs)
 }
