@@ -209,6 +209,9 @@ func benchAdaptiveSweep(b *testing.B, traceback bool) {
 func BenchmarkAdaptiveBandScore(b *testing.B) { benchAdaptiveSweep(b, false) }
 func BenchmarkAdaptiveBandAlign(b *testing.B) { benchAdaptiveSweep(b, true) }
 
+// BenchmarkStaticBandScore10k is the CPU baseline's engine at band 256.
+// Alloc-gated: the query profile and the row lanes live on the pooled
+// Scratch.
 func BenchmarkStaticBandScore10k(b *testing.B) {
 	a, q := benchPair(10_000)
 	p := core.DefaultParams()

@@ -52,6 +52,7 @@ var gated = []string{
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",
+	"StaticBandScore10k",
 	"DPUKernelBatch",
 	"HostAlignPairs",
 	"HostEscalation",
@@ -80,6 +81,7 @@ var allocGated = []string{
 	"AdaptiveBandScore/w64",
 	"AdaptiveBandScore/w256",
 	"AdaptiveBandAlign/w128",
+	"StaticBandScore10k",
 	"CacheHit10k",
 	"Placement",
 	"DPUKernelBatch",

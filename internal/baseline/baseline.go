@@ -1,8 +1,9 @@
 // Package baseline is the CPU comparator of the paper's §5: a
 // multi-threaded static-banded affine-gap aligner standing in for the
 // KSW2/minimap2 OpenMP implementation the paper benchmarks against. The
-// worker pool plays OpenMP's role; the query-profile kernel in fast.go
-// plays the role of KSW2's branchless SSE inner loop. Calibrated
+// worker pool plays OpenMP's role; core's static-band engine, whose query
+// profile and split score-only row loop keep base comparisons and
+// traceback tests out of the inner loop, plays KSW2's kernel. Calibrated
 // throughput models of the paper's two Xeon servers (servers.go) let the
 // experiment harness reproduce the tables' CPU columns at full scale.
 package baseline
@@ -35,7 +36,8 @@ type Options struct {
 	// Traceback selects CIGAR production.
 	Traceback bool
 	// Exact switches the engine from the static band to the full-matrix
-	// Gotoh aligner (core.Full): O(m·n) work, guaranteed-optimal results.
+	// Gotoh aligner (core.GotohScore/GotohAlign): O(m·n) work,
+	// guaranteed-optimal results.
 	// Band is ignored. This is the last rung of the host's degradation
 	// ladder — the answer of record when no feasible band fits a pair.
 	Exact bool
@@ -96,10 +98,10 @@ func Run(opts Options, pairs []Pair) (Outcome, error) {
 			defer wg.Done()
 			// Per-worker scratch, OpenMP thread-private style: every
 			// alignment after the first reuses the same buffers.
-			ws := &workerScratch{core: core.GetScratch()}
-			defer core.PutScratch(ws.core)
+			s := core.GetScratch()
+			defer core.PutScratch(s)
 			for i := range workChan {
-				results[i] = alignOne(opts, ws, pairs[i])
+				results[i] = alignOne(opts, s, pairs[i])
 			}
 		}()
 	}
@@ -116,20 +118,17 @@ func Run(opts Options, pairs []Pair) (Outcome, error) {
 	return out, nil
 }
 
-func alignOne(opts Options, ws *workerScratch, p Pair) Result {
-	if opts.Exact {
-		var res core.Result
-		if opts.Traceback {
-			res = ws.core.GotohAlign(p.A, p.B, opts.Params)
-		} else {
-			res = ws.core.GotohScore(p.A, p.B, opts.Params)
-		}
-		return Result{ID: p.ID, Score: res.Score, InBand: true, Cigar: res.Cigar, Cells: res.Cells}
+func alignOne(opts Options, s *core.Scratch, p Pair) Result {
+	var res core.Result
+	switch {
+	case opts.Exact && opts.Traceback:
+		res = s.GotohAlign(p.A, p.B, opts.Params)
+	case opts.Exact:
+		res = s.GotohScore(p.A, p.B, opts.Params)
+	case opts.Traceback:
+		res = s.StaticBandAlign(p.A, p.B, opts.Params, opts.Band)
+	default:
+		res = s.StaticBandScore(p.A, p.B, opts.Params, opts.Band)
 	}
-	if opts.Traceback {
-		res := ws.core.StaticBandAlign(p.A, p.B, opts.Params, opts.Band)
-		return Result{ID: p.ID, Score: res.Score, InBand: res.InBand, Cigar: res.Cigar, Cells: res.Cells}
-	}
-	score, cells, inBand := fastStaticBandScore(ws, p.A, p.B, opts.Params, opts.Band)
-	return Result{ID: p.ID, Score: score, InBand: inBand, Cells: cells}
+	return Result{ID: p.ID, Score: res.Score, InBand: res.InBand, Cigar: res.Cigar, Cells: res.Cells}
 }

@@ -36,52 +36,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestFastKernelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := core.DefaultParams()
-	for trial := 0; trial < 60; trial++ {
-		var a, b seq.Seq
-		switch trial % 3 {
-		case 0:
-			a, b = seq.Random(rng, rng.Intn(200)), seq.Random(rng, rng.Intn(200))
-		case 1:
-			a = seq.Random(rng, 50+rng.Intn(300))
-			b = seq.UniformErrors(0.15).Apply(rng, a)
-		default:
-			a = seq.Random(rng, rng.Intn(40))
-			b = seq.UniformErrors(0.05).Apply(rng, a)
-		}
-		for _, w := range []int{4, 16, 64, 256} {
-			want := core.StaticBandScore(a, b, p, w)
-			score, cells, inBand := fastStaticBandScore(nil, a, b, p, w)
-			if inBand != want.InBand {
-				t.Fatalf("w=%d len=%d/%d: inBand %v, want %v", w, len(a), len(b), inBand, want.InBand)
-			}
-			if inBand && score != want.Score {
-				t.Fatalf("w=%d len=%d/%d: score %d, want %d", w, len(a), len(b), score, want.Score)
-			}
-			if inBand && cells != want.Cells {
-				t.Fatalf("w=%d: cells %d, want %d", w, cells, want.Cells)
-			}
-		}
-	}
-}
-
-func TestFastKernelEdges(t *testing.T) {
-	p := core.DefaultParams()
-	if s, _, ok := fastStaticBandScore(nil, nil, nil, p, 8); !ok || s != 0 {
-		t.Errorf("empty/empty: %d %v", s, ok)
-	}
-	a := seq.MustFromString("ACG")
-	if s, _, ok := fastStaticBandScore(nil, a, nil, p, 8); !ok || s != -p.GapCost(3) {
-		t.Errorf("vs empty: %d %v", s, ok)
-	}
-	long := seq.MustFromString("ACGTACGTACGTACGT")
-	if _, _, ok := fastStaticBandScore(nil, long, a, p, 8); ok {
-		t.Error("skew 13 > half-band 4 accepted")
-	}
-}
-
 func TestRunScores(t *testing.T) {
 	opts := Options{Params: core.DefaultParams(), Band: 64, Threads: 4}
 	pairs := makePairs(12, 25, 150, 0.1)
@@ -147,33 +101,6 @@ func TestServerModels(t *testing.T) {
 	}
 }
 
-func TestStaticBandCells(t *testing.T) {
-	if got := StaticBandCells(1000, 1000, 128); got != 128000 {
-		t.Errorf("cells = %d", got)
-	}
-	// Band wider than the target: clipped to the row width.
-	if got := StaticBandCells(100, 50, 128); got != 5000 {
-		t.Errorf("clipped cells = %d", got)
-	}
-}
-
-func BenchmarkFastKernelVsReference(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := seq.Random(rng, 2000)
-	bb := seq.UniformErrors(0.1).Apply(rng, a)
-	p := core.DefaultParams()
-	b.Run("query-profile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fastStaticBandScore(nil, a, bb, p, 128)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.StaticBandScore(a, bb, p, 128)
-		}
-	})
-}
-
 func TestExactModeMatchesCoreFull(t *testing.T) {
 	p := core.DefaultParams()
 	rng := rand.New(rand.NewSource(21))
@@ -190,10 +117,10 @@ func TestExactModeMatchesCoreFull(t *testing.T) {
 	for _, r := range out.Results {
 		want := core.GotohAlign(pairs[r.ID].A, pairs[r.ID].B, p)
 		if r.Score != want.Score || !r.InBand {
-			t.Fatalf("pair %d: exact mode score %d (InBand=%v), core.Full %d", r.ID, r.Score, r.InBand, want.Score)
+			t.Fatalf("pair %d: exact mode score %d (InBand=%v), core.GotohAlign %d", r.ID, r.Score, r.InBand, want.Score)
 		}
 		if r.Cigar.String() != want.Cigar.String() {
-			t.Fatalf("pair %d: exact mode CIGAR diverges from core.Full", r.ID)
+			t.Fatalf("pair %d: exact mode CIGAR diverges from core.GotohAlign", r.ID)
 		}
 	}
 	// Band is ignored in exact mode: a zero band must validate.

@@ -49,16 +49,3 @@ func (m ServerModel) Seconds(cells int64, traceback bool) float64 {
 	}
 	return float64(cells) / rate
 }
-
-// StaticBandCells is the DP work of a static-banded CPU alignment of an
-// (aLen, bLen) pair at the given band: the CPU computes min(band, row
-// width) cells for each of the aLen rows. It is the cell model behind the
-// paper's CPU columns.
-func StaticBandCells(aLen, bLen, band int) int64 {
-	rows := int64(aLen)
-	width := int64(band)
-	if w := int64(bLen); w < width {
-		width = w
-	}
-	return rows * width
-}

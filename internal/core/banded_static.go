@@ -19,9 +19,10 @@ func staticHalf(w int) int {
 	return w / 2
 }
 
-// StaticBandScore computes the static-banded affine score. If the terminal
-// cell lies outside the band (||m|−|n|| > w/2) the alignment fails:
-// InBand=false and Score=NegInf.
+// StaticBandScore computes the static-banded affine score. w is the band
+// size: row i evaluates the cells |i−j| ≤ w/2. If the terminal cell lies
+// outside the band (||m|−|n|| > w/2) the alignment fails: InBand=false
+// and Score=NegInf.
 func StaticBandScore(a, b seq.Seq, p Params, w int) Result {
 	s := GetScratch()
 	res := s.staticBand(a, b, p, w, false)
@@ -85,6 +86,17 @@ func (s *Scratch) staticBand(a, b seq.Seq, p Params, w int, traceback bool) Resu
 		}
 	}
 
+	// Query profile: prof[v*n+j-1] is the substitution score of base value
+	// v against b[j-1]. The row loops read one int32 instead of comparing
+	// bases, the precomputation the paper credits for KSW2's speed (§5.1).
+	s.prof = growI32(s.prof, seq.NumBases*n)
+	for v := seq.Base(0); v < seq.NumBases; v++ {
+		row := s.prof[int(v)*n : int(v+1)*n]
+		for j, bv := range b {
+			row[j] = p.Sub(v, bv)
+		}
+	}
+
 	s.hrow = growI32(s.hrow, n+1)
 	s.icol = growI32(s.icol, n+1)
 	hrow := s.hrow
@@ -97,7 +109,7 @@ func (s *Scratch) staticBand(a, b seq.Seq, p Params, w int, traceback bool) Resu
 	for j := 1; j <= h && j <= n; j++ {
 		hrow[j] = -p.GapCost(j)
 	}
-	openCost := p.GapOpen + p.GapExt
+	openCost, ext := p.GapOpen+p.GapExt, p.GapExt
 
 	// Clip certificate: paths leave the |i−j| ≤ h corridor only through an
 	// edge cell — horizontally off the upper edge (i, i+h), vertically (or
@@ -130,43 +142,63 @@ func (s *Scratch) staticBand(a, b seq.Seq, p Params, w int, traceback bool) Resu
 			hleft = hrow[0]
 		}
 		d := NegInf
-		ai := a[i-1]
-		var btRow []uint8
+		// Row i's band cells j = jlo..jhi, indexed from 0; hr[k] still
+		// holds H(i-1, jlo+k) until the cell overwrites it.
+		hr := hrow[jlo : jhi+1]
+		ic := icol[jlo:][:len(hr)]
+		sub := s.prof[int(a[i-1]&3)*n+jlo-1:][:len(hr)]
 		if traceback {
-			btRow = bt[i*width:]
+			btRow := bt[i*width+jlo-i+h:][:len(hr)]
+			for k := range hr {
+				iUp := hr[k] - openCost
+				iExt := ic[k]-ext >= iUp
+				iv := max2(ic[k]-ext, iUp)
+				dLeft := hleft - openCost
+				dExt := d-ext >= dLeft
+				d = max2(d-ext, dLeft)
+				origin := btDiagMismatch
+				if sub[k] == p.Match {
+					origin = btDiagMatch
+				}
+				best := diag + sub[k]
+				if iv > best {
+					best = iv
+					origin = btFromI
+				}
+				if d > best {
+					best = d
+					origin = btFromD
+				}
+				btRow[k] = MakeBTNibble(origin, iExt, dExt)
+				diag = hr[k]
+				hr[k] = best
+				ic[k] = iv
+				hleft = best
+			}
+		} else {
+			for k := range hr {
+				iv := ic[k] - ext
+				if up := hr[k] - openCost; up > iv {
+					iv = up
+				}
+				d -= ext
+				if left := hleft - openCost; left > d {
+					d = left
+				}
+				best := diag + sub[k]
+				if iv > best {
+					best = iv
+				}
+				if d > best {
+					best = d
+				}
+				diag = hr[k]
+				hr[k] = best
+				ic[k] = iv
+				hleft = best
+			}
 		}
-		for j := jlo; j <= jhi; j++ {
-			iUp := hrow[j] - openCost // hrow[j] still holds H(i-1,j)
-			iExt := icol[j]-p.GapExt >= iUp
-			iv := max2(icol[j]-p.GapExt, iUp)
-
-			dLeft := hleft - openCost
-			dExt := d-p.GapExt >= dLeft
-			d = max2(d-p.GapExt, dLeft)
-
-			sub := p.Sub(ai, b[j-1])
-			origin := btDiagMismatch
-			if sub == p.Match {
-				origin = btDiagMatch
-			}
-			best := diag + sub
-			if iv > best {
-				best = iv
-				origin = btFromI
-			}
-			if d > best {
-				best = d
-				origin = btFromD
-			}
-			if traceback {
-				btRow[j-i+h] = MakeBTNibble(origin, iExt, dExt)
-			}
-			diag = hrow[j]
-			hrow[j] = best
-			icol[j] = iv
-			hleft = best
-		}
-		res.Cells += int64(jhi - jlo + 1)
+		res.Cells += int64(len(hr))
 		// Edge potentials of row i (see the certificate above).
 		if j := i + h; j+1 <= n && hrow[j] > NegInf/2 {
 			if pot := hrow[j] + escapeBound(p, m-i, n-j); pot > maxPot {

@@ -7,30 +7,37 @@ import (
 	"pimnw/internal/seq"
 )
 
+// staticModels are the scoring models the static engine's query profile
+// is pinned under: the default and one with another match/mismatch ratio
+// and gap shape.
+var staticModels = []Params{DefaultParams(), {Match: 1, Mismatch: -3, GapOpen: 5, GapExt: 2}}
+
 func TestStaticBandEqualsFullWhenWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	p := DefaultParams()
-	for trial := 0; trial < 30; trial++ {
-		a := seq.Random(rng, rng.Intn(40))
-		b := seq.Random(rng, rng.Intn(40))
-		full := GotohScore(a, b, p).Score
-		banded := StaticBandScore(a, b, p, 2*(len(a)+len(b)+2))
-		if !banded.InBand || banded.Score != full {
-			t.Fatalf("wide static band %d != full %d (a=%v b=%v)", banded.Score, full, a, b)
+	for _, p := range staticModels {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 30; trial++ {
+			a := seq.Random(rng, rng.Intn(40))
+			b := seq.Random(rng, rng.Intn(40))
+			full := GotohScore(a, b, p).Score
+			banded := StaticBandScore(a, b, p, 2*(len(a)+len(b)+2))
+			if !banded.InBand || banded.Score != full {
+				t.Fatalf("%+v: wide static band %d != full %d (a=%v b=%v)", p, banded.Score, full, a, b)
+			}
 		}
 	}
 }
 
 func TestStaticBandNeverBeatsFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	p := DefaultParams()
-	for trial := 0; trial < 40; trial++ {
-		a, b := mutatedPair(rng, 20+rng.Intn(60), 0.2)
-		full := GotohScore(a, b, p).Score
-		for _, w := range []int{4, 8, 16, 64} {
-			banded := StaticBandScore(a, b, p, w)
-			if banded.InBand && banded.Score > full {
-				t.Fatalf("band w=%d score %d beats optimal %d", w, banded.Score, full)
+	for _, p := range staticModels {
+		rng := rand.New(rand.NewSource(32))
+		for trial := 0; trial < 40; trial++ {
+			a, b := mutatedPair(rng, 20+rng.Intn(60), 0.2)
+			full := GotohScore(a, b, p).Score
+			for _, w := range []int{4, 8, 16, 64} {
+				banded := StaticBandScore(a, b, p, w)
+				if banded.InBand && banded.Score > full {
+					t.Fatalf("%+v: band w=%d score %d beats optimal %d", p, w, banded.Score, full)
+				}
 			}
 		}
 	}
@@ -107,9 +114,14 @@ func TestStaticBandEmptyEdges(t *testing.T) {
 	if res.InBand {
 		t.Error("3 deletions outside half-band 2 must fail")
 	}
-	res = StaticBandAlign(nil, nil, p, 8)
-	if !res.InBand || res.Score != 0 {
-		t.Errorf("empty vs empty: %+v", res)
+	res = StaticBandScore(a, nil, p, 8)
+	if !res.InBand || res.Score != -p.GapCost(3) || res.Cigar != nil {
+		t.Errorf("score-only vs empty target: %+v", res)
+	}
+	for _, res := range []Result{StaticBandAlign(nil, nil, p, 8), StaticBandScore(nil, nil, p, 8)} {
+		if !res.InBand || res.Score != 0 {
+			t.Errorf("empty vs empty: %+v", res)
+		}
 	}
 }
 
@@ -322,29 +334,33 @@ func TestAdaptiveCellsBoundedByWorkloadEstimate(t *testing.T) {
 	}
 }
 
+// TestAlignerInterface checks each formulation's score-only and traceback
+// entry points on one clean pair: both reach the optimum, only the
+// traceback one returns a CIGAR, and that CIGAR is valid.
 func TestAlignerInterface(t *testing.T) {
 	p := DefaultParams()
-	aligners := []Aligner{Full{P: p}, StaticBand{P: p, W: 64}, AdaptiveBand{P: p, W: 64}}
 	rng := rand.New(rand.NewSource(50))
 	a, b := mutatedPair(rng, 60, 0.05)
 	want := GotohScore(a, b, p).Score
-	for _, al := range aligners {
-		if al.Name() == "" {
-			t.Errorf("%T: empty name", al)
+	for _, e := range []struct {
+		name         string
+		score, align Result
+	}{
+		{"full-gotoh", GotohScore(a, b, p), GotohAlign(a, b, p)},
+		{"static-band", StaticBandScore(a, b, p, 64), StaticBandAlign(a, b, p, 64)},
+		{"adaptive-band", AdaptiveBandScore(a, b, p, 64), AdaptiveBandAlign(a, b, p, 64)},
+	} {
+		if e.score.Score != want {
+			t.Errorf("%s score-only = %d, want %d", e.name, e.score.Score, want)
 		}
-		res := al.Align(a, b, false)
-		if res.Score != want {
-			t.Errorf("%s score-only = %d, want %d", al.Name(), res.Score, want)
+		if e.score.Cigar != nil {
+			t.Errorf("%s: score-only returned a cigar", e.name)
 		}
-		if res.Cigar != nil {
-			t.Errorf("%s: score-only returned a cigar", al.Name())
+		if e.align.Score != want || e.align.Cigar == nil {
+			t.Errorf("%s traceback = %+v", e.name, e.align)
 		}
-		res = al.Align(a, b, true)
-		if res.Score != want || res.Cigar == nil {
-			t.Errorf("%s traceback = %+v", al.Name(), res)
-		}
-		if err := res.Cigar.Validate(a, b); err != nil {
-			t.Errorf("%s: %v", al.Name(), err)
+		if err := e.align.Cigar.Validate(a, b); err != nil {
+			t.Errorf("%s: %v", e.name, err)
 		}
 	}
 }

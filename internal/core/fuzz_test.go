@@ -48,7 +48,8 @@ func FuzzLinearVsQuadratic(f *testing.F) {
 // open. escapeBound charges an escaping path's remaining length difference
 // a full GapCost, but the path may already be inside that gap at the band
 // edge, so exact soundness is off by GapOpen. It covers the default
-// (narrow-first) entry points, the full-width engine and the static band.
+// (narrow-first) entry points, the full-width engine and both static-band
+// entry points, whose score and Clipped must agree.
 func FuzzBandedNeverBeatsOptimal(f *testing.F) {
 	f.Add([]byte("ACGTACGT"), []byte("ACGAACGT"), uint8(8))
 	f.Add([]byte("AAAA"), []byte("TTTTTTTT"), uint8(4))
@@ -61,12 +62,15 @@ func FuzzBandedNeverBeatsOptimal(f *testing.F) {
 		w := 2 + int(wRaw)%64
 		p := DefaultParams()
 		opt := GotohScore(a, b, p).Score
+		static := StaticBandScore(a, b, p, w)
+		staticAlign := StaticBandAlign(a, b, p, w)
 		align := AdaptiveBandAlign(a, b, p, w)
 		for _, e := range []struct {
 			name string
 			res  Result
 		}{
-			{"static", StaticBandScore(a, b, p, w)},
+			{"static", static},
+			{"static-align", staticAlign},
 			{"adaptive", AdaptiveBandScore(a, b, p, w)},
 			{"adaptive-wide", AdaptiveBandScoreWide(a, b, p, w)},
 			{"adaptive-align", align},
@@ -81,12 +85,23 @@ func FuzzBandedNeverBeatsOptimal(f *testing.F) {
 				t.Fatalf("%s band w=%d: unclipped score %d more than a gap open below optimal %d", e.name, w, e.res.Score, opt)
 			}
 		}
-		if align.Cigar != nil {
-			if err := align.Cigar.Validate(a, b); err != nil {
-				t.Fatalf("adaptive cigar invalid: %v", err)
+		// The static engine's two row loops are one recurrence.
+		if staticAlign.InBand != static.InBand || staticAlign.Score != static.Score || staticAlign.Clipped != static.Clipped {
+			t.Fatalf("static w=%d: align %d (in band %v, clipped %v), score-only %d (%v, %v)", w,
+				staticAlign.Score, staticAlign.InBand, staticAlign.Clipped, static.Score, static.InBand, static.Clipped)
+		}
+		for _, e := range []struct {
+			name string
+			res  Result
+		}{{"static", staticAlign}, {"adaptive", align}} {
+			if e.res.Cigar == nil {
+				continue
 			}
-			if got := ScoreFromCigar(align.Cigar, p); got != align.Score {
-				t.Fatalf("cigar implies %d, scored %d", got, align.Score)
+			if err := e.res.Cigar.Validate(a, b); err != nil {
+				t.Fatalf("%s cigar invalid: %v", e.name, err)
+			}
+			if got := ScoreFromCigar(e.res.Cigar, p); got != e.res.Score {
+				t.Fatalf("%s cigar implies %d, scored %d", e.name, got, e.res.Score)
 			}
 		}
 	})

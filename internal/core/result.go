@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pimnw/internal/cigar"
-	"pimnw/internal/seq"
-)
+import "pimnw/internal/cigar"
 
 // Result is the outcome of one pairwise global alignment.
 type Result struct {
@@ -43,67 +40,4 @@ type Result struct {
 	// Clipped: a narrow result without it is bit-identical to the wide
 	// engine's.
 	Overflowed bool
-}
-
-// Aligner is the common interface over the four DP formulations; the CPU
-// baseline and the experiment harness are written against it.
-type Aligner interface {
-	// Align computes the global alignment of query a against target b.
-	// When traceback is false only the score is produced (the 16S
-	// experiment's mode); implementations skip building the BT structure.
-	Align(a, b seq.Seq, traceback bool) Result
-	// Name identifies the formulation in experiment tables.
-	Name() string
-}
-
-// Full is the exact O(m·n) affine-gap aligner (equations 3–5).
-type Full struct{ P Params }
-
-// Name implements Aligner.
-func (f Full) Name() string { return "full-gotoh" }
-
-// Align implements Aligner.
-func (f Full) Align(a, b seq.Seq, traceback bool) Result {
-	if traceback {
-		return GotohAlign(a, b, f.P)
-	}
-	return GotohScore(a, b, f.P)
-}
-
-// StaticBand is the fixed-band aligner (§3.3), the formulation minimap2's
-// KSW2 kernel implements; it is the CPU baseline's engine.
-type StaticBand struct {
-	P Params
-	// W is the band size: the number of cells computed per row,
-	// window |i-j| ≤ W/2.
-	W int
-}
-
-// Name implements Aligner.
-func (s StaticBand) Name() string { return "static-band" }
-
-// Align implements Aligner.
-func (s StaticBand) Align(a, b seq.Seq, traceback bool) Result {
-	if traceback {
-		return StaticBandAlign(a, b, s.P, s.W)
-	}
-	return StaticBandScore(a, b, s.P, s.W)
-}
-
-// AdaptiveBand is the paper's aligner: a W-cell anti-diagonal window that
-// shifts right or down to follow the highest-scoring path (§3.4).
-type AdaptiveBand struct {
-	P Params
-	W int
-}
-
-// Name implements Aligner.
-func (a AdaptiveBand) Name() string { return "adaptive-band" }
-
-// Align implements Aligner.
-func (ab AdaptiveBand) Align(a, b seq.Seq, traceback bool) Result {
-	if traceback {
-		return AdaptiveBandAlign(a, b, ab.P, ab.W)
-	}
-	return AdaptiveBandScore(a, b, ab.P, ab.W)
 }

@@ -10,7 +10,7 @@ import (
 // four w-sized anti-diagonal lanes of §4.2.1 (held as rotating buffers,
 // full-width and 16-bit packed), the window-offset vector, the traceback
 // arena, the one-base-per-lane operand buffers, and the row-major lanes of
-// the static and full aligners. Every buffer grows
+// the static and full aligners with the static aligner's query profile. Every buffer grows
 // monotonically and is reused across calls, so a worker that threads one
 // Scratch through repeated alignments performs zero engine allocations in
 // steady state (a property the tests assert with testing.AllocsPerRun).
@@ -41,8 +41,9 @@ type Scratch struct {
 	// it does not zero (banded_narrow.go).
 	bt []byte
 
-	// Row-major lanes shared by the static-band and Gotoh engines.
-	hrow, icol []int32
+	// Row-major lanes shared by the static-band and Gotoh engines, and
+	// the static engine's query profile (seq.NumBases rows of len(b)).
+	hrow, icol, prof []int32
 }
 
 // NewScratch returns an empty arena; buffers are grown on first use.

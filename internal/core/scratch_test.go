@@ -7,7 +7,7 @@ import (
 )
 
 // TestEngineScratchReuse runs one Scratch across alternating sizes, widths,
-// modes and both engines — stale lane contents, a shrunken offset vector
+// modes and the adaptive and static engines — stale lane contents, a shrunken offset vector
 // or a dirty BT arena from the previous call (the narrow engine leaves its
 // traceback rows unzeroed) must not leak into the next result, which must
 // equal a fresh Scratch's on every field and the window trajectory.
@@ -32,6 +32,20 @@ func TestEngineScratchReuse(t *testing.T) {
 		want, wantOff := NewScratch().adaptiveBand(a, b, p, j.w, j.tb)
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOff, wantOff) {
 			t.Fatalf("reused scratch diverged at n=%d w=%d tb=%v:\n got  %+v\n want %+v", j.n, j.w, j.tb, got, want)
+		}
+	}
+	// The static engine's query profile is len(b) wide: long → short →
+	// long changes its stride between calls on the same Scratch.
+	static := []job{
+		{900, 128, false}, {40, 16, true}, {700, 64, true}, {30, 8, false}, {900, 256, false}, {60, 32, true},
+	}
+	for _, j := range static {
+		a, b := mutatedPair(rng, j.n, 0.1)
+		p := DefaultParams()
+		got := s.staticBand(a, b, p, j.w, j.tb)
+		want := NewScratch().staticBand(a, b, p, j.w, j.tb)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused scratch diverged in the static engine at n=%d w=%d tb=%v:\n got  %+v\n want %+v", j.n, j.w, j.tb, got, want)
 		}
 	}
 }
