@@ -30,5 +30,6 @@ fuzz ./internal/core FuzzBandedNeverBeatsOptimal
 fuzz ./internal/core FuzzNarrowWideEquivalence
 fuzz ./internal/admission/config FuzzAdmissionConfig
 fuzz ./internal/cache FuzzWALRecordRoundTrip
+fuzz ./cmd/alignd FuzzPairDecoder
 
 echo "FUZZ SMOKE PASS"

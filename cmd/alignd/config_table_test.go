@@ -15,7 +15,7 @@ import (
 	"pimnw/internal/admission/config"
 )
 
-var update = flag.Bool("update", false, "rewrite cmd/alignd/testdata/flags.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the goldens under cmd/alignd/testdata from the current code")
 
 // TestFlagSetGolden pins alignd's flag surface — every flag's name and
 // default — against the set captured before the flags were generated

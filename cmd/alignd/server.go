@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"pimnw/internal/admission/config"
 	"pimnw/internal/host"
 	"pimnw/internal/obs"
-	"pimnw/internal/seq"
 )
 
 // wirePair is one alignment request item.
@@ -62,18 +60,6 @@ func toWireResult(r host.Result, traceID string) wireResult {
 		TraceID:    traceID,
 		Cached:     r.Cached,
 	}
-}
-
-func toHostPair(p wirePair) (host.Pair, error) {
-	a, err := seq.FromString(p.A, nil)
-	if err != nil {
-		return host.Pair{}, fmt.Errorf("pair %d, sequence a: %w", p.ID, err)
-	}
-	b, err := seq.FromString(p.B, nil)
-	if err != nil {
-		return host.Pair{}, fmt.Errorf("pair %d, sequence b: %w", p.ID, err)
-	}
-	return host.Pair{ID: p.ID, A: a, B: b}, nil
 }
 
 // server owns the session template and the admission stack. A request
@@ -346,7 +332,8 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 	// The response streams while the request body is still being read;
 	// HTTP/1 needs full-duplex opted in (no-op where unsupported).
-	http.NewResponseController(w).EnableFullDuplex()
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
 
 	dec := newPairDecoder(r.Body)
 	first, err := dec.next()
@@ -354,11 +341,6 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		return
 	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("decoding pairs: %v", err), http.StatusBadRequest)
-		return
-	}
-	fp, err := toHostPair(first)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -368,7 +350,7 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if err := s.Submit(fp); err != nil {
+	if err := s.Submit(first); err != nil {
 		s.Close()
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -383,17 +365,27 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		submitErr <- submitRest(s, dec)
 	}()
 
+	// The first line is flushed at once (time to first result); after it,
+	// lines wait in the response buffer while more results are ready, and
+	// one flush sends each burst when the next result is not.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	fl, _ := w.(http.Flusher)
-	for res := range s.Results() {
+	results := s.Results()
+	res, open := <-results
+	for first := true; open; first = false {
 		wr := toWireResult(res, tid)
 		wr.Degraded = plan.degraded
 		if enc.Encode(wr) != nil {
 			break // client went away; session cleanup follows via r.Context()
 		}
-		if fl != nil {
-			fl.Flush()
+		select {
+		case res, open = <-results:
+			if first {
+				rc.Flush()
+			}
+		default:
+			rc.Flush()
+			res, open = <-results
 		}
 	}
 	err = <-submitErr
@@ -404,6 +396,7 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		// Too late for a status code; the trailing line carries the error.
 		enc.Encode(wireResult{TraceID: tid, Err: err.Error()})
 	}
+	rc.Flush()
 	sv.observeRequest(tid, start, s)
 }
 
@@ -449,14 +442,10 @@ func (sv *server) observeRequest(tid string, start time.Time, s *host.Session) {
 
 func submitRest(s *host.Session, dec *pairDecoder) error {
 	for {
-		wp, err := dec.next()
+		p, err := dec.next()
 		if err == io.EOF {
 			return nil
 		}
-		if err != nil {
-			return fmt.Errorf("decoding pairs: %w", err)
-		}
-		p, err := toHostPair(wp)
 		if err != nil {
 			return err
 		}
@@ -464,49 +453,4 @@ func submitRest(s *host.Session, dec *pairDecoder) error {
 			return err
 		}
 	}
-}
-
-// pairDecoder reads request pairs from either a JSON array or an NDJSON
-// stream, decided by the first non-space byte.
-type pairDecoder struct {
-	dec   *json.Decoder
-	array bool
-	err   error
-}
-
-func newPairDecoder(r io.Reader) *pairDecoder {
-	br := bufio.NewReader(r)
-	for {
-		b, err := br.Peek(1)
-		if err != nil {
-			return &pairDecoder{err: io.EOF}
-		}
-		switch b[0] {
-		case ' ', '\t', '\n', '\r':
-			br.Discard(1)
-			continue
-		}
-		d := &pairDecoder{dec: json.NewDecoder(br), array: b[0] == '['}
-		if d.array {
-			if _, err := d.dec.Token(); err != nil { // consume '['
-				d.err = err
-			}
-		}
-		return d
-	}
-}
-
-func (d *pairDecoder) next() (wirePair, error) {
-	if d.err != nil {
-		return wirePair{}, d.err
-	}
-	if d.array && !d.dec.More() {
-		return wirePair{}, io.EOF
-	}
-	var p wirePair
-	if err := d.dec.Decode(&p); err != nil {
-		d.err = err
-		return wirePair{}, err
-	}
-	return p, nil
 }

@@ -8,6 +8,7 @@ package seq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -36,21 +37,26 @@ func (b Base) Char() byte { return baseToChar[b&3] }
 // String implements fmt.Stringer.
 func (b Base) String() string { return string(baseToChar[b&3]) }
 
+// charCode maps every byte to isBase|code for the letters A, C, G, T in
+// either case, to isN for the ambiguity code N, and to 0 for any other
+// byte, so the table is a plain literal.
+var charCode = [256]uint8{
+	'A': isBase | 0, 'a': isBase | 0, 'C': isBase | 1, 'c': isBase | 1,
+	'G': isBase | 2, 'g': isBase | 2, 'T': isBase | 3, 't': isBase | 3,
+	'N': isN, 'n': isN,
+}
+
+const (
+	isBase = 0x80
+	isN    = 0x40
+)
+
 // BaseFromChar converts an ASCII nucleotide letter (upper or lower case) to
 // its 2-bit code. It reports ok=false for any other character, including the
 // ambiguity code 'N' (see ResolveN for the policy the paper applies to Ns).
 func BaseFromChar(c byte) (b Base, ok bool) {
-	switch c {
-	case 'A', 'a':
-		return A, true
-	case 'C', 'c':
-		return C, true
-	case 'G', 'g':
-		return G, true
-	case 'T', 't':
-		return T, true
-	}
-	return 0, false
+	v := charCode[c]
+	return Base(v & 3), v&isBase != 0
 }
 
 // Seq is an unpacked DNA sequence, one base per element.
@@ -62,23 +68,54 @@ type Seq []Base
 // not affect alignment results). rng may be nil if the input has no Ns, in
 // which case an N is an error.
 func FromString(s string, rng *rand.Rand) (Seq, error) {
-	out := make(Seq, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if b, ok := BaseFromChar(c); ok {
-			out = append(out, b)
-			continue
-		}
-		if c == 'N' || c == 'n' {
-			if rng == nil {
-				return nil, fmt.Errorf("seq: ambiguous base N at position %d and no RNG to resolve it", i)
-			}
-			out = append(out, Base(rng.Intn(NumBases)))
-			continue
-		}
-		return nil, fmt.Errorf("seq: invalid character %q at position %d", c, i)
+	out, err := appendText(make(Seq, 0, len(s)), s, rng)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// AppendBytes appends the bases spelled by text to s, resolving Ns as
+// FromString does. An error gives the offending byte's position in the
+// grown sequence, and the Seq returned with it holds the bases before
+// that byte.
+func AppendBytes(s Seq, text []byte, rng *rand.Rand) (Seq, error) {
+	return appendText(s, text, rng)
+}
+
+// appendText is the one decoding loop behind FromString and AppendBytes.
+// A run of eight plain bases costs eight table loads and one test; any
+// other byte takes the one-byte path.
+func appendText[T string | []byte](s Seq, text T, rng *rand.Rand) (Seq, error) {
+	n := len(s)
+	s = slices.Grow(s, len(text))[:n+len(text)]
+	out := s[n:]
+	for i := 0; i < len(text); {
+		if i+8 <= len(text) {
+			t, o := text[i:i+8], out[i:i+8]
+			c0, c1, c2, c3 := charCode[t[0]], charCode[t[1]], charCode[t[2]], charCode[t[3]]
+			c4, c5, c6, c7 := charCode[t[4]], charCode[t[5]], charCode[t[6]], charCode[t[7]]
+			if c0&c1&c2&c3&c4&c5&c6&c7&isBase != 0 {
+				o[0], o[1], o[2], o[3] = Base(c0&3), Base(c1&3), Base(c2&3), Base(c3&3)
+				o[4], o[5], o[6], o[7] = Base(c4&3), Base(c5&3), Base(c6&3), Base(c7&3)
+				i += 8
+				continue
+			}
+		}
+		v := charCode[text[i]]
+		if v&isBase == 0 {
+			if v != isN {
+				return s[:n+i], fmt.Errorf("seq: invalid character %q at position %d", text[i], n+i)
+			}
+			if rng == nil {
+				return s[:n+i], fmt.Errorf("seq: ambiguous base N at position %d and no RNG to resolve it", n+i)
+			}
+			v = uint8(rng.Intn(NumBases))
+		}
+		out[i] = Base(v & 3)
+		i++
+	}
+	return s, nil
 }
 
 // MustFromString is FromString for test and example literals; it panics on

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -250,5 +251,59 @@ func TestReadFASTAMultiline(t *testing.T) {
 	}
 	if recs[1].Seq.String() != "GG" {
 		t.Errorf("r2 = %q", recs[1].Seq.String())
+	}
+}
+
+// TestCharTableMatchesAlphabet checks the byte table against the alphabet
+// spelled out: every byte, both cases, N and nothing else.
+func TestCharTableMatchesAlphabet(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		want, wantOK := Base(0), false
+		if i := strings.IndexByte("ACGT", byte(c)&^0x20); i >= 0 {
+			want, wantOK = Base(i), true
+		}
+		if b, ok := BaseFromChar(byte(c)); b != want || ok != wantOK {
+			t.Errorf("BaseFromChar(%q) = %v, %v; want %v, %v", byte(c), b, ok, want, wantOK)
+		}
+	}
+}
+
+// TestAppendBytesChunked: decoding a string in pieces gives FromString's
+// bases, its N draws and its error, with positions counted over the whole
+// sequence.
+func TestAppendBytesChunked(t *testing.T) {
+	for _, in := range []string{"ACGTacgtNNacgT", "ACGTAC-GT", "ACGTACGN", ""} {
+		want, wantErr := FromString(in, nil)
+		wantN, _ := FromString(in, rand.New(rand.NewSource(3)))
+		for cut := 0; cut <= len(in); cut++ {
+			got, err := AppendBytes(nil, []byte(in[:cut]), nil)
+			if err == nil {
+				got, err = AppendBytes(got, []byte(in[cut:]), nil)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !got.Equal(want)) {
+				t.Fatalf("%q cut at %d = %v, %v; want %v, %v", in, cut, got, err, want, wantErr)
+			}
+			if err != nil && strings.IndexFunc(in, func(r rune) bool { return !strings.ContainsRune("ACGTacgt", r) }) != len(got) {
+				t.Fatalf("%q cut at %d: %d bases before the error", in, cut, len(got))
+			}
+			rng := rand.New(rand.NewSource(3))
+			got, err = AppendBytes(Seq{}, []byte(in[:cut]), rng)
+			if err == nil {
+				got, err = AppendBytes(got, []byte(in[cut:]), rng)
+			}
+			if (err == nil) != (wantN != nil) || (err == nil && !got.Equal(wantN)) {
+				t.Fatalf("%q cut at %d with an RNG = %v, %v; want %v", in, cut, got, err, wantN)
+			}
+		}
+	}
+}
+
+func BenchmarkFromString(b *testing.B) {
+	text := Random(rand.New(rand.NewSource(1)), 1000).String()
+	b.SetBytes(int64(len(text)))
+	for i := 0; i < b.N; i++ {
+		if _, err := FromString(text, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,13 +3,15 @@ package pimnw_test
 // ci/trajectory.ndjson is the committed performance trajectory: one row
 // per change that claimed or recorded end-to-end benchmark medians, with
 // the parent and change medians as that change's notes quoted them.
-// TestTrajectoryRows keeps the file well-formed against BENCHMARK.json
-// and runs no git; TestTrajectoryLastRowIsAncestor checks the newest row's
-// commit against the git history and skips where there is none.
+// TestTrajectoryRows keeps the file well-formed against BENCHMARK.json and
+// checks each row but the newest against the git history;
+// TestTrajectoryLastRowIsAncestor checks the newest row's commit. The git
+// checks skip where there is no history to read.
 
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
@@ -56,7 +58,8 @@ func TestTrajectoryRows(t *testing.T) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 1<<20)
-	lastPR, rows := 0, 0
+	lastPR := 0
+	var rows []trajectoryRow
 	for line := 1; sc.Scan(); line++ {
 		var r trajectoryRow
 		dec := json.NewDecoder(strings.NewReader(sc.Text()))
@@ -64,7 +67,7 @@ func TestTrajectoryRows(t *testing.T) {
 		if err := dec.Decode(&r); err != nil {
 			t.Fatalf("line %d: %v", line, err)
 		}
-		rows++
+		rows = append(rows, r)
 		if r.PR <= lastPR {
 			t.Errorf("line %d: pr %d does not follow pr %d", line, r.PR, lastPR)
 		}
@@ -99,15 +102,42 @@ func TestTrajectoryRows(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rows == 0 {
+	if len(rows) == 0 {
 		t.Fatal("ci/trajectory.ndjson has no rows")
 	}
+
+	// A row is written before its own commit exists, so the newest row
+	// carries an older sha until the next change replaces it; every other
+	// row must name the commit that landed its change.
+	t.Run("commits", func(t *testing.T) {
+		git := gitHistory(t)
+		out, err := exec.Command(git, "log", "--format=%H %s", "HEAD").Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects := map[string]string{} // full sha -> subject
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			sha, subject, _ := strings.Cut(line, " ")
+			subjects[sha] = subject
+		}
+		for _, r := range rows[:len(rows)-1] {
+			var found []string
+			for sha, subject := range subjects {
+				if strings.HasPrefix(sha, r.SHA) {
+					found = append(found, subject)
+				}
+			}
+			if want := fmt.Sprintf("PR %d:", r.PR); len(found) != 1 || !strings.HasPrefix(found[0], want) {
+				t.Errorf("pr %d: sha %s names commits %q, want the one whose subject starts %q", r.PR, r.SHA, found, want)
+			}
+		}
+	})
 }
 
-// TestTrajectoryLastRowIsAncestor: the newest row's sha must be a commit
-// this checkout descends from. A row is written before its own commit
-// exists, so it carries its parent's sha until a later change replaces it.
-func TestTrajectoryLastRowIsAncestor(t *testing.T) {
+// gitHistory returns the git binary, skipping the test where git or a
+// full history is missing.
+func gitHistory(t *testing.T) string {
+	t.Helper()
 	git, err := exec.LookPath("git")
 	if err != nil {
 		t.Skip("git not installed")
@@ -119,6 +149,14 @@ func TestTrajectoryLastRowIsAncestor(t *testing.T) {
 	if strings.TrimSpace(string(out)) == "true" {
 		t.Skip("shallow checkout: the history may not reach the row's commit")
 	}
+	return git
+}
+
+// TestTrajectoryLastRowIsAncestor: the newest row's sha must be a commit
+// this checkout descends from. A row is written before its own commit
+// exists, so it carries its parent's sha until a later change replaces it.
+func TestTrajectoryLastRowIsAncestor(t *testing.T) {
+	git := gitHistory(t)
 	raw, err := os.ReadFile("ci/trajectory.ndjson")
 	if err != nil {
 		t.Fatal(err)
