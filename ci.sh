@@ -9,23 +9,28 @@
 #                         ./internal/core, its only end-to-end run: on
 #                         amd64 the portable window loop runs only as the
 #                         oracle of TestNarrowStepAsmMatchesPortable)
-#   3. go build ./...
-#   4. go test -race ./...
-#   5. golden reports x5 (the report goldens and the session
+#   3. arm64 FMA check   (the arm64 compiler may fuse a float multiply
+#                         and add into one instruction that rounds once,
+#                         which can move modelled seconds in the last bit;
+#                         the simulator, host and projection packages must
+#                         compile to none, so every architecture prints
+#                         amd64's numbers)
+#   4. go build ./...
+#   5. go test -race ./...
+#   6. golden reports x5 (the report goldens and the session
 #                         determinism test again, five times under -race:
 #                         a report that depends on goroutine schedule,
 #                         batch size or linger must fail here, not one
 #                         run in four)
-#   6. benchmark smoke   (every benchmark compiles and runs once)
-#   7. allocation gate   (core-engine allocs/op must not exceed the
+#   7. benchmark smoke   (every benchmark compiles and runs once)
+#   8. allocation gate   (core-engine allocs/op must not exceed the
 #                         committed baseline; see cmd/benchgate)
-#   8. alignd smoke      (serve over HTTP, diff against the one-shot
+#   9. alignd smoke      (serve over HTTP, diff against the one-shot
 #                         CLI, all-against-all under fleet and faults,
 #                         draining healthz, graceful SIGTERM drain; see
-#                         ci/alignd_smoke.sh)
-#   9. loadgen smoke     (overload the admission stack: shed ladder
-#                         engages and releases, zero unlabelled
-#                         degradations; see ci/loadgen_smoke.sh)
+#                         ci/alignd_smoke.sh; the shed ladder and cache
+#                         latency under load are TestServerUnderLoad in
+#                         step 5)
 #  10. code-size table    (informational, never fails: non-test Go code
 #                         lines per package; see ci/loc.sh)
 #
@@ -51,6 +56,16 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/core
 GOARCH=386 go test -short ./internal/core
 
+echo "== arm64 FMA check =="
+# The -S listing is replayed from the build cache, so this is cheap.
+asm="${TMPDIR:-/tmp}/pimnw_arm64_asm.txt"
+GOARCH=arm64 go build -gcflags=-S ./internal/pim ./internal/host ./internal/xp > "$asm" 2>&1
+if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$asm" >&2; then
+    echo "fused multiply-add on arm64: round the product with float64(...)" >&2
+    exit 1
+fi
+rm -f "$asm"
+
 echo "== go build =="
 go build ./...
 
@@ -75,9 +90,6 @@ go run ./cmd/benchgate -allocs-only -count=1 -benchtime=60x \
 
 echo "== alignd smoke =="
 ./ci/alignd_smoke.sh
-
-echo "== loadgen smoke =="
-./ci/loadgen_smoke.sh
 
 echo "== code size (informational) =="
 ./ci/loc.sh || true

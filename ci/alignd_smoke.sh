@@ -3,7 +3,8 @@
 # alignd and pimalign, start the daemon on a random port, align a small
 # generated dataset over HTTP, diff the streamed output against the
 # one-shot CLI's (they must match line for line), then SIGTERM the
-# daemon and require a graceful exit 0. Before the daemon starts, the
+# daemon and require a graceful exit 0. First, -check-config must echo
+# a config file's values in canonical form. Before the daemon starts, the
 # one-shot CLI's all-against-all mode is held to the pipeline's contract:
 # placement and injected faults never change an answer, and a traceback
 # run prints the same bytes under -lanes auto and -lanes 64.
@@ -25,6 +26,35 @@ echo "== build =="
 go build -o "$WORK/alignd" ./cmd/alignd
 go build -o "$WORK/pimalign" ./cmd/pimalign
 go build -o "$WORK/datagen" ./cmd/datagen
+
+echo "== config =="
+# -check-config validates the file plus flags and prints the effective
+# config in canonical form, without serving.
+cat > "$WORK/align.yaml" <<'EOF'
+server:
+  addr: "127.0.0.1:0"
+  drain_wait: 200ms
+align:
+  ranks: 1
+  verify: true
+queues:
+  slots: 1
+  interactive: 2
+  bulk: 2
+shed:
+  sample_interval: 10ms
+  high_water: 0.7
+  low_water: 0.3
+  raise_after: 3
+  release_after: 5
+EOF
+
+"$WORK/alignd" -config "$WORK/align.yaml" -check-config > "$WORK/canonical.yaml"
+grep -q '^queues:' "$WORK/canonical.yaml" || {
+    echo "-check-config output missing the queues section" >&2; exit 1; }
+grep -q '  slots: 1' "$WORK/canonical.yaml" || {
+    echo "-check-config did not reflect the config file's slots" >&2
+    cat "$WORK/canonical.yaml" >&2; exit 1; }
 
 echo "== dataset =="
 "$WORK/datagen" -dataset s1000 -scale 0.00002 -seed 7 -out "$WORK"

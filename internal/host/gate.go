@@ -297,7 +297,7 @@ func (g *Gate) drainPerSecLocked(now time.Time) float64 {
 	} else if frac > 1 {
 		frac = 1
 	}
-	return (g.prevCount*(1-frac) + g.winCount) / gateDrainWindow.Seconds()
+	return (float64(g.prevCount*(1-frac)) + g.winCount) / gateDrainWindow.Seconds()
 }
 
 // RetryAfter computes the honest backoff hint for a refused request:

@@ -550,8 +550,8 @@ func (r *Report) fold(src *Report, secOff float64, rankOff int) {
 	r.Counters.Add(&src.Counters)
 	if src.Batches > 0 {
 		total := r.Batches + src.Batches
-		r.UtilizationMean = (r.UtilizationMean*float64(r.Batches) +
-			src.UtilizationMean*float64(src.Batches)) / float64(total)
+		r.UtilizationMean = (float64(r.UtilizationMean*float64(r.Batches)) +
+			float64(src.UtilizationMean*float64(src.Batches))) / float64(total)
 		r.Batches = total
 	}
 	if src.UtilizationMin < r.UtilizationMin {

@@ -309,7 +309,7 @@ func scheduleTimeline(cfg Config, execs []batchExec, rep *Report) {
 	// directions well enough that modelling them as separate channels
 	// matches the measured behaviour better than one global bus lock.
 	busInFree, busOutFree := 0.0, 0.0
-	launch := cfg.PIM.RankLaunchOverheadUS * 1e-6
+	launch := float64(cfg.PIM.RankLaunchOverheadUS * 1e-6)
 	var makespan, utilSum float64
 	for bi := range execs {
 		ex := &execs[bi]

@@ -145,8 +145,8 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 		if shift > maxBackoffShift {
 			shift = maxBackoffShift
 		}
-		backoff := cfg.RetryBackoffSec * float64(int64(1)<<shift) *
-			(1 + 0.5*faults.Jitter(batch, attempt))
+		backoff := float64(cfg.RetryBackoffSec * float64(int64(1)<<shift) *
+			(1 + float64(0.5*faults.Jitter(batch, attempt))))
 		// The backoff interval is pure waiting: charging it to kernelSec
 		// would inflate reported kernel time with fault-rate-dependent
 		// idle time and push HostOverheadFraction negative.

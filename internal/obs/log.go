@@ -26,7 +26,7 @@ import (
 //
 // — one object per line, fields in call order after the fixed header, so
 // a serving deployment can ship logs straight into a structured pipeline
-// and join them on trace_id. Info/Debug carry explicit key/value fields;
+// and join them on trace_id. Info carries explicit key/value fields;
 // Logf/Debugf keep their printf contract and render with just the fixed
 // header. All logger state (sink, prefix, format, scratch buffer) is read
 // and written under one mutex, so concurrent loggers, SetLogOutput and
@@ -67,9 +67,6 @@ func SetLogJSON(on bool) {
 // SetVerbosity sets the log level: 0 shows Logf only, >=1 adds Debugf.
 func SetVerbosity(v int) { verbosity.Store(int32(v)) }
 
-// Verbosity reports the current log level.
-func Verbosity() int { return int(verbosity.Load()) }
-
 // Logf prints one status line (level 0, always shown).
 func Logf(format string, args ...any) { emit("info", fmt.Sprintf(format, args...), nil) }
 
@@ -86,14 +83,6 @@ func Debugf(format string, args ...any) {
 // render as trailing key=value columns; in JSON mode each becomes an
 // object member after the fixed header.
 func Info(msg string, kv ...any) { emit("info", msg, kv) }
-
-// Debug is Info at verbosity >= 1.
-func Debug(msg string, kv ...any) {
-	if verbosity.Load() < 1 {
-		return
-	}
-	emit("debug", msg, kv)
-}
 
 // emit renders and writes one line. The whole render happens under logMu
 // so sink, prefix and format are read consistently and concurrent lines

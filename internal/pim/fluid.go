@@ -74,8 +74,8 @@ func FluidSimulate(run *DPURun) (DPUStats, error) {
 
 		now += dt
 		aggRate := float64(k) * perTaskletRate // = min(k/11, 1)
-		issueIntegral += aggRate * dt
-		barrierIntegral += float64(nb) * dt
+		issueIntegral += float64(aggRate * dt)
+		barrierIntegral += float64(float64(nb) * dt)
 		if dmaActive >= 0 {
 			dmaIntegral += dt
 		}
@@ -86,7 +86,7 @@ func FluidSimulate(run *DPURun) (DPUStats, error) {
 			t := &s.ts[i]
 			switch t.state {
 			case stExec:
-				t.remaining -= perTaskletRate * dt
+				t.remaining -= float64(perTaskletRate * dt)
 				if t.remaining < eps {
 					s.advance(i)
 				}

@@ -98,7 +98,7 @@ func projectPairs(pimCfg pim.Config, cal calibration, fullPairs int64, pairBases
 	if nBatches < 1 {
 		nBatches = 1
 	}
-	bytesInPerPair := pairBases/4 + 24 // 2-bit packed + descriptor
+	bytesInPerPair := float64(pairBases/4) + 24 // 2-bit packed + descriptor
 	kernelSecPerPair := cal.secPerBase * pairBases
 	bytesOutPerPair := cal.bytesOutPerBase * pairBases
 
@@ -119,7 +119,7 @@ func projectPairs(pimCfg pim.Config, cal calibration, fullPairs int64, pairBases
 		}
 	}
 	rep := host.Project(host.Config{PIM: pimCfg}, batches)
-	rep.MakespanSec += float64(fullPairs) * hostPerPairSec
+	rep.MakespanSec += float64(float64(fullPairs) * hostPerPairSec)
 	return rep
 }
 
@@ -127,11 +127,11 @@ func projectPairs(pimCfg pim.Config, cal calibration, fullPairs int64, pairBases
 // dataset broadcast, a static equal split of the comparisons, score-only.
 func projectBroadcast(pimCfg pim.Config, cal calibration, fullPairs int64, pairBases float64, datasetBytes int64) float64 {
 	perDPU := float64(fullPairs) / float64(pimCfg.DPUs())
-	kernelSec := perDPU * cal.secPerBase * pairBases
+	kernelSec := float64(perDPU * cal.secPerBase * pairBases)
 	transfer := pimCfg.HostTransferSeconds(datasetBytes)
 	collect := pimCfg.HostTransferSeconds(int64(float64(fullPairs) * 16))
-	launch := pimCfg.RankLaunchOverheadUS * 1e-6
-	return transfer + launch + kernelSec + collect + float64(fullPairs)*hostPerResultSec
+	launch := float64(pimCfg.RankLaunchOverheadUS * 1e-6)
+	return transfer + launch + kernelSec + collect + float64(float64(fullPairs)*hostPerResultSec)
 }
 
 // ranksConfig is the default PiM system restricted to a rank count.
