@@ -1,9 +1,11 @@
 package main
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 
@@ -45,7 +47,7 @@ func (sv *server) adminAuth(h http.HandlerFunc) http.HandlerFunc {
 			if got == "" {
 				got = strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
 			}
-			if got != token {
+			if subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
 				http.Error(w, "admin token required", http.StatusUnauthorized)
 				return
 			}
@@ -109,8 +111,7 @@ func (sv *server) reloadConfig(body []byte) error {
 	}
 	sv.cfg.Store(next)
 	obs.Default().Counter("alignd_config_reloads_total").Add(1)
-	obs.Flight().Record("reload", "", "admin config reload applied")
-	obs.Info("config reloaded", "changed", fmt.Sprint(changed))
+	slog.Info("config reloaded", "kind", "reload", "changed", fmt.Sprint(changed))
 	return nil
 }
 

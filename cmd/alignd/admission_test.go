@@ -455,6 +455,25 @@ func TestAdminTokenAuth(t *testing.T) {
 			t.Fatalf("authenticated /admin/shed with %v = %d, want 200", hdr, resp.StatusCode)
 		}
 	}
+	// A wrong token of the right length is refused in both forms.
+	for _, hdr := range []map[string]string{
+		{"X-Admin-Token": "s3creT"},
+		{"Authorization": "Bearer s3creT"},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/admin/shed", nil)
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("/admin/shed with wrong token %v = %d, want 401", hdr, resp.StatusCode)
+		}
+	}
 }
 
 // TestServerSamplerDrivesLadder wires the real background sampler at a

@@ -67,7 +67,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -181,7 +180,7 @@ func run() error {
 			return err
 		}
 	}
-	srv := &http.Server{Handler: sv.mux()}
+	srv := sv.httpServer()
 	effBatch := scfg.MaxBatchPairs
 	if effBatch == 0 {
 		effBatch = 4 * pim.DPUsPerRank

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -453,5 +454,78 @@ func TestServerStreamsManyMicroBatches(t *testing.T) {
 		if r.Status != "ok" || !r.Trusted {
 			t.Fatalf("pair %d: status %q trusted=%v on a perfect fabric", i, r.Status, r.Trusted)
 		}
+	}
+}
+
+// TestServerTraceIDBounded: a caller's X-Trace-Id is copied into every
+// result line, log event and flight record of its request, so one longer
+// than 128 bytes, or with a byte outside printable ASCII, is refused with
+// 400 before admission; a 128-byte printable ID is served and echoed.
+func TestServerTraceIDBounded(t *testing.T) {
+	sv := newTestServer(t, testSessionConfig(t), 1)
+	ts := httptest.NewServer(sv.mux())
+	defer ts.Close()
+	_, wires := testWorkload(t, 1)
+	body, _ := json.Marshal(wires)
+	for _, tc := range []struct {
+		tid  string
+		want int
+	}{
+		{strings.Repeat("a", 128), http.StatusOK},
+		{strings.Repeat("a", 129), http.StatusBadRequest},
+		{"t 1", http.StatusBadRequest},
+		{"t-\u00e9", http.StatusBadRequest},
+	} {
+		resp := post(t, ts.URL+"/align", body, map[string]string{"X-Trace-Id": tc.tid})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("X-Trace-Id %q (%d bytes): status %d, want %d", tc.tid, len(tc.tid), resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusOK && resp.Header.Get("X-Trace-Id") != tc.tid {
+			t.Errorf("accepted X-Trace-Id not echoed: got %q", resp.Header.Get("X-Trace-Id"))
+		}
+	}
+}
+
+// TestShutdownClosesUnusedConn: a connection dialled but never used is
+// one net/http counts as active for 5 s; the daemon's server closes it
+// once shutdown begins, so Shutdown returns at once.
+func TestShutdownClosesUnusedConn(t *testing.T) {
+	sv := newTestServer(t, testSessionConfig(t), 1)
+	srv := sv.httpServer()
+	accepted := make(chan struct{}, 1)
+	hook := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		hook(c, st)
+		if st == http.StateNew {
+			accepted <- struct{}{}
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-accepted // the server holds the connection; nothing is ever sent
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown took %v with one unused connection, want under 1s", took)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -104,8 +105,8 @@ func newServer(cfg *config.Config, scfg host.SessionConfig) (*server, error) {
 		reg := obs.Default()
 		reg.Gauge("alignd_shed_level").Set(float64(to))
 		reg.Counter("alignd_shed_transitions_total").Add(1)
-		obs.Flight().Recordf("shed", "", "shed level %s -> %s (%s)", from, to, reason)
-		obs.Info("shed level change", "from", from.String(), "to", to.String(), "reason", reason)
+		slog.Info("shed level change", "kind", "shed",
+			"from", from.String(), "to", to.String(), "reason", reason)
 	})
 	if err != nil {
 		return nil, err
@@ -168,6 +169,41 @@ func (sv *server) mux() *http.ServeMux {
 	return mux
 }
 
+// httpServer is the http.Server that serves mux. Shutdown waits for
+// every active connection, and net/http counts a connection that was
+// dialled but has sent nothing (StateNew) as active for 5 s; the
+// ConnState hook closes such connections once shutdown begins, so it
+// returns as soon as the real requests have drained.
+func (sv *server) httpServer() *http.Server {
+	var (
+		mu      sync.Mutex
+		closing bool
+		idleNew = map[net.Conn]struct{}{}
+		srv     = &http.Server{Handler: sv.mux()}
+	)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st == http.StateNew && closing:
+			c.Close()
+		case st == http.StateNew:
+			idleNew[c] = struct{}{}
+		default:
+			delete(idleNew, c)
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closing = true
+		for c := range idleNew {
+			c.Close()
+		}
+	})
+	return srv
+}
+
 // handleHealthz flips to 503 "draining" the moment shutdown begins, so
 // load balancers stop routing here during the drain window while
 // in-flight requests finish.
@@ -201,9 +237,23 @@ func (sv *server) reject(w http.ResponseWriter, tid, reason, body string, retryA
 	reg := obs.Default()
 	reg.Counter("alignd_requests_rejected_total").Add(1)
 	reg.Counter(`alignd_rejects_total{reason="` + reason + `"}`).Add(1)
-	obs.Flight().Recordf("reject", tid, "align request rejected: %s", reason)
+	slog.Debug("align request rejected", "kind", "reject", "trace_id", tid, "reason", reason)
 	w.Header().Set("Retry-After", retryAfterSecs(retryAfter))
 	http.Error(w, body, http.StatusTooManyRequests)
+}
+
+// validTraceID accepts a caller's X-Trace-Id: at most 128 bytes, each
+// printable ASCII (0x21-0x7E). Empty means none was given.
+func validTraceID(tid string) bool {
+	if len(tid) > 128 {
+		return false
+	}
+	for i := 0; i < len(tid); i++ {
+		if tid[i] < 0x21 || tid[i] > 0x7e {
+			return false
+		}
+	}
+	return true
 }
 
 // clientIP is the per-IP tier key: the host part of RemoteAddr.
@@ -265,8 +315,13 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	// Every request gets a trace ID — the caller's X-Trace-Id if given,
 	// minted otherwise — echoed on the response, stamped on every result
 	// line, and threaded through the session into spans, flight-recorder
-	// entries and structured logs.
+	// entries and structured logs. A caller's ID is bounded, since every
+	// one of those copies it.
 	tid := r.Header.Get("X-Trace-Id")
+	if !validTraceID(tid) {
+		http.Error(w, "X-Trace-Id must be at most 128 printable ASCII bytes without spaces", http.StatusBadRequest)
+		return
+	}
 	if tid == "" {
 		tid = obs.NewTraceID()
 	}
@@ -319,15 +374,15 @@ func (sv *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		for _, d := range plan.degraded {
 			reg.Counter(`alignd_degraded_requests_total{mode="` + d + `"}`).Add(1)
 		}
-		obs.Flight().Recordf("degrade", tid, "request degraded under shed level %s: %s",
-			level, strings.Join(plan.degraded, ","))
+		slog.Debug("request degraded", "kind", "degrade", "trace_id", tid,
+			"shed_level", level.String(), "degraded", strings.Join(plan.degraded, ","))
 	}
 
 	reg.Counter("alignd_requests_total").Add(1)
 	reg.Counter(`alignd_class_requests_total{class="` + cls.String() + `"}`).Add(1)
 	reg.Gauge("alignd_inflight_requests").Add(1)
 	defer reg.Gauge("alignd_inflight_requests").Add(-1)
-	obs.Flight().Record("admit", tid, "align request admitted ("+cls.String()+")")
+	slog.Debug("align request admitted", "kind", "admit", "trace_id", tid, "class", cls.String())
 	start := time.Now()
 
 	// The response streams while the request body is still being read;
@@ -427,7 +482,7 @@ func (sv *server) observeRequest(tid string, start time.Time, s *host.Session) {
 	reg.Histogram("alignd_request_seconds", stageBuckets).Observe(elapsed)
 	slow := sv.cfg.Load().Server.SlowRequest
 	if slow >= 0 && elapsed >= slow.Seconds() {
-		obs.Info("slow request", "trace_id", tid,
+		slog.Info("slow request", "kind", "slow", "trace_id", tid,
 			"elapsed_sec", elapsed,
 			"pairs", rep.Alignments,
 			"queue_wait_sec", st.QueueWaitSec,
@@ -436,7 +491,6 @@ func (sv *server) observeRequest(tid string, start time.Time, s *host.Session) {
 			"wait_retry_sec", st.WaitRetrySec,
 			"escalation_sec", st.EscalationSec,
 			"verify_sec", st.VerifySec)
-		obs.Flight().Recordf("slow", tid, "request took %.3fs (%d pairs)", elapsed, rep.Alignments)
 	}
 }
 

@@ -50,7 +50,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -70,13 +69,6 @@ func main() {
 	}
 }
 
-// artifacts collects the observability output paths ("" = off).
-type artifacts struct {
-	metrics, traceOut, reportJSON string
-}
-
-func (a artifacts) any() bool { return a.metrics != "" || a.traceOut != "" || a.reportJSON != "" }
-
 func run(args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var opts host.Options
@@ -84,40 +76,23 @@ func run(args []string) error {
 	fs.IntVar(&opts.Band, "band", 128, "band size (cells per anti-diagonal / row)")
 	fs.IntVar(&opts.Ranks, "ranks", 40, "PiM ranks (pim engine)")
 	fs.BoolVar(&opts.ScoreOnly, "score-only", false, "skip traceback/CIGAR")
+	var cli obs.CLI
+	cli.Bind(fs) // -v -log-json -metrics -trace-out -report-json -cpuprofile -memprofile
 	var (
-		aPath      = fs.String("a", "", "FASTA file of query sequences")
-		bPath      = fs.String("b", "", "FASTA file of target sequences (omit with -mode allpairs)")
-		mode       = fs.String("mode", "pairs", "pairs (record i of -a vs record i of -b) or allpairs (every record of -a against every later one, score-only, as in §5.3)")
-		engine     = fs.String("engine", "pim", "alignment engine: pim (simulated UPMEM server) or cpu (baseline)")
-		static     = fs.Bool("static", false, "use the static band instead of the adaptive one (cpu engine)")
-		threads    = fs.Int("threads", 0, "CPU threads (cpu engine; 0 = all)")
-		timeline   = fs.Bool("timeline", false, "print the simulated rank timeline (pim engine)")
-		verbose    = fs.Bool("v", false, "verbose (debug) logging")
-		logJSON    = fs.Bool("log-json", false, "structured JSON log lines instead of text")
-		metrics    = fs.String("metrics", "", "write a Prometheus-text metrics snapshot to FILE (\"-\" = stdout; pim engine)")
-		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file to FILE for Perfetto (pim engine)")
-		reportJSON = fs.String("report-json", "", "write the machine-readable run report to FILE (pim engine)")
-		cacheDir   = fs.String("cache-dir", "", "directory for the persistent result cache (pim engine; empty = caching disabled)")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC snapshot at exit) to FILE")
+		aPath    = fs.String("a", "", "FASTA file of query sequences")
+		bPath    = fs.String("b", "", "FASTA file of target sequences (omit with -mode allpairs)")
+		mode     = fs.String("mode", "pairs", "pairs (record i of -a vs record i of -b) or allpairs (every record of -a against every later one, score-only, as in §5.3)")
+		engine   = fs.String("engine", "pim", "alignment engine: pim (simulated UPMEM server) or cpu (baseline)")
+		static   = fs.Bool("static", false, "use the static band instead of the adaptive one (cpu engine)")
+		threads  = fs.Int("threads", 0, "CPU threads (cpu engine; 0 = all)")
+		timeline = fs.Bool("timeline", false, "print the simulated rank timeline (pim engine)")
+		cacheDir = fs.String("cache-dir", "", "directory for the persistent result cache (pim engine; empty = caching disabled)")
 	)
 	fs.Parse(args)
-	if *verbose {
-		obs.SetVerbosity(1)
-	}
-	obs.SetLogJSON(*logJSON)
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
+	if err := cli.Start(); err != nil {
 		return err
 	}
-	defer stopProfiles()
-	art := artifacts{metrics: *metrics, traceOut: *traceOut, reportJSON: *reportJSON}
-	if art.metrics != "" {
-		obs.SetDefault(obs.NewRegistry())
-	}
-	if art.traceOut != "" {
-		obs.SetDefaultTracer(obs.NewTracer())
-	}
+	defer cli.Stop()
 	if *aPath == "" {
 		fs.Usage()
 		return fmt.Errorf("-a is required")
@@ -157,9 +132,9 @@ func run(args []string) error {
 
 	switch *engine {
 	case "pim":
-		return runPiM(queries, targets, opts, *timeline, art, *cacheDir)
+		return runPiM(queries, targets, opts, *timeline, &cli, *cacheDir)
 	case "cpu":
-		if art.any() {
+		if cli.WantsArtifacts() {
 			obs.Logf("note: -metrics/-trace-out/-report-json apply to the pim engine only")
 		}
 		if *cacheDir != "" {
@@ -180,52 +155,6 @@ func run(args []string) error {
 	}
 }
 
-// writeArtifacts dumps the enabled observability outputs for a pim run.
-func writeArtifacts(rep *host.Report, art artifacts) error {
-	if art.metrics != "" {
-		if err := toFile(art.metrics, func(w io.Writer) error {
-			return obs.Default().WritePrometheus(w)
-		}); err != nil {
-			return fmt.Errorf("writing -metrics: %w", err)
-		}
-	}
-	if art.traceOut != "" {
-		events := rep.ChromeTraceEvents()
-		if tr := obs.DefaultTracer(); tr != nil {
-			events = append(events, obs.ProcessName(0, "host (wall clock)"))
-			events = append(events, tr.Events(0)...)
-		}
-		if err := toFile(art.traceOut, func(w io.Writer) error {
-			return obs.WriteTraceEvents(w, events)
-		}); err != nil {
-			return fmt.Errorf("writing -trace-out: %w", err)
-		}
-		obs.Logf("trace written to %s (open in Perfetto or chrome://tracing)", art.traceOut)
-	}
-	if art.reportJSON != "" {
-		if err := toFile(art.reportJSON, rep.WriteJSON); err != nil {
-			return fmt.Errorf("writing -report-json: %w", err)
-		}
-	}
-	return nil
-}
-
-// toFile runs write against the named file, or stdout for "-".
-func toFile(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func readFasta(path string) ([]seq.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -235,7 +164,7 @@ func readFasta(path string) ([]seq.Record, error) {
 	return seq.ReadFASTA(f, nil)
 }
 
-func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art artifacts, cacheDir string) error {
+func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, cli *obs.CLI, cacheDir string) error {
 	cfg, err := opts.Config()
 	if err != nil {
 		return err
@@ -316,7 +245,7 @@ func runPiM(queries, targets []seq.Record, opts host.Options, timeline bool, art
 	if timeline {
 		fmt.Fprint(os.Stderr, rep.Timeline(72))
 	}
-	return writeArtifacts(rep, art)
+	return cli.WriteArtifacts("host (wall clock)", rep.ChromeTraceEvents, rep.WriteJSON)
 }
 
 func runCPU(queries, targets []seq.Record, band int, static bool, threads int, traceback bool) error {

@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -225,8 +226,8 @@ func Open(opts Options) (*Cache, error) {
 	if repairs > 0 {
 		c.repairs.Add(int64(repairs))
 		c.cRepairs.Add(int64(repairs))
-		obs.Flight().Recordf("cache", "", "wal repair: truncated %s to %d bytes (%d live records)",
-			c.path, size, len(c.idx))
+		slog.Debug("wal repair: truncated", "kind", "cache", "path", c.path,
+			"bytes", size, "live_records", len(c.idx))
 	}
 	reg.Gauge("cache_entries").Set(float64(len(c.idx)))
 	if opts.Fsync == FsyncInterval {
@@ -276,7 +277,7 @@ func (c *Cache) Lookup(k Key) (Value, bool) {
 			c.live -= int64(ref.n)
 		}
 		c.mu.Unlock()
-		obs.Flight().Recordf("cache", "", "dropped unreadable record at off=%d: %v", ref.off, err)
+		slog.Debug("dropped unreadable record", "kind", "cache", "off", ref.off, "err", err)
 		c.misses.Add(1)
 		c.cMisses.Add(1)
 		return Value{}, false
@@ -493,7 +494,7 @@ func (c *Cache) compactLocked() error {
 	c.f, c.idx, c.size, c.live = tmp, newIdx, off, off-int64(len(walMagic))
 	old.Close()
 	c.compactRun.Add(1)
-	obs.Flight().Recordf("cache", "", "compacted WAL to %d bytes (%d records)", off, len(newIdx))
+	slog.Debug("compacted WAL", "kind", "cache", "bytes", off, "records", len(newIdx))
 	return nil
 }
 
@@ -534,7 +535,7 @@ func (c *Cache) compactLoop() {
 				dead := c.size - int64(len(walMagic)) - c.live
 				if dead > c.live {
 					if err := c.compactLocked(); err != nil {
-						obs.Flight().Recordf("cache", "", "background compaction failed: %v", err)
+						slog.Debug("background compaction failed", "kind", "cache", "err", err)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"pimnw/internal/baseline"
@@ -180,10 +181,8 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 			Round: round, Band: rg.band, Provenance: prov,
 			Pairs: len(runnable), StartSec: start, EndSec: rep.MakespanSec,
 		})
-		obs.Info("escalation round", "trace_id", cfg.TraceID,
+		slog.Info("escalation round", "kind", "escalation", "trace_id", cfg.TraceID,
 			"round", round, "pairs", len(runnable), "rung", prov)
-		obs.Flight().Recordf("escalation", cfg.TraceID,
-			"round %d: %d pairs redispatched at %s", round, len(runnable), prov)
 
 		next := skipped
 		for _, r := range subResults {
@@ -226,10 +225,8 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 		}
 		rep.CPUFallbackSec += out.WallSeconds
 		rep.DegradedCPU += len(cpuIDs)
-		obs.Info("cpu rescue", "trace_id", cfg.TraceID,
+		slog.Info("cpu rescue", "kind", "escalation", "trace_id", cfg.TraceID,
 			"pairs", len(cpuIDs), "host_sec", out.WallSeconds)
-		obs.Flight().Recordf("escalation", cfg.TraceID,
-			"cpu rescue: %d pairs aligned exactly in %.3fs host time", len(cpuIDs), out.WallSeconds)
 		for _, br := range out.Results {
 			pr := kernel.PairResult{ID: br.ID, Score: br.Score, InBand: true, Cells: br.Cells}
 			if br.Cigar != nil {
@@ -243,7 +240,8 @@ func escalate(be Backend, cfg Config, pairs []Pair, rep *Report, first []Result,
 				rep.VerifySec += time.Since(vStart).Seconds()
 				if err != nil {
 					rep.VerifyFailures++
-					obs.Logf("verify: cpu-exact pair %d: %v", br.ID, err)
+					slog.Info("verify mismatch", "kind", "verify", "trace_id", cfg.TraceID,
+						"pair", br.ID, "rung", "cpu-exact", "err", err)
 				}
 			}
 			final[br.ID] = Result{PairResult: pr, Rank: -1, DPU: -1,

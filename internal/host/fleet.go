@@ -3,6 +3,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 
 	"pimnw/internal/obs"
@@ -170,11 +171,8 @@ func alignFleet(cfg Config, pairs []Pair, sp *obs.Span) (*Report, []Result, erro
 				stats[bi].Redispatched += len(out.ids)
 				redispatched += len(out.ids)
 				remaining = append(remaining, out.ids...)
-				obs.Info("fleet backend lost", "trace_id", cfg.TraceID,
+				slog.Info("fleet backend lost", "kind", "fleet", "trace_id", cfg.TraceID,
 					"backend", backends[bi].Name(), "pairs", len(out.ids))
-				obs.Flight().Recordf("fleet", cfg.TraceID,
-					"backend %s down; redispatching %d pairs onto survivors",
-					backends[bi].Name(), len(out.ids))
 				continue
 			}
 			if out.rep == nil {

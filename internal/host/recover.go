@@ -3,6 +3,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"time"
 
@@ -95,9 +96,8 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 				Batch: batch, Attempt: attempt, DPU: -1,
 				Kind: pim.FaultRankDrop.String(), AtSec: ex.KernelSecSum + ex.WaitSec,
 			})
-			obs.Flight().Recordf("fault", cfg.TraceID,
-				"batch %d attempt %d: rank dropped off the bus (%d pairs)",
-				batch, attempt, len(pending))
+			slog.Debug("rank dropped off the bus", "kind", "fault", "trace_id", cfg.TraceID,
+				"batch", batch, "attempt", attempt, "pairs", len(pending))
 			waitSec = launch
 			failed = pending
 			asp.SetAttr("outcome", "rank_drop")
@@ -127,17 +127,14 @@ func runBatch(cfg Config, faults *pim.FaultModel, pairs []Pair, batch int, sp *o
 				ex.AbandonedIDs = append(ex.AbandonedIDs, p.ID)
 			}
 			ex.AbandonedPairs += len(pending)
-			obs.Info("abandoning pairs: retries exhausted",
+			// Abandonment is the event the flight recorder exists for:
+			// log it, then dump the whole ring to the log so the faults
+			// and escalations leading up to it are preserved next to the
+			// failure.
+			slog.Info("abandoning pairs: retries exhausted", "kind", "abandon",
 				"trace_id", cfg.TraceID, "batch", batch,
 				"pairs", len(pending), "attempts", attempt+1,
 				"surviving_dpus", len(alive))
-			// Abandonment is the event the flight recorder exists for:
-			// record it, then dump the whole ring to the log so the
-			// faults and escalations leading up to it are preserved next
-			// to the failure.
-			obs.Flight().Recordf("abandon", cfg.TraceID,
-				"batch %d: %d pairs abandoned after %d attempts (%d DPUs surviving)",
-				batch, len(pending), attempt+1, len(alive))
 			obs.Flight().DumpToLog("abandonment")
 			break
 		}
@@ -275,8 +272,8 @@ func (ex *batchExec) runAttempt(cfg Config, faults *pim.FaultModel, pending []Pa
 			Batch: batch, Attempt: attempt, DPU: o.dpu,
 			Kind: kind, AtSec: at,
 		})
-		obs.Flight().Recordf("fault", cfg.TraceID,
-			"batch %d attempt %d dpu %d: %s", batch, attempt, o.dpu, kind)
+		slog.Debug("dpu fault", "kind", "fault", "trace_id", cfg.TraceID,
+			"batch", batch, "attempt", attempt, "dpu", o.dpu, "fault", kind)
 		for _, idx := range buckets[ai] {
 			failed = append(failed, pending[idx])
 		}
@@ -307,13 +304,15 @@ func verifyOutcome(cfg Config, pending []Pair, bucket []int, results []kernel.Pa
 		p, ok := byID[r.ID]
 		if !ok {
 			bad++
-			obs.Logf("verify: result for pair %d, which was never staged on this DPU", r.ID)
+			slog.Info("verify: result for a pair never staged on this DPU", "kind", "verify",
+				"trace_id", cfg.TraceID, "pair", r.ID)
 			continue
 		}
 		checked++
 		if err := verify.CheckPair(p.A, p.B, cfg.Kernel.Params, r.Score, string(r.Cigar)); err != nil {
 			bad++
-			obs.Logf("verify: pair %d: %v", r.ID, err)
+			slog.Info("verify mismatch", "kind", "verify", "trace_id", cfg.TraceID,
+				"pair", r.ID, "err", err)
 		}
 	}
 	return checked, bad

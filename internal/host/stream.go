@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"log/slog"
 	"math"
 	"time"
 
@@ -49,7 +50,7 @@ func (s *Session) runMicroBatch(mb *microBatch) {
 		for i, r := range mb.results {
 			if cacheInsertable(r.Status) {
 				if err := cfg.Cache.Insert(keys[i], valueFromResult(r)); err != nil {
-					obs.Flight().Recordf("cache", cfg.Host.TraceID, "insert failed: %v", err)
+					slog.Debug("cache insert failed", "kind", "cache", "trace_id", cfg.Host.TraceID, "err", err)
 				}
 			}
 		}

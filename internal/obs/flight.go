@@ -2,22 +2,24 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The flight recorder is a bounded in-memory ring of the last N notable
-// events (admissions, rejections, faults, escalations, abandonments,
-// slow requests): always on, cheap enough to leave recording in
-// production, and dumped on demand (/debug/flight) or automatically when
-// something goes irrecoverably wrong — the same idea as an aircraft's
-// flight data recorder. It deliberately records *events*, not samples:
-// when a request is abandoned at 3 a.m., the ring holds the faults and
-// escalations that led up to it.
+// The flight recorder is a bounded in-memory ring of the last N
+// records (admissions, rejections, faults, escalations, abandonments,
+// slow requests — every event, of every level): always on, cheap enough
+// to leave recording in production, and dumped on demand (/debug/flight)
+// or automatically when something goes irrecoverably wrong — the same
+// idea as an aircraft's flight data recorder. It deliberately records
+// *events*, not samples: when a request is abandoned at 3 a.m., the ring
+// holds the faults and escalations that led up to it. It is the second
+// sink of the slog handler obs installs (log.go), so an event is written
+// once, with slog, and reaches the ring without a call of its own.
 //
 // Concurrency: writers claim a slot with one atomic increment and then
 // copy the event under that slot's own mutex, so concurrent writers only
@@ -25,9 +27,10 @@ import (
 // full wrap behind). A slot guard keeps wraparound monotone: a slot only
 // ever moves to a higher sequence number, so a slow writer that lost the
 // race cannot resurrect an older event over a newer one. A nil
-// *FlightRecorder is the disabled state — Record on it is a nil check
-// and a return, zero allocations, which is what lets the hooks stay in
-// the hot path unconditionally.
+// *FlightRecorder is the disabled state: with none installed and the
+// output at Info, slog drops a Debug event before building its record,
+// which is what lets the Debug events stay in the hot path
+// unconditionally.
 
 // FlightEvent is one recorded notable event.
 type FlightEvent struct {
@@ -62,29 +65,36 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	return &FlightRecorder{slots: make([]flightSlot, n)}
 }
 
-// Record appends one event, overwriting the oldest once the ring is
-// full. Allocation-free; no-op on a nil recorder.
-func (f *FlightRecorder) Record(kind, traceID, msg string) {
+// record stores one slog record: its "kind" and "trace_id" attributes
+// become the event's fields, the rest render as text after the message.
+// No-op on a nil recorder.
+func (f *FlightRecorder) record(t time.Time, msg string, attrs []slog.Attr) {
 	if f == nil {
 		return
 	}
-	seq := f.seq.Add(1) - 1
-	s := &f.slots[seq%uint64(len(f.slots))]
+	ev := FlightEvent{Time: t, Msg: msg}
+	var rest []byte
+	for _, a := range attrs {
+		switch a.Key {
+		case "kind":
+			ev.Kind = a.Value.String()
+		case "trace_id":
+			ev.TraceID = a.Value.String()
+		default:
+			rest = appendAttr(rest, a)
+		}
+	}
+	if rest != nil {
+		ev.Msg = msg + string(rest)
+	}
+	ev.Seq = f.seq.Add(1) - 1
+	s := &f.slots[ev.Seq%uint64(len(f.slots))]
 	s.mu.Lock()
-	if !s.ok || seq > s.ev.Seq {
-		s.ev = FlightEvent{Seq: seq, Time: time.Now(), Kind: kind, TraceID: traceID, Msg: msg}
+	if !s.ok || ev.Seq > s.ev.Seq {
+		s.ev = ev
 		s.ok = true
 	}
 	s.mu.Unlock()
-}
-
-// Recordf is Record with a formatted message. The nil check runs before
-// any formatting, so a disabled recorder costs nothing beyond the call.
-func (f *FlightRecorder) Recordf(kind, traceID, format string, args ...any) {
-	if f == nil {
-		return
-	}
-	f.Record(kind, traceID, fmt.Sprintf(format, args...))
 }
 
 // Recorded is the total number of events ever recorded (not the ring
@@ -145,21 +155,23 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// DumpToLog writes every buffered event through the logger (stderr by
+// DumpToLog writes every buffered event to the log output (stderr by
 // default), oldest first — the automatic dump taken when a request is
 // abandoned, so the events leading up to the failure land next to the
-// failure itself. Nil-safe.
+// failure itself. The dump bypasses the ring, so it never re-enters it.
+// Nil-safe.
 func (f *FlightRecorder) DumpToLog(reason string) {
 	if f == nil {
 		return
 	}
 	evs := f.Snapshot()
-	Info("flight-recorder dump", "reason", reason,
-		"events", len(evs), "recorded", f.Recorded())
+	now := time.Now()
+	writeLine(now, slog.LevelInfo, "flight-recorder dump", []slog.Attr{
+		slog.String("reason", reason), slog.Int("events", len(evs)), slog.Uint64("recorded", f.Recorded())})
 	for _, ev := range evs {
-		Info("flight", "seq", ev.Seq,
-			"at", ev.Time.UTC().Format(time.RFC3339Nano),
-			"kind", ev.Kind, "trace_id", ev.TraceID, "msg", ev.Msg)
+		writeLine(now, slog.LevelInfo, "flight", []slog.Attr{
+			slog.Uint64("seq", ev.Seq), slog.String("at", ev.Time.UTC().Format(time.RFC3339Nano)),
+			slog.String("kind", ev.Kind), slog.String("trace_id", ev.TraceID), slog.String("msg", ev.Msg)})
 	}
 }
 
@@ -167,7 +179,7 @@ var defaultFlight atomic.Pointer[FlightRecorder]
 
 // Flight returns the installed process-wide flight recorder, or nil when
 // none is installed. All FlightRecorder methods are nil-safe, so callers
-// chain without checking: obs.Flight().Record("fault", tid, "...").
+// chain without checking: obs.Flight().WriteJSON(w).
 func Flight() *FlightRecorder { return defaultFlight.Load() }
 
 // SetFlight installs (or, with nil, removes) the process-wide recorder.

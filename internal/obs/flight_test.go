@@ -3,12 +3,21 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 )
 
+// installFlight makes f the process-wide recorder for one test.
+func installFlight(t *testing.T, f *FlightRecorder) {
+	t.Helper()
+	SetFlight(f)
+	t.Cleanup(func() { SetFlight(nil) })
+}
+
 // TestFlightRecorderWraparoundConcurrent hammers a small ring from many
-// writers and checks the wraparound invariants: the total count is exact,
+// slog writers and checks the wraparound invariants: the total count is exact,
 // the ring retains precisely the last Cap() sequence numbers (the slot
 // guard must keep every slot monotone — a slow writer that lost the race
 // cannot resurrect an older event over a newer one), and the snapshot
@@ -20,13 +29,14 @@ func TestFlightRecorderWraparoundConcurrent(t *testing.T) {
 		capacity  = 16
 	)
 	f := NewFlightRecorder(capacity)
+	installFlight(t, f)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				f.Record("test", "t-wrap", "event")
+				slog.Debug("event", "kind", "test", "trace_id", "t-wrap")
 			}
 		}()
 	}
@@ -52,8 +62,8 @@ func TestFlightRecorderWraparoundConcurrent(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record("kind", "tid", "msg") // must not panic
-	f.Recordf("kind", "tid", "%d", 1)
+	installFlight(t, f)
+	slog.Debug("msg", "kind", "kind", "trace_id", "tid") // must not panic
 	f.DumpToLog("test")
 	if f.Recorded() != 0 || f.Cap() != 0 || f.Snapshot() != nil {
 		t.Fatal("nil recorder must report an empty ring")
@@ -73,18 +83,20 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 		t.Fatalf("nil-recorder dump = %s, want an empty ring", buf.Bytes())
 	}
 
-	// The disabled hot-path hook: a nil check and a return, no allocation.
+	// The disabled hot-path event: with no recorder and the output at
+	// Info, slog drops a Debug record before building it.
 	if allocs := testing.AllocsPerRun(1000, func() {
-		Flight().Record("fault", "t-0", "hot path")
+		slog.Debug("hot path", "kind", "fault", "trace_id", "t-0")
 	}); allocs != 0 {
-		t.Fatalf("disabled flight hook allocates %.1f per call, want 0", allocs)
+		t.Fatalf("disabled Debug event allocates %.1f per call, want 0", allocs)
 	}
 }
 
 func TestFlightRecorderWriteJSON(t *testing.T) {
 	f := NewFlightRecorder(4)
-	f.Record("admit", "t-1", "request admitted")
-	f.Record("fault", "", "dpu 3 stalled")
+	installFlight(t, f)
+	slog.Debug("request admitted", "kind", "admit", "trace_id", "t-1")
+	slog.Debug("dpu stalled", "kind", "fault", "dpu", 3)
 	var buf bytes.Buffer
 	if err := f.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -107,5 +119,63 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 	// TraceID is omitempty: the fault without one must not carry the key.
 	if bytes.Count(buf.Bytes(), []byte(`"trace_id"`)) != 1 {
 		t.Fatalf("dump should carry exactly one trace_id field:\n%s", buf.Bytes())
+	}
+}
+
+// TestOneEventBothSinks pins the one event path: a single slog call is
+// one log line and one flight event with the same kind and trace_id; a
+// Debug event reaches the ring always and the output only under -v; and
+// a dump goes to the output without re-entering the ring.
+func TestOneEventBothSinks(t *testing.T) {
+	f := NewFlightRecorder(8)
+	installFlight(t, f)
+	for _, js := range []bool{false, true} {
+		out := captureLog(t, js, func() {
+			slog.Info("cpu rescue", "kind", "escalation", "trace_id", "t-9", "pairs", 3)
+		})
+		if strings.Count(out, "\n") != 1 {
+			t.Fatalf("json=%v: one event wrote %q, want one line", js, out)
+		}
+		if js {
+			var line map[string]any
+			if err := json.Unmarshal([]byte(out), &line); err != nil {
+				t.Fatal(err)
+			}
+			if line["kind"] != "escalation" || line["trace_id"] != "t-9" {
+				t.Fatalf("JSON line %v lacks the event's kind or trace_id", line)
+			}
+		} else if want := "test: cpu rescue kind=escalation trace_id=t-9 pairs=3\n"; out != want {
+			t.Fatalf("text line = %q, want %q", out, want)
+		}
+	}
+	evs := f.Snapshot()
+	if len(evs) != 2 {
+		t.Fatalf("two events made %d flight records", len(evs))
+	}
+	if ev := evs[1]; ev.Kind != "escalation" || ev.TraceID != "t-9" || ev.Msg != "cpu rescue pairs=3" {
+		t.Fatalf("flight event = %+v, want kind escalation, trace_id t-9, msg \"cpu rescue pairs=3\"", ev)
+	}
+
+	for _, v := range []int{0, 1} {
+		before := f.Recorded()
+		out := captureLog(t, false, func() {
+			SetVerbosity(v)
+			slog.Debug("request admitted", "kind", "admit", "trace_id", "t-9")
+		})
+		if f.Recorded() != before+1 {
+			t.Fatalf("verbosity %d: the Debug event did not reach the ring", v)
+		}
+		if (out != "") != (v == 1) {
+			t.Fatalf("verbosity %d: Debug output %q", v, out)
+		}
+	}
+
+	before := f.Recorded()
+	out := captureLog(t, false, func() { f.DumpToLog("test") })
+	if f.Recorded() != before {
+		t.Fatalf("DumpToLog recorded %d events into the ring it dumped", f.Recorded()-before)
+	}
+	if lines := strings.Count(out, "\n"); lines != 1+len(f.Snapshot()) {
+		t.Fatalf("dump wrote %d lines for %d events:\n%s", lines, len(f.Snapshot()), out)
 	}
 }

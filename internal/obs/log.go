@@ -1,9 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,25 +14,32 @@ import (
 	"time"
 )
 
-// The leveled logger replaces the commands' scattered
-// fmt.Fprintf(os.Stderr, ...) status lines: Logf is always-on progress
-// output, Debugf only prints once SetVerbosity(1) (the -v flag) is set.
-// Output defaults to stderr so it never mixes with result data on stdout.
+// Every program event is one log/slog call that carries a "kind"
+// attribute, plus "trace_id" when it belongs to a request:
 //
-// Two renderings share the same call sites. The default is the original
-// human-oriented text ("tag: message key=value ..."); SetLogJSON(true)
-// switches every line to a slog-style JSON object —
+//	slog.Info("cpu rescue", "kind", "escalation", "trace_id", tid, "pairs", n)
 //
-//	{"ts":"2026-08-08T12:00:00.000000001Z","level":"info",
-//	 "component":"alignd","msg":"slow request","trace_id":"t-123",...}
+// obs installs slog's default handler, which hands each record to two
+// sinks:
 //
-// — one object per line, fields in call order after the fixed header, so
-// a serving deployment can ship logs straight into a structured pipeline
-// and join them on trace_id. Info carries explicit key/value fields;
-// Logf/Debugf keep their printf contract and render with just the fixed
-// header. All logger state (sink, prefix, format, scratch buffer) is read
-// and written under one mutex, so concurrent loggers, SetLogOutput and
-// SetLogJSON are race-clean and lines never interleave.
+//   - the log output (stderr by default, so it never mixes with result
+//     data on stdout) at Info, and at Debug too once SetVerbosity(1)
+//     (the -v flag) is set. The default rendering is human-oriented text
+//     ("tag: message key=value ..."); SetLogJSON(true) switches every
+//     line to slog's JSON handler —
+//
+//     {"ts":"2026-08-08T12:00:00.000000001Z","level":"info","msg":"slow request",
+//     "component":"alignd","kind":"slow","trace_id":"t-123",...}
+//
+//     — one object per line, so a serving deployment can ship logs
+//     straight into a structured pipeline and join them on trace_id;
+//   - the installed flight recorder (SetFlight), which keeps the last N
+//     records of every level.
+//
+// Logf and Debugf remain the printf form for status lines. All output
+// state (sink, prefix, format, scratch buffer) is read and written under
+// one mutex, so concurrent events and the setters are race-clean and
+// lines never interleave.
 
 var (
 	logMu     sync.Mutex
@@ -40,6 +49,8 @@ var (
 	logBuf    []byte // per-line scratch, reused under logMu
 	verbosity atomic.Int32
 )
+
+func init() { slog.SetDefault(slog.New(teeHandler{})) }
 
 // SetLogOutput redirects log output (default os.Stderr).
 func SetLogOutput(w io.Writer) {
@@ -64,149 +75,120 @@ func SetLogJSON(on bool) {
 	logMu.Unlock()
 }
 
-// SetVerbosity sets the log level: 0 shows Logf only, >=1 adds Debugf.
+// SetVerbosity sets the output level: 0 writes Info and above, >=1 adds
+// Debug. The flight recorder keeps every level either way.
 func SetVerbosity(v int) { verbosity.Store(int32(v)) }
 
-// Logf prints one status line (level 0, always shown).
-func Logf(format string, args ...any) { emit("info", fmt.Sprintf(format, args...), nil) }
+// Logf logs one Info status line.
+func Logf(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) }
 
-// Debugf prints one diagnostic line, only at verbosity >= 1.
-func Debugf(format string, args ...any) {
-	if verbosity.Load() < 1 {
-		return
-	}
-	emit("debug", fmt.Sprintf(format, args...), nil)
+// Debugf logs one Debug diagnostic line.
+func Debugf(format string, args ...any) { slog.Debug(fmt.Sprintf(format, args...)) }
+
+// teeHandler is slog's default handler: it hands every record to the
+// flight recorder and, at the output's level, to the log output.
+type teeHandler struct {
+	attrs []slog.Attr // from WithAttrs, keys already group-qualified
+	group string      // WithGroup qualifier for the record's own keys
 }
 
-// Info prints one status line with structured key/value fields
-// (alternating key, value, key, value ...). In text mode the fields
-// render as trailing key=value columns; in JSON mode each becomes an
-// object member after the fixed header.
-func Info(msg string, kv ...any) { emit("info", msg, kv) }
+func (h teeHandler) Enabled(_ context.Context, l slog.Level) bool {
+	return l >= slog.LevelInfo || verbosity.Load() >= 1 || Flight() != nil
+}
 
-// emit renders and writes one line. The whole render happens under logMu
-// so sink, prefix and format are read consistently and concurrent lines
-// never interleave.
-func emit(level, msg string, kv []any) {
+func (h teeHandler) Handle(_ context.Context, r slog.Record) error {
+	attrs := make([]slog.Attr, 0, len(h.attrs)+r.NumAttrs())
+	attrs = append(attrs, h.attrs...)
+	r.Attrs(func(a slog.Attr) bool {
+		a.Key = h.group + a.Key
+		attrs = append(attrs, a)
+		return true
+	})
+	Flight().record(r.Time, r.Message, attrs)
+	if r.Level >= slog.LevelInfo || verbosity.Load() >= 1 {
+		writeLine(r.Time, r.Level, r.Message, attrs)
+	}
+	return nil
+}
+
+func (h teeHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	h.attrs = append([]slog.Attr(nil), h.attrs...)
+	for _, a := range as {
+		a.Key = h.group + a.Key
+		h.attrs = append(h.attrs, a)
+	}
+	return h
+}
+
+func (h teeHandler) WithGroup(name string) slog.Handler {
+	if name != "" {
+		h.group += name + "."
+	}
+	return h
+}
+
+// writeLine renders one record to the log output only. The whole render
+// happens under logMu so sink, prefix and format are read consistently
+// and concurrent lines never interleave.
+func writeLine(t time.Time, level slog.Level, msg string, attrs []slog.Attr) {
 	logMu.Lock()
 	defer logMu.Unlock()
-	logBuf = logBuf[:0]
 	if logJSON {
-		logBuf = appendJSONLine(logBuf, level, logPrefix, msg, kv)
-	} else {
-		logBuf = appendTextLine(logBuf, logPrefix, msg, kv)
+		r := slog.NewRecord(t, level, msg, 0)
+		if logPrefix != "" {
+			r.AddAttrs(slog.String("component", logPrefix))
+		}
+		r.AddAttrs(attrs...)
+		slog.NewJSONHandler(logOut, &jsonOptions).Handle(context.Background(), r)
+		return
+	}
+	logBuf = logBuf[:0]
+	if logPrefix != "" {
+		logBuf = append(logBuf, logPrefix...)
+		logBuf = append(logBuf, ": "...)
+	}
+	logBuf = append(logBuf, msg...)
+	for _, a := range attrs {
+		logBuf = appendAttr(logBuf, a)
 	}
 	logBuf = append(logBuf, '\n')
 	logOut.Write(logBuf)
 }
 
-func appendTextLine(b []byte, prefix, msg string, kv []any) []byte {
-	if prefix != "" {
-		b = append(b, prefix...)
-		b = append(b, ": "...)
+// appendAttr appends " key=value". A value holding a space, tab,
+// newline, quote or '=' is quoted, so every line splits back into its
+// fields.
+func appendAttr(b []byte, a slog.Attr) []byte {
+	b = append(append(append(b, ' '), a.Key...), '=')
+	v := a.Value.Resolve().String()
+	if strings.ContainsAny(v, " \t\n\"=") {
+		return strconv.AppendQuote(b, v)
 	}
-	b = append(b, msg...)
-	for i := 0; i+1 < len(kv); i += 2 {
-		b = append(b, ' ')
-		b = append(b, fieldKey(kv[i], i)...)
-		b = append(b, '=')
-		b = appendTextValue(b, kv[i+1])
-	}
-	if len(kv)%2 == 1 {
-		b = append(b, " !BADKV="...)
-		b = appendTextValue(b, kv[len(kv)-1])
-	}
-	return b
+	return append(b, v...)
 }
 
-func appendTextValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		if strings.ContainsAny(x, " \t\n\"=") {
-			return strconv.AppendQuote(b, x)
+// jsonOptions shape slog's JSON lines: "ts" in UTC RFC3339Nano, a
+// lowercase level, durations as strings ("3ms") and NaN/Inf, which have
+// no JSON literal, as strings.
+var jsonOptions = slog.HandlerOptions{
+	Level: slog.LevelDebug, // teeHandler has already filtered
+	ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+		if len(groups) == 0 {
+			switch a.Key {
+			case slog.TimeKey:
+				return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+			case slog.LevelKey:
+				return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+			}
 		}
-		return append(b, x...)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case time.Duration:
-		return append(b, x.String()...)
-	default:
-		return fmt.Appendf(b, "%v", v)
-	}
-}
-
-func appendJSONLine(b []byte, level, component, msg string, kv []any) []byte {
-	b = append(b, `{"ts":`...)
-	b = appendJSONString(b, time.Now().UTC().Format(time.RFC3339Nano))
-	b = append(b, `,"level":`...)
-	b = appendJSONString(b, level)
-	if component != "" {
-		b = append(b, `,"component":`...)
-		b = appendJSONString(b, component)
-	}
-	b = append(b, `,"msg":`...)
-	b = appendJSONString(b, msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		b = append(b, ',')
-		b = appendJSONString(b, fieldKey(kv[i], i))
-		b = append(b, ':')
-		b = appendJSONValue(b, kv[i+1])
-	}
-	if len(kv)%2 == 1 {
-		b = append(b, `,"!BADKV":`...)
-		b = appendJSONValue(b, kv[len(kv)-1])
-	}
-	return append(b, '}')
-}
-
-// fieldKey coerces one kv key to a usable string; a non-string key is a
-// caller bug surfaced in the output rather than dropped.
-func fieldKey(k any, i int) string {
-	if s, ok := k.(string); ok && s != "" {
-		return s
-	}
-	return "!BADKEY" + strconv.Itoa(i/2)
-}
-
-func appendJSONString(b []byte, s string) []byte {
-	enc, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string; keep the line well-formed
-		return append(b, `""`...)
-	}
-	return append(b, enc...)
-}
-
-func appendJSONValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		return appendJSONString(b, x)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case float64:
-		if x != x || x > 1.7e308 || x < -1.7e308 { // NaN/Inf have no JSON literal
-			return appendJSONString(b, strconv.FormatFloat(x, 'g', -1, 64))
+		switch a.Value.Kind() {
+		case slog.KindDuration:
+			a.Value = slog.StringValue(a.Value.Duration().String())
+		case slog.KindFloat64:
+			if f := a.Value.Float64(); math.IsNaN(f) || math.IsInf(f, 0) {
+				a.Value = slog.StringValue(strconv.FormatFloat(f, 'g', -1, 64))
+			}
 		}
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case time.Duration:
-		return appendJSONString(b, x.String())
-	}
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return appendJSONString(b, fmt.Sprintf("%v", v))
-	}
-	return append(b, enc...)
+		return a
+	},
 }
