@@ -75,6 +75,7 @@ import (
 
 	"pimnw/internal/admission/config"
 	"pimnw/internal/cache"
+	"pimnw/internal/core"
 	"pimnw/internal/host"
 	"pimnw/internal/obs"
 	"pimnw/internal/pim"
@@ -194,8 +195,8 @@ func run() error {
 			servingRanks += be.Ranks()
 		}
 	}
-	obs.Logf("serving on http://%s (%d ranks, band %d, micro-batches of %d pairs, %d request slots)",
-		bound, servingRanks, cfg.Align.Band, effBatch, cfg.Queues.Slots)
+	obs.Logf("serving on http://%s (%d ranks, band %d, %s narrow engine, micro-batches of %d pairs, %d request slots)",
+		bound, servingRanks, cfg.Align.Band, core.NarrowEngine(), effBatch, cfg.Queues.Slots)
 	if bes := scfg.Host.Backends; len(bes) > 0 {
 		parts := make([]string, len(bes))
 		for i, be := range bes {

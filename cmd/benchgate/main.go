@@ -24,6 +24,9 @@
 // (run it on the reference machine after intentional performance changes).
 // -allocs-only runs just the alloc-gated benchmarks and checks only the
 // allocation columns — a cheap CI step that needs no timing stability.
+// The result records which narrow engine ran (core.NarrowEngine); the
+// baseline's timings are the AVX2 routine's, so a timing run on a machine
+// that runs the portable engine fails before it measures anything.
 package main
 
 import (
@@ -37,6 +40,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"pimnw/internal/core"
 )
 
 // gated lists the benchmarks the gate watches: the kernel/host hot paths
@@ -114,6 +119,9 @@ type baselineFile struct {
 	// AllocsPerOp records allocs/op (smallest of -count) for every
 	// measured benchmark; the allocGated subset is gated on it.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// NarrowEngine is the narrow engine the core rows ran on: "avx2" or
+	// "portable".
+	NarrowEngine string `json:"narrow_engine,omitempty"`
 }
 
 func main() {
@@ -152,6 +160,10 @@ func benchPattern(names []string) string {
 }
 
 func run(baselinePath string, tolerance float64, count int, benchtime, outPath string, update, allocsOnly bool) error {
+	engine := core.NarrowEngine()
+	if err := checkEngine(engine, allocsOnly); err != nil {
+		return err
+	}
 	sha := headSHA()
 	watch := gated
 	if allocsOnly {
@@ -180,7 +192,7 @@ func run(baselinePath string, tolerance float64, count int, benchtime, outPath s
 	result := baselineFile{
 		SHA: sha, GoVersion: runtime.Version(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Benchmarks: measured, AllocsPerOp: allocs,
+		Benchmarks: measured, AllocsPerOp: allocs, NarrowEngine: engine,
 	}
 	if outPath == "" {
 		outPath = "BENCH_" + sha + ".json"
@@ -221,6 +233,18 @@ func run(baselinePath string, tolerance float64, count int, benchtime, outPath s
 			base.SHA, base.GOARCH)
 	}
 	return nil
+}
+
+// checkEngine refuses a timing run on the portable narrow engine: the
+// baseline's core timings were measured on the AVX2 routine, several
+// times faster, so gating against them would only report the engine.
+// Allocation counts do not depend on the engine.
+func checkEngine(engine string, allocsOnly bool) error {
+	if allocsOnly || engine == "avx2" {
+		return nil
+	}
+	return fmt.Errorf("this machine runs the %s narrow engine, not the AVX2 routine the baseline's timings "+
+		"were measured on; only -allocs-only can run here", engine)
 }
 
 // benchLine matches one `go test -bench -benchmem` result line, e.g.

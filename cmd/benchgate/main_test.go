@@ -173,3 +173,16 @@ func TestCompareRatios(t *testing.T) {
 		t.Errorf("ratio with a missing side passed the gate:\n%s", report)
 	}
 }
+
+func TestCheckEngine(t *testing.T) {
+	if err := checkEngine("avx2", false); err != nil {
+		t.Errorf("an AVX2 timing run was refused: %v", err)
+	}
+	if err := checkEngine("portable", true); err != nil {
+		t.Errorf("a portable -allocs-only run was refused: %v", err)
+	}
+	err := checkEngine("portable", false)
+	if err == nil || !strings.Contains(err.Error(), "portable narrow engine") || !strings.Contains(err.Error(), "-allocs-only") {
+		t.Errorf("a portable timing run was not refused with a clear message: %v", err)
+	}
+}

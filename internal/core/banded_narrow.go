@@ -17,14 +17,13 @@ import (
 //
 // Lane layout. Window cell p lives at lane p+narrowLane0 = p+4: a whole
 // dead word comes first (lanes 0–3, the last of them the top sentinel),
-// the bottom sentinel and two zero pad words last, so every word a span
-// touches has in-bounds neighbours for its funnel-shifted loads, and a
-// full window of a band that is a multiple of 8 is whole SSE2 iterations.
+// the bottom sentinel and zero pad words last, so every word a span
+// touches has in-bounds neighbours for its funnel-shifted 32-byte loads.
 // The seven lane arrays sit back to back in one ring that the step rotates
 // by index (narrow_step.go). The operands are expanded once per call to
 // one base per 16-bit lane (a forward, b reversed, so both advance with
 // stride +1 along an anti-diagonal), and the step forms the substitution
-// word itself by comparing the two base streams lane for lane — the SSE2
+// word itself by comparing the two base streams lane for lane — the AVX2
 // analogue of the paper's cmpb4 (§4.2.4).
 //
 // One routine call per run. The window loop — chooseShift with its two
@@ -33,7 +32,7 @@ import (
 // matrix-boundary cells and the ring rotation — runs in one call of
 // narrowStep.run for a whole run of anti-diagonals: up to the next
 // rebase, to the first sticky flag, or to the end of the pair. On amd64
-// that is the SSE2 routine narrowRunSSE, the same routine with and
+// CPUs with AVX2 that is the routine narrowRunAVX2, the same routine with and
 // without traceback, with its constants in registers and its bounds
 // asserted once per run; elsewhere, and as its oracle, the portable
 // window loop narrowRunGo with the SWAR word step narrowStepWordsGo.
@@ -76,9 +75,9 @@ import (
 // strict compares, diagonal before I before D. The arena is private to the
 // engine and indexed by lane: row t is anti-diagonal t in two planes of
 // one byte per packed word (setBT), the extend bits and the complements
-// of the I/D origin bits — each the equality of a PMAXSW's input and
-// output, so no compare needs a copy of its operands — and SSE2 gathers
-// eight lanes' bits with two PMOVMSKBs. A diagonal
+// of the I/D origin bits — each the equality of a VPMAXSW's input and
+// output, so no compare needs a copy of its operands — and AVX2 gathers
+// sixteen lanes' bits with two VPMOVMSKBs. A diagonal
 // origin is not stored as match or mismatch: the walk compares the two
 // bases, as the substitution word did. The arena is never zeroed: every
 // bit the walk consults is written. A consulted cell's walked state holds
@@ -129,7 +128,7 @@ func narrowGuard(p Params) int32 {
 // narrowParamsFit reports whether the scoring parameters are small enough
 // for faithful 16-bit broadcast arithmetic, and a match scores above a
 // mismatch so that the zero lanes of a substitution word are exactly the
-// mismatches (the SSE2 traceback reads the diagonal origin code off them).
+// mismatches (the AVX2 traceback reads the diagonal origin code off them).
 func narrowParamsFit(p Params) bool {
 	return p.Match <= narrowParamMax && -p.Mismatch <= narrowParamMax &&
 		p.GapOpen <= narrowParamMax && p.GapExt <= narrowParamMax &&
@@ -298,11 +297,12 @@ func (s *Scratch) newNarrowStep(a, b seq.Seq, p Params, w int, traceback bool) n
 	m, n := len(a), len(b)
 	nDiag := m + n + 1
 	// Lanes 0 … narrowLane0+w (the dead word, the w cells and the bottom
-	// sentinel) packed four per word, plus two permanent zero pad words, so
-	// a span's half iteration and its neighbour loads stay inside the
-	// array. The seven arrays share one ring.
-	words := (narrowLane0+w+4)/4 + 2
-	s.nring = growU64(s.nring, 7*words)
+	// sentinel) packed four per word, then permanent zero pad words up to
+	// four past winEnd, so the 32-byte neighbour loads of a span's last
+	// iteration stay inside the array. The seven arrays share one ring,
+	// each a whole number of 32-byte blocks long.
+	words := ((narrowLane0+w+3)/4 + 4 + 3) &^ 3
+	s.nring = alignRing(s.nring, 7*words)
 	clear(s.nring)
 	s.na, s.nb = laneBases(s.na, a, false), laneBases(s.nb, b, true)
 	s.off, s.edge = growI32(s.off, nDiag), growI32(s.edge, certBlock)

@@ -157,7 +157,9 @@ func checkGolden(t *testing.T, name string, got []byte, update bool, skip string
 // changing behaviour. Every line of the committed golden must come back
 // byte for byte.
 func TestNarrowVerdictGolden(t *testing.T) {
-	checkGolden(t, "narrow_verdicts.golden", engineVerdicts("", narrowVerdict), *updateNarrowGolden, "")
+	bothNarrowEngines(t, func(t *testing.T) {
+		checkGolden(t, "narrow_verdicts.golden", engineVerdicts("", narrowVerdict), *updateNarrowGolden, "")
+	})
 }
 
 // TestWideResultGolden pins the full-width engine over the same matrix,
@@ -169,5 +171,19 @@ func TestWideResultGolden(t *testing.T) {
 	if testing.Short() {
 		skip = goldenLongShape
 	}
-	checkGolden(t, "wide_results.golden", engineVerdicts(skip, wideResult), *updateWideGolden, skip)
+	bothNarrowEngines(t, func(t *testing.T) {
+		checkGolden(t, "wide_results.golden", engineVerdicts(skip, wideResult), *updateWideGolden, skip)
+	})
+}
+
+// bothNarrowEngines runs f on the narrow engine this CPU selects and,
+// where that is the AVX2 routine, again with the portable engine forced,
+// so both must reproduce the same golden file.
+func bothNarrowEngines(t *testing.T, f func(t *testing.T)) {
+	t.Run(NarrowEngine(), f)
+	if narrowAVX2 {
+		narrowAVX2 = false
+		defer func() { narrowAVX2 = true }()
+		t.Run(NarrowEngine(), f)
+	}
 }

@@ -5,9 +5,9 @@ package core
 // one base per 16-bit lane, the window offsets and abandoned edge lanes,
 // the traceback arena, the position of the current run, and the broadcast
 // constants. A run (run, narrow_step_amd64.go and narrow_step_generic.go)
-// computes anti-diagonals t+1 … tEnd in one call: the SSE2 routine
-// narrowRunSSE on amd64, narrowRunGo elsewhere and as its oracle.
-// The field order is frozen: narrow_step_amd64.s addresses it by offset.
+// computes anti-diagonals t+1 … tEnd in one call: the AVX2 routine
+// narrowRunAVX2 on amd64 CPUs that have it, narrowRunGo elsewhere and as
+// its oracle.
 type narrowStep struct {
 	ring []uint64 // the seven lane arrays back to back, words each
 	a, b []uint64 // bases one per lane: a, and b reversed
@@ -35,6 +35,20 @@ type narrowStep struct {
 	eV, oeV, nmV, gbV, smV uint64
 }
 
+// narrowAVX2 reports whether narrowStep.run uses the AVX2 routine: set at
+// init from the CPU, and forced off by tests that run the portable engine
+// end to end on amd64.
+var narrowAVX2 = haveAVX2()
+
+// NarrowEngine names the narrow engine's window loop on this machine:
+// "avx2" for the assembly routine, "portable" for narrowRunGo.
+func NarrowEngine() string {
+	if narrowAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // lanes returns the lane array at word offset off of the ring.
 func (st *narrowStep) lanes(off int) []uint64 { return st.ring[off : off+st.words] }
 
@@ -46,9 +60,9 @@ func (st *narrowStep) setLane(arr, l int, v uint16) { setLane16(st.ring, 4*arr+l
 // planes, the first half I-extend and D-extend, the second the
 // complements of H from I and H from D (strict: a diagonal origin sets
 // both, and the walk tells match from mismatch by the bases). Each plane
-// gives the lanes of word pair (b, b+1), b odd — one iteration of the
-// SSE2 span — bytes b and b+1, lane 4b+k at bit k: the I bits in byte b,
-// the D bits in byte b+1. ext and org carry a lane's I bit at bit 0 and
+// gives the lanes of word pair (b, b+1), b odd — half an iteration of
+// the AVX2 span — bytes b and b+1, lane 4b+k at bit k: the I bits in byte
+// b, the D bits in byte b+1. ext and org carry a lane's I bit at bit 0 and
 // its D bit at bit 4.
 func setBT(row []byte, l int, ext, org byte) {
 	b := (l>>2 - 1) | 1
@@ -78,8 +92,8 @@ func laneScore(v uint16) int32 {
 }
 
 // narrowRunGo is the narrow engine's window loop, one anti-diagonal per
-// iteration from st.t to st.tEnd: the !amd64 engine, and the oracle that
-// narrowRunSSE matches state for state. Each iteration steers the window
+// iteration from st.t to st.tEnd: the engine without AVX2, and the oracle
+// that narrowRunAVX2 matches state for state. Each iteration steers the window
 // (chooseShift), records the new offset and the lane the shift abandons,
 // counts the cells, clears the dead flanks with whole-word stores, runs
 // the live span [pLo, pHi] through narrowStepWordsGo under lane

@@ -18,13 +18,16 @@ type narrowRunCase struct {
 }
 
 // narrowRunCases draws the pairs of TestNarrowStepAsmMatchesPortable:
-// every band ≡ 0–3 (mod 4) from 2 to 33 plus 64, 127 and 128; pairs
+// bands from 2 to 256 whose window word counts winEnd = (narrowLane0+w+3)/4
+// take every residue mod 4 — it decides whether the AVX2 span ends in a
+// whole or a half iteration — at small and at serving widths; pairs
 // shorter than the band, length-skewed ones both ways, and ones long
 // enough to cross one or two 512-anti-diagonal rebases; error rates from
 // none to a fifth; and every narrowFuzzParams model, whose stress shapes
 // end runs on the sticky flag.
 func narrowRunCases(rng *rand.Rand, short bool) []narrowRunCase {
-	bands := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 31, 32, 33, 64, 127, 128}
+	bands := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33,
+		46, 55, 58, 62, 63, 64, 65, 66, 67, 120, 124, 127, 128, 129, 256}
 	var cases []narrowRunCase
 	for k := 0; k < 240; k++ {
 		if short && k%4 != 0 {
@@ -170,14 +173,15 @@ func shieldStep(run, ref *narrowStep) bool {
 	return poisoned
 }
 
-// TestNarrowStepAsmMatchesPortable pins the narrow engine's run — the SSE2
-// routine narrowRunSSE on amd64 — to the portable window loop
-// narrowRunGo, state for state, on whole pairs (narrowRunDiff): both
-// traceback modes, bands ≡ 0–3 (mod 4), skewed pairs, pairs shorter than
+// TestNarrowStepAsmMatchesPortable pins the narrow engine's run — the AVX2
+// routine narrowRunAVX2 on amd64 CPUs that have it — to the portable
+// window loop narrowRunGo, state for state, on whole pairs
+// (narrowRunDiff): both traceback modes, window word counts of every
+// residue mod 4, plain and shielded, skewed pairs, pairs shorter than
 // the band, runs of 1 to 600 anti-diagonals that cross rebases, runs
 // that end on the sticky flag, and shielded runs (shieldStep) in which
-// the masked-out lanes of partial span words carry. Off amd64 both sides are the portable loop
-// and the test pins run splitting: a run of k anti-diagonals equals k
+// the masked-out lanes of partial span words carry. Without the routine
+// both sides are the portable loop and the test pins run splitting: a run of k anti-diagonals equals k
 // runs of one.
 //
 // The mutations then perturb one field of the run side's state before
@@ -190,6 +194,7 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cases := narrowRunCases(rng, testing.Short())
 	steps, rebases, shielded, stickies, skewed := 0, 0, 0, 0, 0
+	var residues [2][4]int // pair runs by shield and winEnd mod 4
 	for i, c := range cases {
 		for _, tb := range bothModes {
 			shield := i%3 == 2
@@ -197,6 +202,7 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 			if diff != "" {
 				t.Fatalf("pair %d (m=%d n=%d w=%d p=%+v tb=%v shield=%v): %s", i, len(c.a), len(c.b), c.w, c.p, tb, shield, diff)
 			}
+			residues[i%3/2][(narrowLane0+c.w+3)/4%4]++ // i%3/2 is 1 when shielded
 			steps, rebases, shielded = steps+s, rebases+r, shielded+sh
 			if st {
 				stickies++
@@ -206,11 +212,14 @@ func TestNarrowStepAsmMatchesPortable(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs",
-		steps, rebases, shielded, stickies, skewed)
-	if !testing.Short() && (steps < 150_000 || rebases < 40 || shielded < 40_000 || stickies < 30 || skewed < 150) {
-		t.Fatalf("lopsided coverage: %d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs",
-			steps, rebases, shielded, stickies, skewed)
+	t.Logf("%d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs, "+
+		"pair runs by winEnd mod 4 %v plain, %v shielded",
+		steps, rebases, shielded, stickies, skewed, residues[0], residues[1])
+	if !testing.Short() && (steps < 150_000 || rebases < 40 || shielded < 40_000 || stickies < 30 || skewed < 150 ||
+		slices.Min(residues[0][:]) < 20 || slices.Min(residues[1][:]) < 10) {
+		t.Fatalf("lopsided coverage: %d anti-diagonals, %d rebases, %d shielded steps, %d sticky runs, %d skewed pairs, "+
+			"pair runs by winEnd mod 4 %v plain, %v shielded",
+			steps, rebases, shielded, stickies, skewed, residues[0], residues[1])
 	}
 
 	lanes := func(v uint64) uint64 { return v + lanesOne }

@@ -140,7 +140,7 @@ func TestNarrowFlanksDead(t *testing.T) {
 			}
 			// After m+n rotations of (hPrev, hCur, hNext) from offsets
 			// (0, 1, 2) and of (cur, next) from (3, 4) and (5, 6) words.
-			words := (narrowLane0+tc.w+4)/4 + 2
+			words := len(s.nring) / 7
 			k := tc.m + tc.n
 			final := tc.m - int(s.off[k]) + narrowLane0
 			for name, arr := range map[string]int{"H": (1 + k) % 3, "I": 3 + k%2, "D": 5 + k%2} {

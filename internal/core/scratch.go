@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"pimnw/internal/seq"
 )
@@ -80,6 +82,21 @@ func growU64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
+// alignRing returns n words of buf (grown as needed) placed so that word
+// 1 starts a 32-byte block. An interior span's iterations start at word
+// 1, so its 32-byte stores of the next lane arrays never split a cache
+// line.
+func alignRing(buf []uint64, n int) []uint64 {
+	for buf = buf[:cap(buf)]; ; buf = make([]uint64, n+4) {
+		if len(buf) > 1 {
+			k := (4 - int(uintptr(unsafe.Pointer(&buf[1]))/8%4)) % 4
+			if k+n <= len(buf) {
+				return buf[k : k+n]
+			}
+		}
+	}
+}
+
 // growU8 is growI32 for byte buffers.
 func growU8(buf []uint8, n int) []uint8 {
 	if cap(buf) < n {
@@ -104,22 +121,40 @@ func (s *Scratch) btBuf(n int) []byte {
 // laneBases expands s into buf (grown as needed) one base per 16-bit lane,
 // base k at lane k+narrowBase0 — of s reversed when reverse is set, so
 // that along an anti-diagonal both operands advance with stride +1. Two
-// dead words before the bases and one after keep the out-of-span lanes of
-// a span's partial edge words in bounds.
+// dead words before the bases and three after keep the out-of-span lanes
+// of a span's 32-byte loads in bounds. Base i lands in word 2+i/4, so
+// each word is one four-byte load spread to four lanes.
 func laneBases(buf []uint64, s seq.Seq, reverse bool) []uint64 {
-	buf = growU64(buf, len(s)/4+5)
-	clear(buf)
-	var w uint64 // the word being filled, stored once
-	for i := range s {
-		b := s[i]
-		if reverse {
-			b = s[len(s)-1-i]
+	n := len(s)
+	buf = growU64(buf, n/4+7)
+	clear(buf[:2])
+	clear(buf[2+(n+3)/4:])
+	for i := 0; i < n; i += 4 {
+		var x uint32
+		switch {
+		case n-i < 4:
+			for k := i; k < n; k++ {
+				b := s[k]
+				if reverse {
+					b = s[n-1-k]
+				}
+				x |= uint32(b) << (8 * uint(k-i))
+			}
+		case reverse:
+			x = bits.ReverseBytes32(le32(s[n-i-4:]))
+		default:
+			x = le32(s[i:])
 		}
-		k := i + narrowBase0
-		w |= uint64(b&3) << (uint(k&3) * 16)
-		if k&3 == 3 || i == len(s)-1 {
-			buf[k>>2], w = w, 0
-		}
+		w := uint64(x)
+		w = (w | w<<16) & 0x0000ffff0000ffff
+		buf[2+i/4] = (w | w<<8) & (3 * lanesOne)
 	}
 	return buf
+}
+
+// le32 packs the bases q[0:4] into a word, q[0] in the low byte; the
+// compiler makes it one load.
+func le32(q seq.Seq) uint32 {
+	_ = q[3]
+	return uint32(q[0]) | uint32(q[1])<<8 | uint32(q[2])<<16 | uint32(q[3])<<24
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"pimnw/internal/seq"
 )
 
 // TestEngineScratchReuse runs one Scratch across alternating sizes, widths,
@@ -124,4 +126,38 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("warmed GotohScore allocates %.1f objects/op, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestLaneBasesMatchesBytewise pins laneBases, which fills a word from one
+// four-byte load, to the byte-at-a-time fill it replaced: lengths 0–40
+// and 1 000, both directions, bytes with high bits set (only the low two
+// reach a lane), on a reused buffer whose stale words must not survive.
+func TestLaneBasesMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	buf := make([]uint64, 300)
+	for n := 0; n <= 1000; n++ {
+		if n > 40 && n < 1000 {
+			continue
+		}
+		s := make(seq.Seq, n)
+		for i := range s {
+			s[i] = seq.Base(rng.Intn(256))
+		}
+		for _, reverse := range []bool{false, true} {
+			want := make([]uint64, n/4+7)
+			for i := range s {
+				b := s[i]
+				if reverse {
+					b = s[n-1-i]
+				}
+				setLane16(want, i+narrowBase0, uint16(b&3))
+			}
+			for i := range buf {
+				buf[i] = ^uint64(0)
+			}
+			if got := laneBases(buf, s, reverse); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d reverse=%v:\n got  %x\n want %x", n, reverse, got, want)
+			}
+		}
+	}
 }
